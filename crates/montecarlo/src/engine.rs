@@ -174,9 +174,10 @@ impl StationaryEngine for MonteCarloSimulator {
     /// configured equilibration, and
     /// [`SimulationOptions::events_per_solve`] measurement events. The
     /// simulator's own RNG state is untouched, so trait-driven sweeps never
-    /// perturb an ongoing time-domain run. (The per-solve system clone and
-    /// constructor are a few vector copies — noise next to the thousands of
-    /// Gillespie steps each solve executes.)
+    /// perturb an ongoing time-domain run. The per-solve system clone is
+    /// O(islands): it shares the build-time tables (`C_II⁻¹`, response
+    /// columns, coupling lists) and copies only the electrode voltages and
+    /// background charges the controls overwrite.
     fn stationary_currents(
         &self,
         controls: &[(ControlId, f64)],

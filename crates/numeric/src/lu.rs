@@ -3,6 +3,38 @@
 //!
 //! This is the workhorse behind both the capacitance-matrix inversion in
 //! `se-orthodox` and the modified-nodal-analysis solves in `se-spice`.
+//!
+//! # Bit contract
+//!
+//! The kernels choose *when* each element is updated, never *which*
+//! floating-point operations it sees. Every entry of the factors, of a
+//! solution and of the inverse goes through exactly the operation sequence
+//! of the textbook per-column algorithm — elimination `a[r][k] −= l·a[c][k]`
+//! for pivot columns `c` ascending, forward substitution
+//! `x[i] −= L[i][j]·x[j]` for `j` ascending, back substitution
+//! `x[i] −= U[i][j]·x[j]` for `j` ascending followed by one division by
+//! `U[i][i]` — so the results are bit-identical to it:
+//!
+//! * the elimination updates whole rows as slice axpys;
+//! * [`LuDecomposition::inverse`] substitutes blocks of 64 unit right-hand
+//!   sides at once, row by row (`X[i,:] −= L[i][j]·X[j,:]`), so every step
+//!   is a contiguous, auto-vectorised axpy over a cache-resident block;
+//!   [`LuDecomposition::solve`] is the same kernel at block width 1.
+//!
+//! Rust performs no floating-point contraction, so a vectorised axpy rounds
+//! exactly like the scalar loop. The one liberty the kernels take is to skip
+//! products with exact zeros: zero multipliers, which the substitution finds
+//! through each row's span of non-zeros. `d − 0·s` equals `d` bit for bit unless `s` is
+//! non-finite (`0·∞` is NaN) or `d` is `−0` (`−0 − (−0) = +0`), and a
+//! subtraction yields `−0` only from a `−0` operand. So the kernels skip
+//! only when their targets start free of `−0`. The elimination also checks
+//! each pivot row for non-finite values before it skips. The substitution
+//! checks its result instead: a non-finite value never turns finite again,
+//! so a skip that met one leaves a non-finite result, and such a block is
+//! redone from its right-hand sides without skips. The skips are what let a
+//! banded matrix — the island capacitance matrix of a row-major 2-D array
+//! has bandwidth ≈ its row length `N` — factor in ≈ `N·n²/2` and invert in
+//! ≈ `2·N·n²` operations instead of `n³/3` and `n³`.
 
 use crate::error::NumericError;
 use crate::matrix::Matrix;
@@ -16,10 +48,18 @@ pub struct LuDecomposition {
     perm: Vec<usize>,
     /// Sign of the permutation, used for the determinant.
     perm_sign: f64,
+    /// Per row `i`, the columns `first..end` outside which the row of the
+    /// factors holds only zeros (`first ≤ i < end`).
+    row_span: Vec<(usize, usize)>,
 }
 
 /// Relative pivot threshold below which a matrix is declared singular.
 const SINGULARITY_THRESHOLD: f64 = 1e-13;
+
+/// Right-hand sides [`LuDecomposition::inverse`] substitutes at once: an
+/// `n × 64` block stays cache-resident up to a few thousand rows (512 KiB
+/// at n = 1024).
+const INVERSE_BLOCK: usize = 64;
 
 impl LuDecomposition {
     /// Factorises the matrix.
@@ -41,13 +81,17 @@ impl LuDecomposition {
         let mut lu = a.clone();
         let mut perm: Vec<usize> = (0..n).collect();
         let mut perm_sign = 1.0;
+        // The multipliers stored below the diagonal are never updated again,
+        // so the active rows hold a −0 only if the input did.
+        let targets_clean = !has_negative_zero(a.as_slice());
 
         for col in 0..n {
             // Find pivot.
+            let data = lu.as_slice();
             let mut pivot_row = col;
-            let mut pivot_val = lu[(col, col)].abs();
+            let mut pivot_val = data[col * n + col].abs();
             for row in (col + 1)..n {
-                let v = lu[(row, col)].abs();
+                let v = data[row * n + col].abs();
                 if v > pivot_val {
                     pivot_val = v;
                     pivot_row = row;
@@ -61,21 +105,34 @@ impl LuDecomposition {
                 perm.swap(pivot_row, col);
                 perm_sign = -perm_sign;
             }
-            let pivot = lu[(col, col)];
-            for row in (col + 1)..n {
-                let factor = lu[(row, col)] / pivot;
-                lu[(row, col)] = factor;
-                for k in (col + 1)..n {
-                    let upper = lu[(col, k)];
-                    lu[(row, k)] -= factor * upper;
+            let (done, active) = lu.as_mut_slice().split_at_mut((col + 1) * n);
+            let pivot = done[col * n + col];
+            let upper = &done[col * n + col + 1..];
+            let skip_zeros = targets_clean && upper.iter().all(|u| u.is_finite());
+            for row in active.chunks_exact_mut(n) {
+                let factor = row[col] / pivot;
+                row[col] = factor;
+                if !(skip_zeros && factor == 0.0) {
+                    subtract_scaled(&mut row[col + 1..], factor, upper);
                 }
             }
         }
 
+        let row_span = lu
+            .as_slice()
+            .chunks_exact(n)
+            .enumerate()
+            .map(|(i, row)| {
+                let first = row[..i].iter().position(|&l| l != 0.0).unwrap_or(i);
+                let last = row[i + 1..].iter().rposition(|&u| u != 0.0);
+                (first, last.map_or(i + 1, |k| i + 2 + k))
+            })
+            .collect();
         Ok(LuDecomposition {
             lu,
             perm,
             perm_sign,
+            row_span,
         })
     }
 
@@ -99,46 +156,93 @@ impl LuDecomposition {
                 found: format!("length {}", b.len()),
             });
         }
-        // Apply permutation.
-        let mut x: Vec<f64> = self.perm.iter().map(|&p| b[p]).collect();
-        // Forward substitution (L is unit lower triangular).
-        for i in 1..n {
-            let mut sum = x[i];
-            for j in 0..i {
-                sum -= self.lu[(i, j)] * x[j];
+        let mut x = vec![0.0; n];
+        self.substitute(&mut x, 1, |x| {
+            for (xi, &p) in x.iter_mut().zip(&self.perm) {
+                *xi = b[p];
             }
-            x[i] = sum;
-        }
-        // Back substitution.
-        for i in (0..n).rev() {
-            let mut sum = x[i];
-            for j in (i + 1)..n {
-                sum -= self.lu[(i, j)] * x[j];
-            }
-            x[i] = sum / self.lu[(i, i)];
-        }
+        });
         Ok(x)
     }
 
-    /// Computes the inverse matrix by solving against each unit vector.
+    /// Computes the inverse matrix by solving against the unit vectors, 64
+    /// columns at a time.
     ///
     /// # Errors
     ///
-    /// Propagates solve errors (cannot occur for a successfully factorised
-    /// matrix with correct dimensions).
+    /// Never fails for a successfully factorised matrix; the `Result` is
+    /// kept for API stability.
     pub fn inverse(&self) -> Result<Matrix, NumericError> {
         let n = self.dim();
         let mut inv = Matrix::zeros(n, n);
-        let mut e = vec![0.0; n];
-        for col in 0..n {
-            e[col] = 1.0;
-            let x = self.solve(&e)?;
-            for row in 0..n {
-                inv[(row, col)] = x[row];
+        let mut block = vec![0.0; n * INVERSE_BLOCK.min(n)];
+        for first in (0..n).step_by(INVERSE_BLOCK) {
+            let width = INVERSE_BLOCK.min(n - first);
+            let block = &mut block[..n * width];
+            // Unit vectors e_first.. e_first+width−1, in pivot order.
+            self.substitute(block, width, |block| {
+                block.fill(0.0);
+                for (i, &p) in self.perm.iter().enumerate() {
+                    if (first..first + width).contains(&p) {
+                        block[i * width + p - first] = 1.0;
+                    }
+                }
+            });
+            for (dst, src) in inv
+                .as_mut_slice()
+                .chunks_exact_mut(n)
+                .zip(block.chunks_exact(width))
+            {
+                dst[first..first + width].copy_from_slice(src);
             }
-            e[col] = 0.0;
         }
         Ok(inv)
+    }
+
+    /// Forward and back substitution in place on `x`, an `n × width`
+    /// row-major block that `fill` loads with the right-hand sides in pivot
+    /// order. Zeros of the factors are skipped unless that could change a
+    /// bit (see the module docs); a result that might differ is recomputed
+    /// from a fresh `fill` without skips.
+    fn substitute(&self, x: &mut [f64], width: usize, fill: impl Fn(&mut [f64])) {
+        fill(x);
+        let skip_zeros = !has_negative_zero(x);
+        self.substitute_rows(x, width, skip_zeros);
+        if skip_zeros && x.iter().any(|v| !v.is_finite()) {
+            fill(x);
+            self.substitute_rows(x, width, false);
+        }
+    }
+
+    fn substitute_rows(&self, x: &mut [f64], width: usize, skip_zeros: bool) {
+        let n = self.dim();
+        let lu = self.lu.as_slice();
+        // Forward substitution (L is unit lower triangular).
+        for i in 0..n {
+            let first = if skip_zeros { self.row_span[i].0 } else { 0 };
+            let (solved, rest) = x.split_at_mut(i * width);
+            let target = &mut rest[..width];
+            for (j, &l) in (first..i).zip(&lu[i * n + first..i * n + i]) {
+                if !(skip_zeros && l == 0.0) {
+                    subtract_scaled(target, l, &solved[j * width..(j + 1) * width]);
+                }
+            }
+        }
+        // Back substitution.
+        for i in (0..n).rev() {
+            let end = if skip_zeros { self.row_span[i].1 } else { n };
+            let (head, solved) = x.split_at_mut((i + 1) * width);
+            let target = &mut head[i * width..];
+            let row = &lu[i * n..(i + 1) * n];
+            for (k, &u) in row[i + 1..end].iter().enumerate() {
+                if !(skip_zeros && u == 0.0) {
+                    subtract_scaled(target, u, &solved[k * width..(k + 1) * width]);
+                }
+            }
+            for v in target.iter_mut() {
+                *v /= row[i];
+            }
+        }
     }
 
     /// Determinant of the original matrix.
@@ -151,6 +255,17 @@ impl LuDecomposition {
         }
         det
     }
+}
+
+/// `dst −= factor · src`, element by element.
+fn subtract_scaled(dst: &mut [f64], factor: f64, src: &[f64]) {
+    for (d, &s) in dst.iter_mut().zip(src) {
+        *d -= factor * s;
+    }
+}
+
+fn has_negative_zero(values: &[f64]) -> bool {
+    values.iter().any(|&v| v == 0.0 && v.is_sign_negative())
 }
 
 /// Convenience function: solves `A·x = b` in one call.
@@ -175,6 +290,141 @@ pub fn invert(a: &Matrix) -> Result<Matrix, NumericError> {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The per-column algorithm the kernels must reproduce bit for bit,
+    /// kept verbatim from before the blocked kernels as the reference.
+    mod reference {
+        use super::*;
+
+        pub fn factor(a: &Matrix) -> Result<LuDecomposition, NumericError> {
+            let n = a.rows();
+            let scale = a.max_abs().max(f64::MIN_POSITIVE);
+            let mut lu = a.clone();
+            let mut perm: Vec<usize> = (0..n).collect();
+            let mut perm_sign = 1.0;
+            for col in 0..n {
+                let mut pivot_row = col;
+                let mut pivot_val = lu[(col, col)].abs();
+                for row in (col + 1)..n {
+                    let v = lu[(row, col)].abs();
+                    if v > pivot_val {
+                        pivot_val = v;
+                        pivot_row = row;
+                    }
+                }
+                if pivot_val < SINGULARITY_THRESHOLD * scale {
+                    return Err(NumericError::SingularMatrix { pivot: col });
+                }
+                if pivot_row != col {
+                    lu.swap_rows(pivot_row, col);
+                    perm.swap(pivot_row, col);
+                    perm_sign = -perm_sign;
+                }
+                let pivot = lu[(col, col)];
+                for row in (col + 1)..n {
+                    let factor = lu[(row, col)] / pivot;
+                    lu[(row, col)] = factor;
+                    for k in (col + 1)..n {
+                        let upper = lu[(col, k)];
+                        lu[(row, k)] -= factor * upper;
+                    }
+                }
+            }
+            Ok(LuDecomposition {
+                lu,
+                perm,
+                perm_sign,
+                row_span: Vec::new(),
+            })
+        }
+
+        pub fn solve(f: &LuDecomposition, b: &[f64]) -> Vec<f64> {
+            let n = f.dim();
+            let mut x: Vec<f64> = f.perm.iter().map(|&p| b[p]).collect();
+            for i in 1..n {
+                let mut sum = x[i];
+                for j in 0..i {
+                    sum -= f.lu[(i, j)] * x[j];
+                }
+                x[i] = sum;
+            }
+            for i in (0..n).rev() {
+                let mut sum = x[i];
+                for j in (i + 1)..n {
+                    sum -= f.lu[(i, j)] * x[j];
+                }
+                x[i] = sum / f.lu[(i, i)];
+            }
+            x
+        }
+
+        pub fn inverse(f: &LuDecomposition) -> Matrix {
+            let n = f.dim();
+            let mut inv = Matrix::zeros(n, n);
+            let mut e = vec![0.0; n];
+            for col in 0..n {
+                e[col] = 1.0;
+                let x = solve(f, &e);
+                for row in 0..n {
+                    inv[(row, col)] = x[row];
+                }
+                e[col] = 0.0;
+            }
+            inv
+        }
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Asserts that the factors, a solve of every `rhs`, the inverse and the
+    /// determinant all equal the reference's to the bit.
+    fn assert_bit_identical(a: &Matrix, rhs: &[Vec<f64>]) {
+        let fast = LuDecomposition::new(a);
+        let slow = reference::factor(a);
+        let (fast, slow) = match (fast, slow) {
+            (Ok(fast), Ok(slow)) => (fast, slow),
+            (Err(fast), Err(slow)) => {
+                assert_eq!(format!("{fast:?}"), format!("{slow:?}"));
+                return;
+            }
+            (fast, slow) => panic!("factorisations disagree: {fast:?} vs {slow:?}"),
+        };
+        assert_eq!(
+            bits(fast.lu.as_slice()),
+            bits(slow.lu.as_slice()),
+            "factors"
+        );
+        assert_eq!(fast.perm, slow.perm);
+        for b in rhs {
+            let x = fast.solve(b).unwrap();
+            assert_eq!(bits(&x), bits(&reference::solve(&slow, b)), "solve");
+        }
+        let inv = fast.inverse().unwrap();
+        let inv_ref = reference::inverse(&slow);
+        assert_eq!(bits(inv.as_slice()), bits(inv_ref.as_slice()), "inverse");
+        assert_eq!(
+            fast.determinant().to_bits(),
+            slow.determinant().to_bits(),
+            "determinant"
+        );
+    }
+
+    /// A value that is `+0`, `−0` or uniform in `[-2, 2)`, with the given
+    /// probabilities of the two zeros.
+    fn sparse_value(rng: &mut StdRng, zero: f64, negative_zero: f64) -> f64 {
+        let u: f64 = rng.gen();
+        if u < negative_zero {
+            -0.0
+        } else if u < negative_zero + zero {
+            0.0
+        } else {
+            4.0 * rng.gen::<f64>() - 2.0
+        }
+    }
 
     #[test]
     fn solves_small_system_exactly() {
@@ -233,6 +483,74 @@ mod tests {
         assert!(lu.solve(&[1.0, 2.0]).is_err());
     }
 
+    /// The cases where skipping a zero product would change a bit:
+    /// `−0 − (−0)` is `+0`, and `0·∞` and `NaN·0` are NaN. A `−0` on the
+    /// right-hand side must switch the substitution's skips off; an infinite
+    /// pivot row the elimination's; a NaN multiplier must not be skipped;
+    /// and an infinite source row in the substitution
+    /// leaves a non-finite result, which makes the block run again from its
+    /// right-hand side without skips.
+    #[test]
+    fn signed_zeros_and_non_finite_values_match_the_reference() {
+        let inf = f64::INFINITY;
+        let diagonal = Matrix::from_diagonal(&[2.0, 3.0]);
+        assert_bit_identical(&diagonal, &[vec![-1.0, -0.0]]);
+        let infinite_pivot_row = Matrix::from_rows(&[&[inf, inf], &[1.0, inf]]).unwrap();
+        assert_bit_identical(&infinite_pivot_row, &[vec![1.0, 2.0]]);
+        let nan_multiplier =
+            Matrix::from_rows(&[&[1.0, 1.0, 0.0], &[f64::NAN, 1.0, 1.0], &[0.0, 1.0, 1.0]])
+                .unwrap();
+        assert_bit_identical(&nan_multiplier, &[vec![1.0, 2.0, 3.0]]);
+        // Skipping `U[0][1]·x[1]` with `x[1] = −∞` leaves x[0] = 1, where the
+        // reference has `1 − 0·(−∞)` = NaN; the redo must start from b, or
+        // x[1] would be divided by −2 twice.
+        let negative_diagonal = Matrix::from_diagonal(&[1.0, -2.0]);
+        assert_bit_identical(&negative_diagonal, &[vec![1.0, inf], vec![1.0, 2.0]]);
+        let x = LuDecomposition::new(&negative_diagonal)
+            .unwrap()
+            .solve(&[1.0, inf])
+            .unwrap();
+        assert!(x[0].is_nan() && x[1] == -inf);
+    }
+
+    /// The island capacitance matrix of a 2-D array built like the array
+    /// decks: rows of 32 islands (the band width of a 32×32 array), 0.5 aF
+    /// horizontal and 0.3 aF vertical junctions, leads at both row ends and
+    /// a seeded 0.03–0.2 aF stray capacitor per island. Six rows make 192
+    /// islands, three inverse blocks; the full 32×32 array would take the
+    /// per-column reference most of a minute in an unoptimised build.
+    #[test]
+    fn grid_capacitance_matrix_inverts_bit_identically() {
+        let (side, rows) = (32, 6);
+        let n = side * rows;
+        let mut rng = StdRng::seed_from_u64(7);
+        let mut c = Matrix::zeros(n, n);
+        let mut couple = |i: usize, j: Option<usize>, cap: f64| {
+            c.add_at(i, i, cap);
+            if let Some(j) = j {
+                c.add_at(j, j, cap);
+                c.add_at(i, j, -cap);
+                c.add_at(j, i, -cap);
+            }
+        };
+        for r in 0..rows {
+            for col in 0..side {
+                let i = r * side + col;
+                let right = (col + 1 < side).then_some(i + 1);
+                couple(i, right, 0.5e-18);
+                if col == 0 {
+                    couple(i, None, 0.5e-18);
+                }
+                if r + 1 < rows {
+                    couple(i, Some(i + side), 0.3e-18);
+                }
+                couple(i, None, (0.03 + 0.17 * rng.gen::<f64>()) * 1e-18);
+            }
+        }
+        let b: Vec<f64> = (0..n).map(|i| (i % 7) as f64 * 1e-19).collect();
+        assert_bit_identical(&c, &[b]);
+    }
+
     proptest! {
         /// Diagonally dominant random matrices are well conditioned; solving
         /// and multiplying back must reproduce the right-hand side.
@@ -273,6 +591,48 @@ mod tests {
             let lu_inv = LuDecomposition::new(&inv).unwrap();
             let prod = lu.determinant() * lu_inv.determinant();
             prop_assert!((prod - 1.0).abs() < 1e-6);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(60))]
+
+        /// The blocked kernels against the per-column reference on random
+        /// sparse general matrices, at sizes around the block width: factors,
+        /// solves, inverse and determinant agree to the bit, signed zeros
+        /// included. A scaled random permutation on top of the sparse fill
+        /// forces row swaps and negative pivots; half the cases seed `−0`
+        /// entries into the matrix or the right-hand side, which must switch
+        /// the zero-multiplier skip off rather than change a bit.
+        #[test]
+        fn prop_blocked_kernels_are_bit_identical_to_the_reference(
+            size in 0_usize..5,
+            seed in 0_u64..u64::MAX,
+            zero in 0.3_f64..0.95,
+            signed_zeros in 0_u8..4,
+        ) {
+            let n = [1, INVERSE_BLOCK - 1, INVERSE_BLOCK, INVERSE_BLOCK + 1, 2 * INVERSE_BLOCK + 3][size];
+            let mut rng = StdRng::seed_from_u64(seed);
+            let matrix_negative_zero = if signed_zeros & 1 == 1 { 0.05 } else { 0.0 };
+            let rhs_negative_zero = if signed_zeros & 2 == 2 { 0.2 } else { 0.0 };
+            let mut a = Matrix::zeros(n, n);
+            for i in 0..n {
+                for j in 0..n {
+                    a[(i, j)] = sparse_value(&mut rng, zero, matrix_negative_zero);
+                }
+            }
+            let mut targets: Vec<usize> = (0..n).collect();
+            for i in (1..n).rev() {
+                targets.swap(i, rng.gen::<u64>() as usize % (i + 1));
+            }
+            for (i, &j) in targets.iter().enumerate() {
+                let sign = if rng.gen_bool(0.5) { -1.0 } else { 1.0 };
+                a[(i, j)] += sign * (1.0 + 3.0 * rng.gen::<f64>());
+            }
+            let b: Vec<f64> = (0..n)
+                .map(|_| sparse_value(&mut rng, 0.3, rhs_negative_zero))
+                .collect();
+            assert_bit_identical(&a, &[b]);
         }
     }
 }

@@ -7,10 +7,12 @@ use std::ops::{Add, Index, IndexMut, Mul, Sub};
 
 /// Dense, row-major matrix of `f64` values.
 ///
-/// The matrix is deliberately simple: sizes in this workspace are at most a
-/// few hundred rows (circuit node counts / charge-state counts), so cache
-/// blocking and sparsity are not worth their complexity here. Benchmarks in
-/// `se-bench` track the solver cost as circuits grow.
+/// The type itself stays simple; the kernels that work on large instances
+/// live with their algorithms. The island capacitance matrix of a 2-D array
+/// reaches thousands of rows (1 024 at 32×32 islands) with a band of
+/// non-zeros, which the LU kernels in [`crate::lu`] exploit through cache
+/// blocking and exact-zero skips. Sparse systems such as master-equation
+/// generators use [`crate::CsrMatrix`] instead.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Matrix {
     rows: usize,
@@ -147,10 +149,17 @@ impl Matrix {
     /// Returns the transpose of the matrix.
     #[must_use]
     pub fn transpose(&self) -> Matrix {
+        // Square tiles keep both the reads and the strided writes within a
+        // few cache lines per row.
+        const TILE: usize = 32;
         let mut out = Matrix::zeros(self.cols, self.rows);
-        for i in 0..self.rows {
-            for j in 0..self.cols {
-                out[(j, i)] = self[(i, j)];
+        for i0 in (0..self.rows).step_by(TILE) {
+            for j0 in (0..self.cols).step_by(TILE) {
+                for i in i0..(i0 + TILE).min(self.rows) {
+                    for j in j0..(j0 + TILE).min(self.cols) {
+                        out.data[j * self.rows + i] = self.data[i * self.cols + j];
+                    }
+                }
             }
         }
         out
@@ -221,6 +230,11 @@ impl Matrix {
     #[must_use]
     pub fn as_slice(&self) -> &[f64] {
         &self.data
+    }
+
+    /// Returns the raw row-major data slice, mutably.
+    pub(crate) fn as_mut_slice(&mut self) -> &mut [f64] {
+        &mut self.data
     }
 
     /// Matrix × matrix product.
@@ -354,6 +368,24 @@ mod tests {
     fn transpose_involution() {
         let m = Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]).unwrap();
         assert_eq!(m.transpose().transpose(), m);
+    }
+
+    #[test]
+    fn transpose_crosses_tile_boundaries() {
+        let (rows, cols) = (45, 70);
+        let mut m = Matrix::zeros(rows, cols);
+        for i in 0..rows {
+            for j in 0..cols {
+                m[(i, j)] = (i * cols + j) as f64;
+            }
+        }
+        let t = m.transpose();
+        assert_eq!((t.rows(), t.cols()), (cols, rows));
+        for i in 0..rows {
+            for j in 0..cols {
+                assert_eq!(t[(j, i)], m[(i, j)]);
+            }
+        }
     }
 
     #[test]

@@ -33,6 +33,7 @@
 use crate::error::OrthodoxError;
 use se_numeric::{LuDecomposition, Matrix, NumericError};
 use se_units::constants::E;
+use std::sync::Arc;
 
 /// Relative negligibility threshold of the event-coupling table: a coupling
 /// below this fraction of the system's strongest coupling is left off the
@@ -326,6 +327,7 @@ impl TunnelSystemBuilder {
             }
         }
 
+        let c_ii_diagonal = (0..n_islands).map(|i| c_ii[(i, i)]).collect();
         let lu = LuDecomposition::new(&c_ii).map_err(|err| match err {
             // Elimination columns are never permuted, so the pivot column is
             // the island whose row became linearly dependent — name it.
@@ -340,7 +342,9 @@ impl TunnelSystemBuilder {
             }
             other => OrthodoxError::Numeric(other),
         })?;
+        drop(c_ii);
         let inverse = lu.inverse()?;
+        drop(lu);
 
         // Per-junction self-charging constant K_aa + K_bb − 2·K_ab (external
         // endpoints contribute zero), the state-independent half of ΔF.
@@ -357,21 +361,22 @@ impl TunnelSystemBuilder {
         // Per-junction potential response of one a→b tunnel event:
         // Δφ = e·K[:,a] − e·K[:,b] (island endpoints only). Applying an
         // event to cached potentials is then a single ±axpy of this column.
-        let event_response: Vec<Vec<f64>> = self
-            .junctions
-            .iter()
-            .map(|j| {
-                (0..n_islands)
-                    .map(|t| {
-                        let col = |e: Endpoint| match e {
-                            Endpoint::Island(i) => inverse[(t, i)],
-                            Endpoint::External(_) => 0.0,
-                        };
-                        E * (col(j.a) - col(j.b))
-                    })
-                    .collect()
-            })
-            .collect();
+        // The columns are read as rows of one transposed copy of K.
+        let event_response: Vec<Vec<f64>> = {
+            let k_columns = inverse.transpose();
+            let zeros = vec![0.0; n_islands];
+            let column = |e: Endpoint| match e {
+                Endpoint::Island(i) => k_columns.row(i),
+                Endpoint::External(_) => &zeros,
+            };
+            self.junctions
+                .iter()
+                .map(|j| {
+                    let (a, b) = (column(j.a), column(j.b));
+                    a.iter().zip(b).map(|(x, y)| E * (x - y)).collect()
+                })
+                .collect()
+        };
 
         // Event-coupling table: orthodox ΔF is linear in the island
         // occupation, so firing an a→b event on junction `f` shifts every
@@ -386,43 +391,35 @@ impl TunnelSystemBuilder {
         // the threshold drifts an untouched event's ΔF by at most
         // REFRESH_INTERVAL·θ between two exact refreshes, which is what the
         // `coupling_margin` stability guard accounts for.
-        let gap_shift = |f: usize, j: &Junction| -> f64 {
-            let resp = &event_response[f];
-            let at = |e: Endpoint| match e {
-                Endpoint::Island(i) => resp[i],
-                Endpoint::External(_) => 0.0,
-            };
-            E * (at(j.a) - at(j.b))
-        };
+        //
+        // One pass finds the strongest coupling, a second fills each fired
+        // junction's list and values from one evaluation of its row.
         let n_junctions = self.junctions.len();
+        let mut row = vec![0.0; n_junctions];
         let mut g_max = 0.0_f64;
-        for f in 0..n_junctions {
-            for j in &self.junctions {
-                g_max = g_max.max(gap_shift(f, j).abs());
+        for resp in &event_response {
+            coupling_row(&self.junctions, resp, &mut row);
+            for g in &row {
+                g_max = g_max.max(g.abs());
             }
         }
         let threshold = COUPLING_THRESHOLD_REL * g_max;
-        let coupling_strong: Vec<Vec<u32>> = (0..n_junctions)
-            .map(|f| {
-                self.junctions
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, j)| gap_shift(f, j).abs() > threshold)
-                    .map(|(idx, _)| idx as u32)
-                    .collect()
-            })
-            .collect();
-        // The coupling values of each strong list, stored contiguously so
-        // the per-event axpy reads one cache-friendly slice instead of
-        // recomputing the endpoint algebra per entry.
-        let coupling_strong_values: Vec<Vec<f64>> = (0..n_junctions)
-            .map(|f| {
-                coupling_strong[f]
-                    .iter()
-                    .map(|&j| gap_shift(f, &self.junctions[j as usize]))
-                    .collect()
-            })
-            .collect();
+        let mut coupling_strong = Vec::with_capacity(n_junctions);
+        let mut coupling_strong_values = Vec::with_capacity(n_junctions);
+        for resp in &event_response {
+            coupling_row(&self.junctions, resp, &mut row);
+            let strong = row.iter().filter(|g| g.abs() > threshold).count();
+            let mut list = Vec::with_capacity(strong);
+            let mut values = Vec::with_capacity(strong);
+            for (idx, &g) in row.iter().enumerate() {
+                if g.abs() > threshold {
+                    list.push(idx as u32);
+                    values.push(g);
+                }
+            }
+            coupling_strong.push(list);
+            coupling_strong_values.push(values);
+        }
         let coupling_margin = 2.0 * f64::from(crate::live::REFRESH_INTERVAL) * threshold;
 
         // Per-electrode potential response ∂φ/∂V_k = K · C(:,k): a voltage
@@ -445,36 +442,62 @@ impl TunnelSystemBuilder {
             .collect();
 
         Ok(TunnelSystem {
-            island_names: self.island_names.clone(),
+            tables: Arc::new(SystemTables {
+                island_names: self.island_names.clone(),
+                external_names: self.external_names.clone(),
+                junctions: self.junctions.clone(),
+                capacitors: self.capacitors.clone(),
+                c_ii_diagonal,
+                c_ii_inverse: inverse,
+                coupling,
+                self_charging,
+                event_response,
+                coupling_strong,
+                coupling_strong_values,
+                coupling_margin,
+                drive_response,
+            }),
             background_charges: self.background_charges.clone(),
-            external_names: self.external_names.clone(),
             external_voltages: self.external_voltages.clone(),
-            junctions: self.junctions.clone(),
-            capacitors: self.capacitors.clone(),
-            c_ii,
-            c_ii_inverse: inverse,
-            coupling,
-            self_charging,
-            event_response,
-            coupling_strong,
-            coupling_strong_values,
-            coupling_margin,
-            drive_response,
         })
+    }
+}
+
+/// Row `f` of the event-coupling table from junction `f`'s response column:
+/// `row[j] = e·(resp_f[a_j] − resp_f[b_j])`, external endpoints reading zero.
+fn coupling_row(junctions: &[Junction], response: &[f64], row: &mut [f64]) {
+    let at = |e: Endpoint| match e {
+        Endpoint::Island(i) => response[i],
+        Endpoint::External(_) => 0.0,
+    };
+    for (g, j) in row.iter_mut().zip(junctions) {
+        *g = E * (at(j.a) - at(j.b));
     }
 }
 
 /// A circuit of islands and external electrodes connected by tunnel
 /// junctions and capacitors, with precomputed electrostatics.
+///
+/// The build-time tables are shared behind one [`Arc`], so a clone — one per
+/// bias point in a sweep — copies only the per-instance electrode voltages
+/// and background charges, O(islands + electrodes).
 #[derive(Debug, Clone)]
 pub struct TunnelSystem {
-    island_names: Vec<String>,
+    tables: Arc<SystemTables>,
     background_charges: Vec<f64>,
-    external_names: Vec<String>,
     external_voltages: Vec<f64>,
+}
+
+/// The immutable part of a [`TunnelSystem`]: topology and every table
+/// derived from the capacitance matrix.
+#[derive(Debug)]
+struct SystemTables {
+    island_names: Vec<String>,
+    external_names: Vec<String>,
     junctions: Vec<Junction>,
     capacitors: Vec<Capacitor>,
-    c_ii: Matrix,
+    /// Diagonal of `C_II`: each island's total capacitance.
+    c_ii_diagonal: Vec<f64>,
     c_ii_inverse: Matrix,
     /// For each island, the list of (external index, coupling capacitance).
     coupling: Vec<Vec<(usize, f64)>>,
@@ -514,25 +537,25 @@ impl TunnelSystem {
     /// Number of islands.
     #[must_use]
     pub fn island_count(&self) -> usize {
-        self.island_names.len()
+        self.tables.island_names.len()
     }
 
     /// Number of external electrodes.
     #[must_use]
     pub fn external_count(&self) -> usize {
-        self.external_names.len()
+        self.tables.external_names.len()
     }
 
     /// The junctions of the system, in insertion order.
     #[must_use]
     pub fn junctions(&self) -> &[Junction] {
-        &self.junctions
+        &self.tables.junctions
     }
 
     /// The capacitors of the system, in insertion order.
     #[must_use]
     pub fn capacitors(&self) -> &[Capacitor] {
-        &self.capacitors
+        &self.tables.capacitors
     }
 
     /// Name of island `i`.
@@ -542,7 +565,7 @@ impl TunnelSystem {
     /// Panics if `i` is out of range.
     #[must_use]
     pub fn island_name(&self, i: usize) -> &str {
-        &self.island_names[i]
+        &self.tables.island_names[i]
     }
 
     /// Name of external electrode `k`.
@@ -552,13 +575,14 @@ impl TunnelSystem {
     /// Panics if `k` is out of range.
     #[must_use]
     pub fn external_name(&self, k: usize) -> &str {
-        &self.external_names[k]
+        &self.tables.external_names[k]
     }
 
     /// Finds an external electrode index by name.
     #[must_use]
     pub fn external_index(&self, name: &str) -> Option<usize> {
-        self.external_names
+        self.tables
+            .external_names
             .iter()
             .position(|n| n.eq_ignore_ascii_case(name))
     }
@@ -627,7 +651,7 @@ impl TunnelSystem {
     /// Panics if `i` is out of range.
     #[must_use]
     pub fn total_island_capacitance(&self, i: usize) -> f64 {
-        self.c_ii[(i, i)]
+        self.tables.c_ii_diagonal[i]
     }
 
     /// Charging energy `e²/(2·CΣ)` of island `i` in joule.
@@ -658,14 +682,14 @@ impl TunnelSystem {
         let q = self.island_charges(state);
         let rhs: Vec<f64> = (0..self.island_count())
             .map(|i| {
-                let s: f64 = self.coupling[i]
+                let s: f64 = self.tables.coupling[i]
                     .iter()
                     .map(|&(k, c)| c * self.external_voltages[k])
                     .sum();
                 q[i] + s
             })
             .collect();
-        self.c_ii_inverse.mul_vec(&rhs)
+        self.tables.c_ii_inverse.mul_vec(&rhs)
     }
 
     /// Potential of an endpoint given precomputed island potentials.
@@ -717,14 +741,14 @@ impl TunnelSystem {
         let q = self.island_charges(state);
         let rhs: Vec<f64> = (0..self.island_count())
             .map(|i| {
-                let s: f64 = self.coupling[i]
+                let s: f64 = self.tables.coupling[i]
                     .iter()
                     .map(|&(k, c)| c * self.external_voltages[k])
                     .sum();
                 q[i] + s
             })
             .collect();
-        let phi = self.c_ii_inverse.mul_vec(&rhs);
+        let phi = self.tables.c_ii_inverse.mul_vec(&rhs);
         0.5 * rhs.iter().zip(&phi).map(|(a, b)| a * b).sum::<f64>()
     }
 
@@ -737,7 +761,7 @@ impl TunnelSystem {
     /// Number of candidate tunnel events (two per junction).
     #[must_use]
     pub fn event_count(&self) -> usize {
-        2 * self.junctions.len()
+        2 * self.tables.junctions.len()
     }
 
     /// The candidate tunnel event with canonical index `index`: events are
@@ -769,7 +793,7 @@ impl TunnelSystem {
     /// Panics if the event's junction index is out of range.
     #[must_use]
     pub fn event_endpoints(&self, event: TunnelEvent) -> (Endpoint, Endpoint) {
-        let j = &self.junctions[event.junction];
+        let j = &self.tables.junctions[event.junction];
         match event.direction {
             Direction::AToB => (j.a, j.b),
             Direction::BToA => (j.b, j.a),
@@ -801,7 +825,7 @@ impl TunnelSystem {
         let (from, to) = self.event_endpoints(event);
         let phi_from = self.endpoint_potential(from, island_potentials);
         let phi_to = self.endpoint_potential(to, island_potentials);
-        E * (phi_from - phi_to) + 0.5 * E * E * self.self_charging[event.junction]
+        E * (phi_from - phi_to) + 0.5 * E * E * self.tables.self_charging[event.junction]
     }
 
     /// The self-charging constant `K_aa + K_bb − 2·K_ab` of a junction
@@ -815,7 +839,7 @@ impl TunnelSystem {
     /// Panics if `junction` is out of range.
     #[must_use]
     pub fn junction_self_charging(&self, junction: usize) -> f64 {
-        self.self_charging[junction]
+        self.tables.self_charging[junction]
     }
 
     /// Row `i` of the precomputed inverse island capacitance matrix
@@ -823,18 +847,18 @@ impl TunnelSystem {
     /// `Δq·K[i]` to the island potentials is the O(islands) incremental
     /// update for a charge change `Δq` on island `i`.
     pub(crate) fn inverse_row(&self, i: usize) -> &[f64] {
-        self.c_ii_inverse.row(i)
+        self.tables.c_ii_inverse.row(i)
     }
 
     /// The island-potential response `∂φ/∂V_k` of external electrode `k`.
     pub(crate) fn drive_response(&self, k: usize) -> &[f64] {
-        &self.drive_response[k]
+        &self.tables.drive_response[k]
     }
 
     /// The island-potential change caused by one a→b tunnel event across
     /// junction `j` (negate for b→a).
     pub(crate) fn junction_response(&self, j: usize) -> &[f64] {
-        &self.event_response[j]
+        &self.tables.event_response[j]
     }
 
     /// The event-coupling constant `g[fired][observed]` in joule: how much
@@ -850,12 +874,12 @@ impl TunnelSystem {
     /// Panics if either junction index is out of range.
     #[must_use]
     pub fn junction_coupling(&self, fired: usize, observed: usize) -> f64 {
-        let resp = &self.event_response[fired];
+        let resp = &self.tables.event_response[fired];
         let at = |e: Endpoint| match e {
             Endpoint::Island(i) => resp[i],
             Endpoint::External(_) => 0.0,
         };
-        let j = &self.junctions[observed];
+        let j = &self.tables.junctions[observed];
         E * (at(j.a) - at(j.b))
     }
 
@@ -872,7 +896,7 @@ impl TunnelSystem {
     /// Panics if `fired` is out of range.
     #[must_use]
     pub fn junction_strong_couplings(&self, fired: usize) -> &[u32] {
-        &self.coupling_strong[fired]
+        &self.tables.coupling_strong[fired]
     }
 
     /// The coupling constants of `fired`'s strong list, aligned entry for
@@ -885,7 +909,7 @@ impl TunnelSystem {
     /// Panics if `fired` is out of range.
     #[must_use]
     pub fn junction_strong_coupling_values(&self, fired: usize) -> &[f64] {
-        &self.coupling_strong_values[fired]
+        &self.tables.coupling_strong_values[fired]
     }
 
     /// The ΔF stability margin in joule: an event whose ΔF exceeds the
@@ -895,7 +919,7 @@ impl TunnelSystem {
     /// table can skip it entirely.
     #[must_use]
     pub fn coupling_margin(&self) -> f64 {
-        self.coupling_margin
+        self.tables.coupling_margin
     }
 
     /// Tunnel resistance of the junction involved in `event`, in ohm.
@@ -905,7 +929,7 @@ impl TunnelSystem {
     /// Panics if the event's junction index is out of range.
     #[must_use]
     pub fn event_resistance(&self, event: TunnelEvent) -> f64 {
-        self.junctions[event.junction].resistance
+        self.tables.junctions[event.junction].resistance
     }
 
     /// Applies the event to a charge state, moving one electron between the
@@ -1165,6 +1189,24 @@ mod tests {
         assert!(system.set_background_charge(5, 0.1).is_err());
         assert_eq!(system.external_index("gate"), Some(2));
         assert_eq!(system.external_index("nope"), None);
+    }
+
+    #[test]
+    fn setters_on_a_clone_leave_the_original_untouched() {
+        let (system, onto, _) = symmetric_set(0.01, 0.02, 0.1);
+        let state = ChargeState::neutral(1);
+        let df = system.delta_free_energy(&state, onto);
+        let mut clone = system.clone();
+        clone.set_external_voltage(0, 0.05).unwrap();
+        clone.set_background_charge(0, 0.4).unwrap();
+        assert_eq!(system.external_voltage(0), 0.01);
+        assert_eq!(system.background_charge(0), 0.1);
+        assert_eq!(clone.external_voltage(0), 0.05);
+        assert_eq!(clone.background_charge(0), 0.4);
+        assert_eq!(system.delta_free_energy(&state, onto), df);
+        assert_ne!(clone.delta_free_energy(&state, onto), df);
+        // The build tables are shared, not copied.
+        assert!(Arc::ptr_eq(&system.tables, &clone.tables));
     }
 
     #[test]
