@@ -18,7 +18,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use se_bench::{chain_system, kmc};
-use se_montecarlo::{KmcKernel, MasterEquation};
+use se_montecarlo::{KmcKernel, MasterEquation, BATCH_MIN_REPLICAS};
 use se_numeric::sampling::{exponential_waiting_time, select_weighted};
 use se_orthodox::{rates::tunnel_rate, ChargeState, TunnelSystem};
 use se_units::constants::E;
@@ -36,11 +36,12 @@ const REPLICAS: usize = 16;
 /// but identical on both sides of the ratio.
 const BATCH_EVENTS: usize = 20_000;
 /// Replicas per lane group in the multi-core measurement: the deck
-/// executor's default width. Narrower groups lose lockstep-round
-/// amortization (a width-4 batch runs well below scalar speed), so the
-/// multi-core record keeps full-width groups and scales the *replica
-/// count* instead to get schedulable parallelism.
-const LANE_WIDTH: usize = 8;
+/// executor's default width, [`BATCH_MIN_REPLICAS`] — the narrowest group
+/// the ensemble routing runs on the batched engine (4–7-lane batches ran
+/// 1.4–1.5× slower than scalar replicas, so those groups loop the scalar
+/// engine). The multi-core record keeps full-width groups and scales the
+/// *replica count* instead to get schedulable parallelism.
+const LANE_WIDTH: usize = BATCH_MIN_REPLICAS;
 /// Replicas in the lane-group measurement: 4 full-width groups, so the
 /// min(4, hardware)-worker measurement can actually use 4 cores while
 /// every group keeps the width the SoA engine is efficient at.

@@ -118,10 +118,9 @@ pub trait StationaryEngine: Sync {
     ///
     /// The default implementation loops [`Self::stationary_currents`] once
     /// per seed; engines with a batched ensemble path (the kinetic
-    /// Monte-Carlo engine steps all replicas in lockstep over SoA-packed
-    /// state) override it together with
-    /// [`Self::has_batched_stationary_ensemble`]. Overrides must keep the
-    /// ensemble contract: row `k` is **bit-identical** to
+    /// Monte-Carlo engine steps large enough groups in lockstep over
+    /// SoA-packed state) override it. Overrides must keep the ensemble
+    /// contract: row `k` is **bit-identical** to
     /// `stationary_currents(controls, observables, seeds[k])`.
     ///
     /// # Errors
@@ -137,14 +136,6 @@ pub trait StationaryEngine: Sync {
             .iter()
             .map(|&seed| self.stationary_currents(controls, observables, seed))
             .collect()
-    }
-
-    /// Whether [`Self::stationary_currents_ensemble`] runs replicas through
-    /// a genuinely batched engine (`true`) or the default per-seed loop
-    /// (`false`). Ensemble consumers use this to decide whether grouping
-    /// repeats into one call buys anything.
-    fn has_batched_stationary_ensemble(&self) -> bool {
-        false
     }
 }
 
@@ -179,9 +170,5 @@ impl<E: StationaryEngine + ?Sized> StationaryEngine for &E {
         seeds: &[u64],
     ) -> Result<Vec<Vec<f64>>, Self::Error> {
         (**self).stationary_currents_ensemble(controls, observables, seeds)
-    }
-
-    fn has_batched_stationary_ensemble(&self) -> bool {
-        (**self).has_batched_stationary_ensemble()
     }
 }

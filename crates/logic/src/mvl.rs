@@ -11,9 +11,9 @@
 //! original authors did), and extracts the multi-valued transfer curve.
 
 use crate::error::LogicError;
-use se_engine::Waveform;
+use se_engine::{linspace, Waveform};
 use se_netlist::{Element, MosfetParams, Netlist, Node, SetParams};
-use se_spice::sweep::{dc_sweep, linspace};
+use se_spice::sweep::dc_sweep;
 use se_spice::{transient, Circuit, NewtonOptions, Stimulus, TransientOptions};
 
 /// Parameters of the SET/MOSFET literal gate.

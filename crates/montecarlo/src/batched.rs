@@ -20,6 +20,15 @@
 //! swap the batched engine in for a loop of scalar runs without changing a
 //! single published number.
 //!
+//! The engine serves one circuit shape: the flat full-recompute kernel
+//! ([`KmcKernel::uses_tree`] false) with at most 64 candidate events, so
+//! that one `u64` hit mask per lane covers every event.
+//! [`BatchedKmcEngine::new`] refuses any other circuit: its scalar twin
+//! would maintain rates incrementally, and the lanes would no longer match
+//! its bits. The ensemble faces of [`MonteCarloSimulator`] route a group
+//! here only when it also has enough replicas for the lockstep loops to
+//! pay (`BATCH_MIN_REPLICAS`); every other group loops the scalar engine.
+//!
 //! Frozen replicas (total rate zero — deep blockade at zero temperature)
 //! retire from the lockstep front without stalling the batch: the remaining
 //! lanes keep stepping through subset rate fills, and a retired lane costs
@@ -29,7 +38,7 @@
 //! [`MonteCarloSimulator`]: crate::MonteCarloSimulator
 
 use crate::error::MonteCarloError;
-use crate::kmc::{select_event_from, select_with_target, SimulationOptions};
+use crate::kmc::{select_event_from, select_with_target, KmcKernel, SimulationOptions};
 use crate::observables::RunResult;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -38,26 +47,20 @@ use se_numeric::sampling::{
     exponential_waiting_time, ln_unit, unit_interval_open, validate_waiting_rate,
 };
 use se_orthodox::{
-    BatchedEventRateTable, BatchedLiveState, BatchedRateContext, ChargeState, Direction,
-    TunnelEvent, TunnelSystem,
+    BatchedLiveState, BatchedRateContext, ChargeState, Direction, TunnelEvent, TunnelSystem,
 };
 use se_units::constants::E;
 use std::collections::HashMap;
 
-/// What one replica did during a [`BatchedKmcEngine::step_and_observe`]
-/// round.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ReplicaObservation {
-    /// Replica index within the batch.
-    pub replica: usize,
-    /// The replica's simulation clock after the round, in seconds.
-    pub time: f64,
-    /// The tunnel event the replica executed, or `None` if it is frozen.
-    pub event: Option<TunnelEvent>,
-    /// Whether the replica is frozen (no event has a non-zero rate).
-    pub frozen: bool,
-    /// Number of excess electrons per island after the round.
-    pub electrons: Vec<i64>,
+/// Most candidate events a batch takes: the select pass keeps one hit bit
+/// per event in a `u64` per lane.
+const MAX_BATCH_EVENTS: usize = u64::BITS as usize;
+
+/// Whether [`BatchedKmcEngine`] serves a circuit with `events` candidate
+/// events under `kernel`: the flat full-recompute kernel, every event in
+/// one hit-mask bit.
+pub(crate) fn batch_serves(kernel: KmcKernel, events: usize) -> bool {
+    !kernel.uses_tree(events) && events <= MAX_BATCH_EVENTS
 }
 
 /// N lockstep replicas of one [`TunnelSystem`], advanced by kinetic
@@ -80,20 +83,7 @@ pub struct BatchedKmcEngine {
     live: BatchedLiveState,
     /// Shared rate table + batched fill over the potential planes.
     rate_ctx: BatchedRateContext,
-    /// Per-lane incremental rate tables + selection trees; present iff the
-    /// kernel resolves to the tree path ([`KmcKernel::uses_tree`], so
-    /// [`KmcKernel::Auto`] picks it for large circuits). Lane `r`'s table
-    /// runs the identical maintenance code as a scalar [`EventRateTable`]
-    /// over lane `r`'s potential plane, so its rates — and selections — are
-    /// bit-identical to a standalone incremental simulator.
-    ///
-    /// [`KmcKernel::uses_tree`]: crate::kmc::KmcKernel::uses_tree
-    /// [`KmcKernel::Auto`]: crate::kmc::KmcKernel::Auto
-    /// [`EventRateTable`]: se_orthodox::EventRateTable
-    tables: Option<Vec<BatchedEventRateTable>>,
-    /// Event-major rate planes: `rates[e * replicas + r]`. Only the
-    /// full-recompute path ([`crate::kmc::KmcKernel::FullRecompute`])
-    /// writes it.
+    /// Event-major rate planes: `rates[e * replicas + r]`.
     rates: Vec<f64>,
     /// Per-replica total rates, accumulated in scalar junction order.
     totals: Vec<f64>,
@@ -143,8 +133,9 @@ impl BatchedKmcEngine {
     ///
     /// # Errors
     ///
-    /// Returns [`MonteCarloError::InvalidArgument`] for an empty seed list
-    /// or an invalid temperature.
+    /// Returns [`MonteCarloError::InvalidArgument`] for an empty seed list,
+    /// an invalid temperature, or a circuit outside the engine's shape: a
+    /// tree-kernel circuit or one with more than 64 candidate events.
     pub fn new(
         system: TunnelSystem,
         options: SimulationOptions,
@@ -161,6 +152,15 @@ impl BatchedKmcEngine {
                 options.temperature
             )));
         }
+        let events = system.event_count();
+        if !batch_serves(options.kernel, events) {
+            return Err(MonteCarloError::InvalidArgument(format!(
+                "the batched engine serves only flat-kernel circuits with at most \
+                 {MAX_BATCH_EVENTS} candidate events, got {events} events under the \
+                 {:?} kernel",
+                options.kernel
+            )));
+        }
         let replicas = seeds.len();
         let islands = system.island_count();
         let junctions = system.junctions().len();
@@ -172,18 +172,12 @@ impl BatchedKmcEngine {
                 [live.endpoint_slot(from), live.endpoint_slot(to)]
             })
             .collect();
-        let tables = options.kernel.uses_tree(system.event_count()).then(|| {
-            (0..replicas)
-                .map(|r| BatchedEventRateTable::new(&system, rate_ctx.context(), &live, r))
-                .collect()
-        });
         Ok(BatchedKmcEngine {
             system,
             options,
             rngs: seeds.iter().map(|&s| StdRng::seed_from_u64(s)).collect(),
             live,
             rate_ctx,
-            tables,
             rates: vec![0.0; 2 * junctions * replicas],
             totals: vec![0.0; replicas],
             drives_dirty: vec![false; replicas],
@@ -211,8 +205,8 @@ impl BatchedKmcEngine {
     ///
     /// # Errors
     ///
-    /// Returns [`MonteCarloError::InvalidArgument`] for `replicas == 0` or
-    /// an invalid temperature.
+    /// Returns [`MonteCarloError::InvalidArgument`] for `replicas == 0`, an
+    /// invalid temperature, or a circuit outside the engine's shape.
     pub fn from_base_seed(
         system: TunnelSystem,
         options: SimulationOptions,
@@ -352,17 +346,7 @@ impl BatchedKmcEngine {
                 self.drives_dirty[r] = false;
             }
         }
-        if let Some(tables) = &mut self.tables {
-            // Incremental kernel: each lane's table is kept fresh by its
-            // post-apply maintenance; `sync` folds in any pending
-            // generation change (drive sync above, periodic refresh) and
-            // the tree root is the lane's total.
-            for idx in 0..self.front.len() {
-                let r = self.front[idx];
-                tables[r].sync(&self.system, self.rate_ctx.context(), &self.live);
-                self.totals[r] = tables[r].total();
-            }
-        } else if self.front.len() == replicas {
+        if self.front.len() == replicas {
             self.rate_ctx.fill_rates_batch(
                 &self.system,
                 &self.live,
@@ -389,21 +373,10 @@ impl BatchedKmcEngine {
             }
             let rng = &mut self.rngs[r];
             let dt = exponential_waiting_time(rng, total)?;
-            let chosen = match &self.tables {
-                Some(tables) => {
-                    let target = rng.gen::<f64>() * total;
-                    tables[r].select(target)
-                }
-                None => {
-                    let lane = self.rates[r..].iter().step_by(replicas).copied();
-                    select_event_from(rng, lane, total)
-                }
-            };
+            let lane = self.rates[r..].iter().step_by(replicas).copied();
+            let chosen = select_event_from(rng, lane, total);
             let event = self.system.event(chosen);
             self.live.apply(&self.system, event, r);
-            if let Some(tables) = &mut self.tables {
-                tables[r].apply_event(&self.system, self.rate_ctx.context(), &self.live, event);
-            }
             self.times[r] += dt;
             self.events_executed[r] += 1;
             match event.direction {
@@ -461,27 +434,13 @@ impl BatchedKmcEngine {
         let replicas = self.replicas();
         let junctions = self.system.junctions().len();
         let islands = self.system.island_count();
-        // The mask select carries one bit per event; wider systems use the
-        // scalar scan per lane instead.
-        let mask_select = self.system.event_count() <= u64::BITS as usize;
         for _ in 0..rounds {
-            if let Some(tables) = &mut self.tables {
-                // Incremental kernel: the per-lane tables were maintained
-                // by the previous round's post-apply pass; `sync` catches a
-                // periodic refresh, and totals come off the tree roots
-                // instead of a full junction-major refill.
-                for (table, total) in tables.iter_mut().zip(&mut self.totals) {
-                    table.sync(&self.system, self.rate_ctx.context(), &self.live);
-                    *total = table.total();
-                }
-            } else {
-                self.rate_ctx.fill_rates_batch(
-                    &self.system,
-                    &self.live,
-                    &mut self.rates,
-                    &mut self.totals,
-                );
-            }
+            self.rate_ctx.fill_rates_batch(
+                &self.system,
+                &self.live,
+                &mut self.rates,
+                &mut self.totals,
+            );
             // RNG pass: per lane, the exact scalar draw order — the
             // guarded waiting-time uniform first, then the selection
             // uniform. Only the draws happen here (RNG streams are
@@ -517,54 +476,42 @@ impl BatchedKmcEngine {
                 self.times[r] += if total > 0.0 { dt } else { 0.0 };
                 self.targets[r] = self.sel_u[r] * total;
             }
-            // Select pass: per-lane O(log E) tree descent on the
-            // incremental kernel, branch-free prefix-sum-and-compare over
-            // the event-major planes otherwise.
-            if let Some(tables) = &self.tables {
-                for (r, table) in tables.iter().enumerate() {
-                    if self.totals[r] <= 0.0 {
-                        continue;
-                    }
-                    self.chosen[r] = table.select(self.targets[r]);
-                }
-            } else if mask_select {
-                self.select_acc.fill(0.0);
-                self.select_hits.fill(0);
-                let targets = &self.targets[..];
-                let select_acc = &mut self.select_acc[..];
-                let select_hits = &mut self.select_hits[..];
-                for (e, plane) in self.rates.chunks_exact(replicas).enumerate() {
-                    let bit = 1u64 << e;
-                    let lanes = plane
-                        .iter()
-                        .zip(select_acc.iter_mut())
-                        .zip(targets.iter())
-                        .zip(select_hits.iter_mut());
-                    for (((&w, acc), &target), hits) in lanes {
-                        *acc += w;
-                        let hit = (w > 0.0) & (target < *acc);
-                        *hits |= if hit { bit } else { 0 };
-                    }
+            // Select pass: branch-free prefix-sum-and-compare over the
+            // event-major planes, one mask bit per event (the engine only
+            // takes circuits whose events fit one `u64`, see `Self::new`).
+            self.select_acc.fill(0.0);
+            self.select_hits.fill(0);
+            let targets = &self.targets[..];
+            let select_acc = &mut self.select_acc[..];
+            let select_hits = &mut self.select_hits[..];
+            for (e, plane) in self.rates.chunks_exact(replicas).enumerate() {
+                let bit = 1u64 << e;
+                let lanes = plane
+                    .iter()
+                    .zip(select_acc.iter_mut())
+                    .zip(targets.iter())
+                    .zip(select_hits.iter_mut());
+                for (((&w, acc), &target), hits) in lanes {
+                    *acc += w;
+                    let hit = (w > 0.0) & (target < *acc);
+                    *hits |= if hit { bit } else { 0 };
                 }
             }
-            // Resolve pass (full-recompute kernel only): each lane's chosen
-            // event from its hit mask (first set bit = the scalar scan's
-            // stop), the scalar scan on a mask miss (round-off fallback) or
-            // a wide system.
-            if self.tables.is_none() {
-                for r in 0..replicas {
-                    if self.totals[r] <= 0.0 {
-                        continue;
-                    }
-                    self.chosen[r] = if mask_select && self.select_hits[r] != 0 {
-                        self.select_hits[r].trailing_zeros() as usize
-                    } else {
-                        select_with_target(
-                            self.rates.chunks_exact(replicas).map(|plane| plane[r]),
-                            self.targets[r],
-                        )
-                    };
+            // Resolve pass: each lane's chosen event from its hit mask
+            // (first set bit = the scalar scan's stop), the scalar scan on
+            // a mask miss (round-off fallback).
+            for r in 0..replicas {
+                if self.totals[r] <= 0.0 {
+                    continue;
                 }
+                self.chosen[r] = if self.select_hits[r] != 0 {
+                    self.select_hits[r].trailing_zeros() as usize
+                } else {
+                    select_with_target(
+                        self.rates.chunks_exact(replicas).map(|plane| plane[r]),
+                        self.targets[r],
+                    )
+                };
             }
             if froze {
                 // Rare: a lane froze this round. Finish the survivors one
@@ -576,32 +523,15 @@ impl BatchedKmcEngine {
                     let chosen = self.chosen[r];
                     let event = self.system.event(chosen);
                     self.live.apply(&self.system, event, r);
-                    if let Some(tables) = &mut self.tables {
-                        tables[r].apply_event(
-                            &self.system,
-                            self.rate_ctx.context(),
-                            &self.live,
-                            event,
-                        );
-                    }
                     self.bookkeep_event(chosen, r, &mut tracker, islands, junctions);
                 }
                 return Ok(false);
             }
             // Apply pass: every lane stepped, so the store-width-aware
-            // batched apply folds all lanes' events in at once, then each
-            // lane's incremental table (if any) folds its own event in —
-            // after the batch apply, so a lane whose periodic refresh just
-            // fired refills from the refreshed potentials, exactly like
-            // the scalar sequence.
+            // batched apply folds all lanes' events in at once.
             self.live.apply_all(&self.system, &self.chosen);
             for r in 0..replicas {
-                let chosen = self.chosen[r];
-                if let Some(tables) = &mut self.tables {
-                    let event = self.system.event(chosen);
-                    tables[r].apply_event(&self.system, self.rate_ctx.context(), &self.live, event);
-                }
-                self.bookkeep_event(chosen, r, &mut tracker, islands, junctions);
+                self.bookkeep_event(self.chosen[r], r, &mut tracker, islands, junctions);
             }
         }
         Ok(true)
@@ -657,27 +587,6 @@ impl BatchedKmcEngine {
         }
         self.step_front()?;
         Ok(self.round.iter().filter(|(_, e)| e.is_some()).count())
-    }
-
-    /// [`Self::step_all`] returning what every replica did: executed event
-    /// (or frozen), clock, and post-step island occupation — the per-round
-    /// observable face of the batch for trace-style consumers.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`Self::step_all`] errors.
-    pub fn step_and_observe(&mut self) -> Result<Vec<ReplicaObservation>, MonteCarloError> {
-        self.step_all()?;
-        let stepped: HashMap<usize, Option<TunnelEvent>> = self.round.iter().copied().collect();
-        Ok((0..self.replicas())
-            .map(|r| ReplicaObservation {
-                replica: r,
-                time: self.times[r],
-                event: stepped.get(&r).copied().flatten(),
-                frozen: self.frozen[r],
-                electrons: self.live.charge_state(r).0,
-            })
-            .collect())
     }
 
     /// Runs the equilibration phase configured in the options on every
@@ -1022,20 +931,43 @@ mod tests {
         assert!((0..4).all(|r| !batch.is_frozen(r)));
     }
 
-    #[test]
-    fn step_and_observe_reports_every_replica() {
-        let options = SimulationOptions::new(1.0).with_equilibration(0);
-        let mut batch =
-            BatchedKmcEngine::from_base_seed(set_at_peak(1e-3), options, 3, 11).unwrap();
-        let observations = batch.step_and_observe().unwrap();
-        assert_eq!(observations.len(), 3);
-        for (r, obs) in observations.iter().enumerate() {
-            assert_eq!(obs.replica, r);
-            assert!(obs.event.is_some());
-            assert!(!obs.frozen);
-            assert!(obs.time > 0.0);
-            assert_eq!(obs.electrons, batch.state(r).0);
+    /// A gated chain with `junctions` junctions (`2 · junctions` events).
+    fn chain(junctions: usize) -> TunnelSystem {
+        let mut b = TunnelSystemBuilder::new();
+        let drain = b.external("drain", 0.1);
+        let source = b.external("source", 0.0);
+        let gate = b.external("gate", 0.04);
+        let mut previous = drain;
+        for i in 0..junctions - 1 {
+            let island = b.island(format!("n{i}"), 0.0);
+            b.junction(format!("J{i}"), previous, island, 0.5e-18, 100e3);
+            b.capacitor(format!("CG{i}"), gate, island, 1e-18);
+            previous = island;
         }
+        b.junction("Jout", previous, source, 0.5e-18, 100e3);
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn refuses_circuits_outside_the_flat_kernel_shape() {
+        let refusal = |system: TunnelSystem, kernel: KmcKernel| {
+            let options = SimulationOptions::new(1.0).with_kernel(kernel);
+            match BatchedKmcEngine::new(system, options, &[1, 2]) {
+                Err(MonteCarloError::InvalidArgument(msg)) => msg,
+                other => panic!("expected a refusal, got {other:?}"),
+            }
+        };
+        // Auto resolves to the tree kernel from 64 events up.
+        let msg = refusal(chain(32), KmcKernel::Auto);
+        assert!(msg.contains("64 events under the Auto kernel"), "{msg}");
+        assert!(BatchedKmcEngine::new(chain(31), SimulationOptions::new(1.0), &[1]).is_ok());
+        // An explicit tree kernel, however small the circuit.
+        refusal(set_at_peak(1e-3), KmcKernel::Incremental);
+        // The flat kernel past one 64-bit hit mask.
+        let full = SimulationOptions::new(1.0).with_kernel(KmcKernel::FullRecompute);
+        assert!(BatchedKmcEngine::new(chain(32), full, &[1]).is_ok());
+        let msg = refusal(chain(33), KmcKernel::FullRecompute);
+        assert!(msg.contains("66 events"), "{msg}");
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! randomness from the per-point seed handed in by the runner, which is
 //! what makes parallel KMC sweeps bit-identical to serial ones.
 
-use crate::batched::BatchedKmcEngine;
+use crate::batched::{batch_serves, BatchedKmcEngine};
 use crate::error::MonteCarloError;
 use crate::kmc::{MonteCarloSimulator, SimulationOptions};
 use crate::master::MasterEquation;
@@ -18,6 +18,22 @@ use se_engine::{
 };
 use se_orthodox::TunnelSystem;
 use se_units::constants::E;
+
+/// Least replicas an ensemble group needs to run on the
+/// [`BatchedKmcEngine`]. Narrower groups loop the scalar engine: measured
+/// with `sesim --serial` on a 4-island chain ensemble (2-vCPU AVX-512 Xeon
+/// host), 4–7-lane batches ran 1.4–1.5× slower than scalar replicas, and
+/// 8- and 16-lane batches 1.6× and 1.9× faster.
+pub const BATCH_MIN_REPLICAS: usize = 8;
+
+/// The ensemble routing rule: a group of `replicas` runs batched only when
+/// it has at least [`BATCH_MIN_REPLICAS`] replicas and the circuit is one
+/// the batched engine serves (flat kernel, at most 64 events; on the tree
+/// kernel the scalar walk measured faster). Every replica is bit-identical
+/// to its scalar walk either way, so the rule decides speed only.
+fn runs_batched(system: &TunnelSystem, options: &SimulationOptions, replicas: usize) -> bool {
+    replicas >= BATCH_MIN_REPLICAS && batch_serves(options.kernel, system.event_count())
+}
 
 /// Resolves an external electrode name to its typed index.
 ///
@@ -197,20 +213,24 @@ impl StationaryEngine for MonteCarloSimulator {
         })
     }
 
-    /// A seed ensemble at one bias point runs through the
-    /// [`BatchedKmcEngine`]: all replicas step in lockstep over SoA-packed
-    /// state, sharing one warm pass over the junction tables per round.
-    /// Replica `k` is bit-identical to [`Self::stationary_currents`] with
-    /// `seeds[k]` (the batched engine's per-lane contract), so this is a
-    /// pure throughput optimization.
+    /// A seed ensemble at one bias point that passes the routing rule
+    /// (`BATCH_MIN_REPLICAS` replicas or more on a flat-kernel circuit)
+    /// runs through the [`BatchedKmcEngine`]: all replicas step in lockstep
+    /// over SoA-packed state, sharing one warm pass over the junction
+    /// tables per round. Any other ensemble loops
+    /// [`Self::stationary_currents`]. Replica `k` is bit-identical to
+    /// [`Self::stationary_currents`] with `seeds[k]` on both routes.
     fn stationary_currents_ensemble(
         &self,
         controls: &[(ControlId, f64)],
         observables: &[ObservableId],
         seeds: &[u64],
     ) -> Result<Vec<Vec<f64>>, MonteCarloError> {
-        if seeds.is_empty() {
-            return Ok(Vec::new());
+        if !runs_batched(self.system(), self.options(), seeds.len()) {
+            return seeds
+                .iter()
+                .map(|&seed| self.stationary_currents(controls, observables, seed))
+                .collect();
         }
         let mut system = self.system().clone();
         apply_controls(&mut system, controls)?;
@@ -225,10 +245,6 @@ impl StationaryEngine for MonteCarloSimulator {
                 })
             })
             .collect()
-    }
-
-    fn has_batched_stationary_ensemble(&self) -> bool {
-        true
     }
 }
 
@@ -324,13 +340,15 @@ impl TransientEngine for MonteCarloSimulator {
         ))
     }
 
-    /// A transient seed ensemble runs through the [`BatchedKmcEngine`]:
-    /// every replica follows the same zero-order-hold drive schedule (the
-    /// batch shares one system) while the event walks stay independent per
-    /// replica. Trace `k` is bit-identical to [`Self::transient_currents`]
-    /// with `seeds[k]` — same lazy drive-sync timing, same per-lane RNG
-    /// stream — so [`se_engine::TransientRunner::run_repeats`] can route
-    /// repeats here without changing a published number.
+    /// A transient seed ensemble that passes the routing rule runs through
+    /// the [`BatchedKmcEngine`]: every replica follows the same
+    /// zero-order-hold drive schedule (the batch shares one system) while
+    /// the event walks stay independent per replica. Any other ensemble
+    /// loops [`Self::transient_currents`]. Trace `k` is bit-identical to
+    /// [`Self::transient_currents`] with `seeds[k]` on both routes — same
+    /// lazy drive-sync timing, same per-lane RNG stream — so
+    /// [`se_engine::TransientRunner::run_repeats`] can route repeats here
+    /// without changing a published number.
     fn transient_currents_ensemble(
         &self,
         drives: &[(ControlId, Waveform)],
@@ -339,8 +357,11 @@ impl TransientEngine for MonteCarloSimulator {
         seeds: &[u64],
     ) -> Result<Vec<TransientTrace>, MonteCarloError> {
         se_engine::transient::check_sample_times::<MonteCarloError>(times)?;
-        if seeds.is_empty() {
-            return Ok(Vec::new());
+        if !runs_batched(self.system(), self.options(), seeds.len()) {
+            return seeds
+                .iter()
+                .map(|&seed| self.transient_currents(drives, observables, times, seed))
+                .collect();
         }
         let junction_count = self.system().junctions().len();
         for &ObservableId(junction) in observables {
@@ -554,6 +575,55 @@ mod tests {
             .is_err());
     }
 
+    /// A gated chain of `islands` islands at the charge-degeneracy point —
+    /// from 31 islands up (≥ 64 events) Auto puts it on the tree kernel.
+    fn chain_system(islands: usize, vds: f64) -> TunnelSystem {
+        let mut b = TunnelSystemBuilder::new();
+        let drain = b.external("drain", vds);
+        let source = b.external("source", 0.0);
+        let gate = b.external("gate", E / (2.0 * 1e-18));
+        let mut previous = drain;
+        for i in 0..islands {
+            let island = b.island(format!("n{i}"), 0.0);
+            b.junction(format!("J{i}"), previous, island, 0.5e-18, 100e3);
+            b.capacitor(format!("CG{i}"), gate, island, 1e-18);
+            previous = island;
+        }
+        b.junction(format!("J{islands}"), previous, source, 0.5e-18, 100e3);
+        b.build().unwrap()
+    }
+
+    /// Row `k` of the stationary ensemble equals the scalar solve seeded
+    /// `seeds[k]`, bit for bit.
+    fn assert_stationary_rows_match(sim: &MonteCarloSimulator, seeds: &[u64]) {
+        let observables = [ObservableId(0), ObservableId(1)];
+        let rows = sim
+            .stationary_currents_ensemble(&[], &observables, seeds)
+            .unwrap();
+        assert_eq!(rows.len(), seeds.len());
+        for (row, &seed) in rows.iter().zip(seeds) {
+            let scalar = sim.stationary_currents(&[], &observables, seed).unwrap();
+            for (b, s) in row.iter().zip(&scalar) {
+                assert_eq!(b.to_bits(), s.to_bits(), "seed {seed} diverged");
+            }
+        }
+    }
+
+    #[test]
+    fn ensembles_route_by_group_width_and_kernel() {
+        let options = SimulationOptions::new(1.0);
+        let set = set_system(1e-3, 0.0);
+        assert!(!runs_batched(&set, &options, 0));
+        assert!(!runs_batched(&set, &options, BATCH_MIN_REPLICAS - 1));
+        assert!(runs_batched(&set, &options, BATCH_MIN_REPLICAS));
+        assert!(runs_batched(&set, &options, 16));
+        // Tree-kernel circuits loop the scalar engine at any width.
+        let chain = chain_system(40, 0.1);
+        assert!(!runs_batched(&chain, &options, 16));
+        let forced = options.with_kernel(crate::KmcKernel::Incremental);
+        assert!(!runs_batched(&set, &forced, 16));
+    }
+
     #[test]
     fn stationary_ensemble_is_bit_identical_to_the_per_seed_loop() {
         let vg = E / (2.0 * 1e-18);
@@ -564,24 +634,25 @@ mod tests {
                 .with_events_per_solve(2_000),
         )
         .unwrap();
-        assert!(sim.has_batched_stationary_ensemble());
-        let jd = StationaryEngine::resolve_observable(&sim, "JD").unwrap();
-        let js = StationaryEngine::resolve_observable(&sim, "JS").unwrap();
-        let seeds = [11, 22, 33, 44];
-        let batched = sim
-            .stationary_currents_ensemble(&[], &[jd, js], &seeds)
-            .unwrap();
-        assert_eq!(batched.len(), seeds.len());
-        for (row, &seed) in batched.iter().zip(&seeds) {
-            let scalar = sim.stationary_currents(&[], &[jd, js], seed).unwrap();
-            for (b, s) in row.iter().zip(&scalar) {
-                assert_eq!(b.to_bits(), s.to_bits(), "seed {seed} diverged");
-            }
-        }
+        // A 4-replica group (scalar route) and an 8-replica flat group
+        // (batched route).
+        assert_stationary_rows_match(&sim, &[11, 22, 33, 44]);
+        assert_stationary_rows_match(&sim, &[11, 22, 33, 44, 55, 66, 77, 88]);
         assert!(sim
-            .stationary_currents_ensemble(&[], &[jd], &[])
+            .stationary_currents_ensemble(&[], &[ObservableId(0)], &[])
             .unwrap()
             .is_empty());
+        // A 16-replica group on a 40-island chain (tree kernel, scalar
+        // route).
+        let chain = MonteCarloSimulator::new(
+            chain_system(40, 0.1),
+            SimulationOptions::new(1.0)
+                .with_equilibration(50)
+                .with_events_per_solve(300),
+        )
+        .unwrap();
+        let seeds: Vec<u64> = (0..16).map(|k| 100 + k).collect();
+        assert_stationary_rows_match(&chain, &seeds);
     }
 
     #[test]
@@ -599,16 +670,18 @@ mod tests {
         let jd = TransientEngine::resolve_observable(&sim, "JD").unwrap();
         let pulse = Waveform::pulse(0.0, 1e-3, 20e-9, 40e-9, 1e-6).unwrap();
         let times: Vec<f64> = (0..6).map(|i| i as f64 * 10e-9).collect();
-        let seeds = [5, 6, 7];
-        let batched = sim
-            .transient_currents_ensemble(&[(drain, pulse.clone())], &[jd], &times, &seeds)
-            .unwrap();
-        assert_eq!(batched.len(), seeds.len());
-        for (trace, &seed) in batched.iter().zip(&seeds) {
-            let scalar = sim
-                .transient_currents(&[(drain, pulse.clone())], &[jd], &times, seed)
+        // Three replicas take the scalar route, eight the batched one.
+        for seeds in [&[5, 6, 7][..], &[5, 6, 7, 8, 9, 10, 11, 12][..]] {
+            let traces = sim
+                .transient_currents_ensemble(&[(drain, pulse.clone())], &[jd], &times, seeds)
                 .unwrap();
-            assert_eq!(trace, &scalar, "seed {seed} diverged");
+            assert_eq!(traces.len(), seeds.len());
+            for (trace, &seed) in traces.iter().zip(seeds) {
+                let scalar = sim
+                    .transient_currents(&[(drain, pulse.clone())], &[jd], &times, seed)
+                    .unwrap();
+                assert_eq!(trace, &scalar, "seed {seed} diverged");
+            }
         }
     }
 

@@ -23,8 +23,8 @@
 //!   states, and bias sweeps can warm-start each point from its
 //!   neighbour's converged distribution.
 //!
-//! Both engines implement [`se_engine::StationaryEngine`], so [`sweep`]'s
-//! helpers (and anything else built on [`se_engine::SweepRunner`]) drive
+//! Both engines implement [`se_engine::StationaryEngine`], so
+//! [`se_engine::SweepRunner`] (and anything else built on the trait) drives
 //! them through one parallel, deterministic execution layer; [`builder`]
 //! converts netlists into tunnel systems.
 //!
@@ -67,7 +67,7 @@
 //! let netlist = se_netlist::parse_deck(deck).map_err(MonteCarloError::from)?;
 //! let system = tunnel_system_from_netlist(&netlist)?;
 //! let solver = MasterEquation::new(system, 1.0)?;
-//! let values = se_montecarlo::sweep::linspace(0.0, 0.16, 9)?;
+//! let values = se_engine::linspace(0.0, 0.16, 9)?;
 //! let sweep = SweepRunner::new().run(&solver, "gate", &values, "J1")?;
 //! assert_eq!(sweep.len(), 9);
 //! # Ok(())
@@ -87,27 +87,25 @@ pub mod error;
 pub mod kmc;
 pub mod master;
 pub mod observables;
-pub mod sweep;
 
-pub use batched::{BatchedKmcEngine, ReplicaObservation};
+pub use batched::BatchedKmcEngine;
 pub use builder::tunnel_system_from_netlist;
-pub use engine::{resolve_electrode, resolve_junction};
+pub use engine::{resolve_electrode, resolve_junction, BATCH_MIN_REPLICAS};
 pub use error::MonteCarloError;
 pub use kmc::{KmcKernel, MonteCarloSimulator, SimulationOptions, TracePoint, AUTO_TREE_THRESHOLD};
 pub use master::{MasterEquation, MasterSolution, MasterSolveStats};
 pub use observables::RunResult;
+pub use se_engine::SweepPoint;
 pub use se_numeric::{Preconditioner, StationarySolver};
-pub use sweep::{gate_sweep_kmc, gate_sweep_master, stability_map_master, SweepPoint};
 
 /// Commonly used types for driving the Monte-Carlo simulator.
 pub mod prelude {
-    pub use crate::batched::{BatchedKmcEngine, ReplicaObservation};
+    pub use crate::batched::BatchedKmcEngine;
     pub use crate::builder::tunnel_system_from_netlist;
     pub use crate::error::MonteCarloError;
     pub use crate::kmc::{KmcKernel, MonteCarloSimulator, SimulationOptions, TracePoint};
     pub use crate::master::MasterEquation;
     pub use crate::observables::RunResult;
-    pub use crate::sweep::{gate_sweep_kmc, gate_sweep_master, stability_map_master, SweepPoint};
-    pub use se_engine::{StationaryEngine, SweepRunner};
+    pub use se_engine::{StationaryEngine, SweepPoint, SweepRunner};
     pub use se_orthodox::{ChargeState, TunnelSystem};
 }

@@ -75,12 +75,6 @@ pub struct BatchedLiveState {
     /// Per-replica incremental-update counters driving the periodic exact
     /// refresh (the same deterministic schedule as the scalar path).
     updates_since_refresh: Vec<u32>,
-    /// Per-replica monotone counters of non-event potential revisions —
-    /// the lane-wise twin of the scalar `LiveState` generation: bumped by
-    /// every exact lane refresh and every drive/background sync fold, so
-    /// per-lane derived caches (the incremental event-rate tables) can
-    /// detect that their lane was rebuilt under them.
-    generations: Vec<u64>,
     /// Scratch charge state reused by per-replica refreshes.
     scratch: ChargeState,
     /// Per-event `[from_slot, to_slot]` decode table (see
@@ -140,7 +134,6 @@ impl BatchedLiveState {
             electrons: vec![0; (islands + 1) * replicas],
             seen_backgrounds: vec![0.0; islands * replicas],
             updates_since_refresh: vec![0; replicas],
-            generations: vec![0; replicas],
             scratch: state.clone(),
             event_slots,
             apply_scratch: vec![0.0; islands * replicas],
@@ -243,11 +236,6 @@ impl BatchedLiveState {
         &self.phi
     }
 
-    /// Lane `r`'s non-event revision counter (see the `generations` field).
-    pub(crate) fn generation(&self, r: usize) -> u64 {
-        self.generations[r]
-    }
-
     /// Recomputes replica `r`'s potentials exactly from the system and
     /// resets its drift counter — the per-lane twin of
     /// [`LiveState::refresh`](crate::LiveState::refresh).
@@ -267,7 +255,6 @@ impl BatchedLiveState {
             self.seen_backgrounds[i * replicas + r] = system.background_charge(i);
         }
         self.updates_since_refresh[r] = 0;
-        self.generations[r] = self.generations[r].wrapping_add(1);
     }
 
     /// Folds any drive-voltage or background-charge changes made to the
@@ -286,7 +273,6 @@ impl BatchedLiveState {
                     self.phi[i * replicas + r] += dv * c;
                 }
                 self.phi[(self.islands + k) * replicas + r] = v;
-                self.generations[r] = self.generations[r].wrapping_add(1);
                 self.count_update(system, r);
             }
         }
@@ -301,7 +287,6 @@ impl BatchedLiveState {
                     self.phi[ii * replicas + r] += dq * c;
                 }
                 self.seen_backgrounds[i * replicas + r] = q0;
-                self.generations[r] = self.generations[r].wrapping_add(1);
                 self.count_update(system, r);
             }
         }
@@ -496,12 +481,6 @@ impl BatchedRateContext {
             replicas,
             warm: std::cell::RefCell::new(vec![false; system.junctions().len()]),
         })
-    }
-
-    /// The shared scalar rate table.
-    #[must_use]
-    pub fn context(&self) -> &RateContext {
-        &self.ctx
     }
 
     /// Number of replica lanes the fill serves.

@@ -40,7 +40,6 @@
 //! total's pairwise association, makes the kernel revision trace-visible
 //! (see `docs/DETERMINISM.md` §10).
 
-use crate::batch::BatchedLiveState;
 use crate::live::{LiveState, RateContext};
 use crate::rates::rate_from_parts;
 use crate::system::{Direction, TunnelEvent, TunnelSystem};
@@ -57,17 +56,12 @@ struct EvalParams<'a> {
     inv_kt: f64,
     /// The `fill_rates` frozen cutoff: above it the rate is exactly zero.
     cutoff: f64,
-    /// Endpoint-potential storage (flat scalar buffer or SoA planes).
+    /// The live state's flat endpoint-potential buffer.
     phi: &'a [f64],
-    /// Distance between consecutive endpoints in `phi` (1 for the scalar
-    /// buffer, the replica count for the batched planes).
-    stride: usize,
-    /// Lane offset inside each endpoint's slot (0 for scalar).
-    lane: usize,
 }
 
 impl<'a> EvalParams<'a> {
-    fn new(ctx: &'a RateContext, phi: &'a [f64], stride: usize, lane: usize) -> Self {
+    fn new(ctx: &'a RateContext, phi: &'a [f64]) -> Self {
         EvalParams {
             endpoints: ctx.endpoints(),
             self_energies: ctx.self_energies(),
@@ -76,8 +70,6 @@ impl<'a> EvalParams<'a> {
             inv_kt: ctx.inv_kt(),
             cutoff: ctx.frozen_cutoff(),
             phi,
-            stride,
-            lane,
         }
     }
 
@@ -86,8 +78,7 @@ impl<'a> EvalParams<'a> {
     #[inline]
     fn deltas(&self, j: usize) -> (f64, f64) {
         let (ia, ib) = self.endpoints[j];
-        let phi_gap =
-            E * (self.phi[ia * self.stride + self.lane] - self.phi[ib * self.stride + self.lane]);
+        let phi_gap = E * (self.phi[ia] - self.phi[ib]);
         let self_energy = self.self_energies[j];
         (phi_gap + self_energy, self_energy - phi_gap)
     }
@@ -100,127 +91,6 @@ impl<'a> EvalParams<'a> {
         } else {
             rate_from_parts(df, self.prefactors[j], self.kt, self.inv_kt)
         }
-    }
-}
-
-/// The engine-agnostic core: the maintained ΔF vector and the partial-sum
-/// tree whose leaves are the event rates in canonical
-/// [`TunnelSystem::event`] order. The scalar and batched wrappers differ
-/// only in how they address the potential storage during refills, so both
-/// run literally this code — which is what keeps a batched lane's
-/// maintained rates bit-identical to the standalone scalar table's.
-#[derive(Debug, Clone)]
-struct TableCore {
-    tree: PartialSumTree,
-    /// Maintained directed ΔF values (joule), interleaved `[a→b, b→a]` per
-    /// junction — axpy-updated between refills, recomputed exactly from the
-    /// live potentials at every refill.
-    df: Vec<f64>,
-    /// Leaf indices whose rate bits changed this event (always ascending:
-    /// the strong list is sorted).
-    changed: Vec<u32>,
-    /// The live-state generation the table was last filled against.
-    seen_generation: u64,
-}
-
-impl TableCore {
-    fn new(junctions: usize) -> Self {
-        TableCore {
-            tree: PartialSumTree::new(2 * junctions),
-            df: vec![0.0; 2 * junctions],
-            changed: Vec::new(),
-            seen_generation: 0,
-        }
-    }
-
-    /// Full refill: recompute every ΔF and rate from the live potentials
-    /// and rebuild the tree — the table twin of an exact potential refresh.
-    fn refill(&mut self, p: &EvalParams, generation: u64) {
-        for j in 0..self.df.len() / 2 {
-            let (df_ab, df_ba) = p.deltas(j);
-            self.df[2 * j] = df_ab;
-            self.df[2 * j + 1] = df_ba;
-            self.tree.set_leaf(2 * j, p.rate(j, df_ab));
-            self.tree.set_leaf(2 * j + 1, p.rate(j, df_ba));
-        }
-        self.tree.rebuild();
-        self.seen_generation = generation;
-    }
-
-    /// Post-event maintenance. If the live state refreshed (or synced)
-    /// under us, refill from the fresh potentials; otherwise one axpy over
-    /// the fired junction's strong list — ΔF shifts by the build-time
-    /// coupling constant, the Boltzmann kernel is recomputed only for the
-    /// shifted events (a frozen event past the cutoff costs one compare),
-    /// and the tree is fixed up along the changed leaves.
-    fn apply_event(
-        &mut self,
-        system: &TunnelSystem,
-        fired: usize,
-        sign: f64,
-        p: &EvalParams,
-        generation: u64,
-    ) {
-        if generation != self.seen_generation {
-            self.refill(p, generation);
-            return;
-        }
-        self.changed.clear();
-        let strong = system.junction_strong_couplings(fired);
-        let values = system.junction_strong_coupling_values(fired);
-        for (&j, &g) in strong.iter().zip(values) {
-            let j = j as usize;
-            let shift = sign * g;
-            let df_ab = self.df[2 * j] + shift;
-            let df_ba = self.df[2 * j + 1] - shift;
-            self.df[2 * j] = df_ab;
-            self.df[2 * j + 1] = df_ba;
-            let rate_ab = p.rate(j, df_ab);
-            let rate_ba = p.rate(j, df_ba);
-            if rate_ab.to_bits() != self.tree.leaf(2 * j).to_bits() {
-                self.tree.set_leaf(2 * j, rate_ab);
-                self.changed.push((2 * j) as u32);
-            }
-            if rate_ba.to_bits() != self.tree.leaf(2 * j + 1).to_bits() {
-                self.tree.set_leaf(2 * j + 1, rate_ba);
-                self.changed.push((2 * j + 1) as u32);
-            }
-        }
-        // Past ~1/8 of the leaves the scattered partial fix-up costs more
-        // than one branch-free sequential rebuild; the two produce
-        // bit-identical nodes (the tree's recompute-never-adjust contract),
-        // so the switch is invisible to totals, selections and traces.
-        if 8 * self.changed.len() >= self.tree.len() {
-            self.tree.rebuild();
-        } else {
-            // Pushed in ascending strong-list order — already sorted.
-            let changed = std::mem::take(&mut self.changed);
-            self.tree.update_leaves(&changed);
-            self.changed = changed;
-        }
-    }
-
-    fn select(&self, target: f64) -> usize {
-        let idx = self.tree.descend(target);
-        if self.tree.leaf(idx) > 0.0 {
-            return idx;
-        }
-        // Final-bucket clamp: floating-point round-off steered the descent
-        // onto a zero-rate leaf (or past the last event); fall back to the
-        // last positive-rate event, mirroring the linear scan's fallback.
-        (0..self.tree.len())
-            .rev()
-            .find(|&e| self.tree.leaf(e) > 0.0)
-            .expect("the total rate was positive")
-    }
-}
-
-/// The sign of a fired event's coupling shift: +1 for a→b, −1 for b→a —
-/// the same convention [`LiveState::apply`] uses for its potential axpy.
-fn event_sign(event: TunnelEvent) -> f64 {
-    match event.direction {
-        Direction::AToB => 1.0,
-        Direction::BToA => -1.0,
     }
 }
 
@@ -258,20 +128,32 @@ fn event_sign(event: TunnelEvent) -> f64 {
 /// ```
 #[derive(Debug, Clone)]
 pub struct EventRateTable {
-    core: TableCore,
+    /// Partial-sum tree whose leaves are the event rates in canonical
+    /// [`TunnelSystem::event`] order.
+    tree: PartialSumTree,
+    /// Maintained directed ΔF values (joule), interleaved `[a→b, b→a]` per
+    /// junction — axpy-updated between refills, recomputed exactly from the
+    /// live potentials at every refill.
+    df: Vec<f64>,
+    /// Leaf indices whose rate bits changed this event (always ascending:
+    /// the strong list is sorted).
+    changed: Vec<u32>,
+    /// The live-state generation the table was last filled against.
+    seen_generation: u64,
 }
 
 impl EventRateTable {
     /// Builds and fills the table for the live state's current potentials.
     #[must_use]
     pub fn new(_system: &TunnelSystem, ctx: &RateContext, live: &LiveState) -> Self {
+        let junctions = ctx.endpoints().len();
         let mut table = EventRateTable {
-            core: TableCore::new(ctx.endpoints().len()),
+            tree: PartialSumTree::new(2 * junctions),
+            df: vec![0.0; 2 * junctions],
+            changed: Vec::new(),
+            seen_generation: 0,
         };
-        table.core.refill(
-            &EvalParams::new(ctx, live.endpoint_potentials(), 1, 0),
-            live.generation(),
-        );
+        table.refill(ctx, live);
         table
     }
 
@@ -280,21 +162,37 @@ impl EventRateTable {
     /// a refill happened. Call after [`LiveState::sync`], before reading
     /// totals.
     pub fn sync(&mut self, _system: &TunnelSystem, ctx: &RateContext, live: &LiveState) -> bool {
-        if live.generation() == self.core.seen_generation {
+        if live.generation() == self.seen_generation {
             return false;
         }
-        self.core.refill(
-            &EvalParams::new(ctx, live.endpoint_potentials(), 1, 0),
-            live.generation(),
-        );
+        self.refill(ctx, live);
         true
     }
 
+    /// Full refill: recompute every ΔF and rate from the live potentials
+    /// and rebuild the tree — the table twin of an exact potential refresh.
+    fn refill(&mut self, ctx: &RateContext, live: &LiveState) {
+        let p = EvalParams::new(ctx, live.endpoint_potentials());
+        for j in 0..self.df.len() / 2 {
+            let (df_ab, df_ba) = p.deltas(j);
+            self.df[2 * j] = df_ab;
+            self.df[2 * j + 1] = df_ba;
+            self.tree.set_leaf(2 * j, p.rate(j, df_ab));
+            self.tree.set_leaf(2 * j + 1, p.rate(j, df_ba));
+        }
+        self.tree.rebuild();
+        self.seen_generation = live.generation();
+    }
+
     /// Folds a just-applied event into the table — call immediately after
-    /// [`LiveState::apply`] with the same event. Handles the periodic exact
-    /// refresh transparently (a refresh during the apply triggers a full
-    /// refill from the fresh potentials, the same deterministic cadence as
-    /// the potentials themselves).
+    /// [`LiveState::apply`] with the same event. If the live state
+    /// refreshed (or synced) under the table — the periodic exact refresh
+    /// included — the table refills from the fresh potentials, the same
+    /// deterministic cadence as the potentials themselves. Otherwise it is
+    /// one axpy over the fired junction's strong list: ΔF shifts by the
+    /// build-time coupling constant, the Boltzmann kernel is recomputed
+    /// only for the shifted events (a frozen event past the cutoff costs
+    /// one compare), and the tree is fixed up along the changed leaves.
     pub fn apply_event(
         &mut self,
         system: &TunnelSystem,
@@ -302,13 +200,50 @@ impl EventRateTable {
         live: &LiveState,
         event: TunnelEvent,
     ) {
-        self.core.apply_event(
-            system,
-            event.junction,
-            event_sign(event),
-            &EvalParams::new(ctx, live.endpoint_potentials(), 1, 0),
-            live.generation(),
-        );
+        if live.generation() != self.seen_generation {
+            self.refill(ctx, live);
+            return;
+        }
+        let p = EvalParams::new(ctx, live.endpoint_potentials());
+        // +1 for a→b, −1 for b→a — the convention [`LiveState::apply`]
+        // uses for its potential axpy.
+        let sign = match event.direction {
+            Direction::AToB => 1.0,
+            Direction::BToA => -1.0,
+        };
+        self.changed.clear();
+        let strong = system.junction_strong_couplings(event.junction);
+        let values = system.junction_strong_coupling_values(event.junction);
+        for (&j, &g) in strong.iter().zip(values) {
+            let j = j as usize;
+            let shift = sign * g;
+            let df_ab = self.df[2 * j] + shift;
+            let df_ba = self.df[2 * j + 1] - shift;
+            self.df[2 * j] = df_ab;
+            self.df[2 * j + 1] = df_ba;
+            let rate_ab = p.rate(j, df_ab);
+            let rate_ba = p.rate(j, df_ba);
+            if rate_ab.to_bits() != self.tree.leaf(2 * j).to_bits() {
+                self.tree.set_leaf(2 * j, rate_ab);
+                self.changed.push((2 * j) as u32);
+            }
+            if rate_ba.to_bits() != self.tree.leaf(2 * j + 1).to_bits() {
+                self.tree.set_leaf(2 * j + 1, rate_ba);
+                self.changed.push((2 * j + 1) as u32);
+            }
+        }
+        // Past ~1/8 of the leaves the scattered partial fix-up costs more
+        // than one branch-free sequential rebuild; the two produce
+        // bit-identical nodes (the tree's recompute-never-adjust contract),
+        // so the switch is invisible to totals, selections and traces.
+        if 8 * self.changed.len() >= self.tree.len() {
+            self.tree.rebuild();
+        } else {
+            // Pushed in ascending strong-list order — already sorted.
+            let changed = std::mem::take(&mut self.changed);
+            self.tree.update_leaves(&changed);
+            self.changed = changed;
+        }
     }
 
     /// The total rate — the partial-sum tree's root, a fixed pairwise
@@ -316,25 +251,25 @@ impl EventRateTable {
     /// [`RateContext::fill_rates`]' sequential fold; see the module docs).
     #[must_use]
     pub fn total(&self) -> f64 {
-        self.core.tree.total()
+        self.tree.total()
     }
 
     /// The maintained rate of canonical event `index`.
     #[must_use]
     pub fn rate(&self, index: usize) -> f64 {
-        self.core.tree.leaf(index)
+        self.tree.leaf(index)
     }
 
     /// The maintained ΔF of canonical event `index`, in joule.
     #[must_use]
     pub fn delta_f(&self, index: usize) -> f64 {
-        self.core.df[index]
+        self.df[index]
     }
 
     /// Number of candidate events (2 × junctions).
     #[must_use]
     pub fn event_count(&self) -> usize {
-        self.core.tree.len()
+        self.tree.len()
     }
 
     /// Inverse-CDF selection: the canonical event index whose cumulative
@@ -347,121 +282,17 @@ impl EventRateTable {
     /// Panics if every rate is zero (callers gate on `total() > 0`).
     #[must_use]
     pub fn select(&self, target: f64) -> usize {
-        self.core.select(target)
-    }
-}
-
-/// One lane's incrementally maintained event rates over a
-/// [`BatchedLiveState`]'s SoA planes.
-///
-/// Identical maintenance code to [`EventRateTable`] — only the potential
-/// addressing differs (plane stride and lane offset instead of the flat
-/// scalar buffer) — so lane `r`'s table is bit-for-bit the table a
-/// standalone scalar walk of the same event sequence maintains.
-#[derive(Debug, Clone)]
-pub struct BatchedEventRateTable {
-    core: TableCore,
-    lane: usize,
-}
-
-impl BatchedEventRateTable {
-    /// Builds and fills lane `lane`'s table from the batched potentials.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane` is out of range.
-    #[must_use]
-    pub fn new(
-        _system: &TunnelSystem,
-        ctx: &RateContext,
-        live: &BatchedLiveState,
-        lane: usize,
-    ) -> Self {
-        assert!(lane < live.replicas(), "lane {lane} out of range");
-        let mut table = BatchedEventRateTable {
-            core: TableCore::new(ctx.endpoints().len()),
-            lane,
-        };
-        table.core.refill(
-            &EvalParams::new(ctx, live.endpoint_planes(), live.replicas(), lane),
-            live.generation(lane),
-        );
-        table
-    }
-
-    /// The lane this table maintains.
-    #[must_use]
-    pub fn lane(&self) -> usize {
-        self.lane
-    }
-
-    /// Lane twin of [`EventRateTable::sync`].
-    pub fn sync(
-        &mut self,
-        _system: &TunnelSystem,
-        ctx: &RateContext,
-        live: &BatchedLiveState,
-    ) -> bool {
-        if live.generation(self.lane) == self.core.seen_generation {
-            return false;
+        let idx = self.tree.descend(target);
+        if self.tree.leaf(idx) > 0.0 {
+            return idx;
         }
-        self.core.refill(
-            &EvalParams::new(ctx, live.endpoint_planes(), live.replicas(), self.lane),
-            live.generation(self.lane),
-        );
-        true
-    }
-
-    /// Lane twin of [`EventRateTable::apply_event`] — call after the lane's
-    /// event was applied (individually or via a lockstep `apply_all`).
-    pub fn apply_event(
-        &mut self,
-        system: &TunnelSystem,
-        ctx: &RateContext,
-        live: &BatchedLiveState,
-        event: TunnelEvent,
-    ) {
-        self.core.apply_event(
-            system,
-            event.junction,
-            event_sign(event),
-            &EvalParams::new(ctx, live.endpoint_planes(), live.replicas(), self.lane),
-            live.generation(self.lane),
-        );
-    }
-
-    /// Lane twin of [`EventRateTable::total`].
-    #[must_use]
-    pub fn total(&self) -> f64 {
-        self.core.tree.total()
-    }
-
-    /// Lane twin of [`EventRateTable::rate`].
-    #[must_use]
-    pub fn rate(&self, index: usize) -> f64 {
-        self.core.tree.leaf(index)
-    }
-
-    /// Lane twin of [`EventRateTable::delta_f`].
-    #[must_use]
-    pub fn delta_f(&self, index: usize) -> f64 {
-        self.core.df[index]
-    }
-
-    /// Lane twin of [`EventRateTable::event_count`].
-    #[must_use]
-    pub fn event_count(&self) -> usize {
-        self.core.tree.len()
-    }
-
-    /// Lane twin of [`EventRateTable::select`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if every rate is zero (callers gate on `total() > 0`).
-    #[must_use]
-    pub fn select(&self, target: f64) -> usize {
-        self.core.select(target)
+        // Final-bucket clamp: floating-point round-off steered the descent
+        // onto a zero-rate leaf (or past the last event); fall back to the
+        // last positive-rate event, mirroring the linear scan's fallback.
+        (0..self.tree.len())
+            .rev()
+            .find(|&e| self.tree.leaf(e) > 0.0)
+            .expect("the total rate was positive")
     }
 }
 
@@ -721,55 +552,5 @@ mod tests {
             assert!(strong.contains(&(f as u32)));
         }
         assert!(system.coupling_margin() > 0.0);
-    }
-
-    #[test]
-    fn batched_lane_table_matches_the_scalar_table() {
-        let system = chain(2e-3, 0.05);
-        let ctx = RateContext::new(&system, 0.5).unwrap();
-        let replicas = 3;
-        let mut batch = BatchedLiveState::new(&system, ChargeState::neutral(2), replicas).unwrap();
-        let mut scalars: Vec<LiveState> = (0..replicas)
-            .map(|_| LiveState::new(&system, ChargeState::neutral(2)))
-            .collect();
-        let mut lane_tables: Vec<BatchedEventRateTable> = (0..replicas)
-            .map(|r| BatchedEventRateTable::new(&system, &ctx, &batch, r))
-            .collect();
-        let mut scalar_tables: Vec<EventRateTable> = scalars
-            .iter()
-            .map(|live| EventRateTable::new(&system, &ctx, live))
-            .collect();
-        let mut walks: Vec<u64> = (0..replicas).map(|r| 23 + 1000 * r as u64).collect();
-        for _ in 0..500 {
-            for r in 0..replicas {
-                walks[r] = walks[r]
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                let event = system.event((walks[r] >> 33) as usize % system.event_count());
-                batch.apply(&system, event, r);
-                scalars[r].apply(&system, event);
-                lane_tables[r].apply_event(&system, &ctx, &batch, event);
-                scalar_tables[r].apply_event(&system, &ctx, &scalars[r], event);
-            }
-        }
-        for r in 0..replicas {
-            assert_eq!(
-                lane_tables[r].total().to_bits(),
-                scalar_tables[r].total().to_bits(),
-                "lane {r} total diverged"
-            );
-            for e in 0..system.event_count() {
-                assert_eq!(
-                    lane_tables[r].rate(e).to_bits(),
-                    scalar_tables[r].rate(e).to_bits(),
-                    "lane {r} event {e} diverged"
-                );
-                assert_eq!(
-                    lane_tables[r].delta_f(e).to_bits(),
-                    scalar_tables[r].delta_f(e).to_bits(),
-                    "lane {r} event {e} ΔF diverged"
-                );
-            }
-        }
     }
 }

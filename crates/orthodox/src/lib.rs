@@ -62,7 +62,7 @@ pub mod system;
 pub use batch::{BatchedLiveState, BatchedRateContext};
 pub use engine::AnalyticSetEngine;
 pub use error::OrthodoxError;
-pub use events::{BatchedEventRateTable, EventRateTable};
+pub use events::EventRateTable;
 pub use live::{LiveState, RateContext};
 pub use rates::{tunnel_rate, tunnel_rate_zero_temperature};
 pub use system::{

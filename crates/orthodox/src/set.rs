@@ -19,12 +19,6 @@ use crate::error::OrthodoxError;
 use crate::rates::tunnel_rate;
 use se_units::constants::{BOLTZMANN, E};
 
-/// Shared grid construction with the crate's error type.
-fn grid(start: f64, stop: f64, points: usize) -> Result<Vec<f64>, OrthodoxError> {
-    se_engine::linspace(start, stop, points)
-        .map_err(|e| OrthodoxError::InvalidParameter(e.to_string()))
-}
-
 /// Exact orthodox model of a single SET.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SingleElectronTransistor {
@@ -280,7 +274,7 @@ impl SingleElectronTransistor {
         q0: f64,
         temperature: f64,
     ) -> Result<Vec<BiasPoint>, OrthodoxError> {
-        let values = grid(vg_start, vg_stop, points)?;
+        let values = se_engine::linspace(vg_start, vg_stop, points)?;
         se_engine::SweepRunner::new().map_points(values.len(), |i, _seed| {
             let vgs = values[i];
             Ok(BiasPoint {
@@ -307,7 +301,7 @@ impl SingleElectronTransistor {
         q0: f64,
         temperature: f64,
     ) -> Result<Vec<BiasPoint>, OrthodoxError> {
-        let values = grid(vd_start, vd_stop, points)?;
+        let values = se_engine::linspace(vd_start, vd_stop, points)?;
         se_engine::SweepRunner::new().map_points(values.len(), |i, _seed| {
             let vds = values[i];
             Ok(BiasPoint {

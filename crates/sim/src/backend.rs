@@ -116,10 +116,6 @@ where
             .engine
             .stationary_currents_ensemble(controls, observables, seeds)?)
     }
-
-    fn has_batched_stationary_ensemble(&self) -> bool {
-        self.engine.has_batched_stationary_ensemble()
-    }
 }
 
 impl<E> TransientEngine for SourceMapped<E>
@@ -600,13 +596,6 @@ impl StationaryEngine for StationaryBackend {
                 .iter()
                 .map(|&seed| other.stationary_currents(controls, observables, seed))
                 .collect(),
-        }
-    }
-
-    fn has_batched_stationary_ensemble(&self) -> bool {
-        match self {
-            StationaryBackend::Kmc(e) => e.has_batched_stationary_ensemble(),
-            _ => false,
         }
     }
 }

@@ -26,7 +26,7 @@ use se_exec::{
     lane_group_count, lane_group_range, run_batch, CancelToken, CheckpointStore, ChunkTask,
     CsvSink, JobBuilder, JobSpec, ProgressSink, Tee, Workers,
 };
-use se_montecarlo::{MasterSolution, MasterSolveStats};
+use se_montecarlo::{MasterSolution, MasterSolveStats, BATCH_MIN_REPLICAS};
 use se_netlist::Deck;
 use std::fs::File;
 use std::io::{BufWriter, Stderr};
@@ -59,7 +59,9 @@ pub struct ExecOptions {
     /// checkpointed run can later resume from the completed chunks.
     pub cancel: Option<CancelToken>,
     /// Force `.options repeats=` ensembles through the per-seed scalar
-    /// loop instead of the batched lockstep engine. The batched path is
+    /// loop, bypassing the engine's ensemble routing (which runs lane
+    /// groups of [`DEFAULT_LANE_WIDTH`] or more replicas on flat-kernel
+    /// circuits on the batched lockstep engine). The batched path is
     /// bit-identical by contract; this switch exists so the determinism
     /// gate can *prove* it by diffing the two executions.
     pub scalar_ensemble: bool,
@@ -74,11 +76,12 @@ pub struct ExecOptions {
     pub lane_width: Option<usize>,
 }
 
-/// The default ensemble lane width: replicas per lane-group work item.
-/// Eight `f64` lanes fill one AVX-512 vector (two AVX2 vectors) in the
-/// batched engine's SoA planes, while a 16-replica deck ensemble still
-/// splits into two schedulable items.
-pub const DEFAULT_LANE_WIDTH: usize = 8;
+/// The default ensemble lane width: replicas per lane-group work item —
+/// the KMC engine's [`BATCH_MIN_REPLICAS`], the narrowest group it runs on
+/// the batched lockstep engine, so a full default group takes the batched
+/// route while a 16-replica deck ensemble still splits into two
+/// schedulable items.
+pub const DEFAULT_LANE_WIDTH: usize = BATCH_MIN_REPLICAS;
 
 /// Bias points per work item on warm-started master-equation sweeps and
 /// maps: the first point of every block cold-starts, the rest warm-start
@@ -249,7 +252,8 @@ pub(crate) struct PreparedJob {
     /// single-shot rows.
     repeats: Option<usize>,
     /// Route ensembles through the per-seed scalar loop (the determinism
-    /// gate's reference execution) instead of the batched engine.
+    /// gate's reference execution) instead of the engine's own ensemble
+    /// face.
     scalar_ensemble: bool,
     /// Output points (bias points for sweeps/maps, 1 for transients). For
     /// ensembles the job fans out further: `spec.items()` is
@@ -467,9 +471,7 @@ impl PreparedJob {
         group: usize,
     ) -> Result<Vec<Vec<f64>>, SimError> {
         let seeds = self.group_seeds(point_seed, group);
-        if self.scalar_ensemble || seeds.len() == 1 {
-            // A single replica (repeats=1, or a width-1 tail group) is
-            // exactly one scalar walk — the batched machinery adds nothing.
+        if self.scalar_ensemble {
             seeds
                 .iter()
                 .map(|&s| backend.stationary_currents(controls, observables, s))
@@ -492,7 +494,7 @@ impl PreparedJob {
         group: usize,
     ) -> Result<Vec<Vec<f64>>, SimError> {
         let seeds = self.group_seeds(point_seed, group);
-        let traces = if self.scalar_ensemble || seeds.len() == 1 {
+        let traces = if self.scalar_ensemble {
             seeds
                 .iter()
                 .map(|&s| backend.transient_currents(drives, observables, times, s))

@@ -117,20 +117,10 @@ pub fn dc_sweep(
     })
 }
 
-/// Generates `points` evenly spaced values covering `[start, stop]`.
-/// Descending ranges (`start > stop`) are supported for reverse sweeps.
-///
-/// # Errors
-///
-/// Returns [`SpiceError::InvalidArgument`] if `points < 2` or the range is
-/// degenerate.
-pub fn linspace(start: f64, stop: f64, points: usize) -> Result<Vec<f64>, SpiceError> {
-    se_engine::linspace(start, stop, points).map_err(|e| SpiceError::InvalidArgument(e.to_string()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use se_engine::linspace;
     use se_netlist::parse_deck;
     use se_units::constants::E;
 

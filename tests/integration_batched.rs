@@ -247,12 +247,14 @@ proptest! {
     /// The published ensemble tables are byte-identical across lane
     /// widths, worker counts and the per-seed scalar fallback: replica
     /// `k` of a point is always the same walk, however the replicas are
-    /// grouped into work items.
+    /// grouped into work items. Up to 19 repeats, so groups of 8 or more
+    /// replicas take the batched engine while narrower ones loop the
+    /// scalar engine.
     #[test]
     fn prop_ensemble_tables_are_identical_across_lane_widths(
         seed in 0_u64..1_000_000,
         temperature in 0.05_f64..4.2,
-        repeats in 1_usize..9,
+        repeats in 1_usize..20,
         widths in proptest::collection::vec(1_usize..12, 2),
     ) {
         let deck = parse_full_deck(&ensemble_deck(seed, temperature, repeats)).unwrap();

@@ -153,3 +153,32 @@ fn spice_dc_engine_joins_the_unified_surface() {
         .unwrap();
     assert_eq!(sweep, serial);
 }
+
+/// The master-equation gate sweep shows the Coulomb oscillations: over two
+/// gate periods the current peaks at half-integer gate charge, is
+/// blockaded at integer gate charge, and both peaks agree (periodicity).
+#[test]
+fn master_gate_sweep_shows_coulomb_oscillations() {
+    let period = se_units::constants::E / 1e-18;
+    let master = MasterEquation::new(reference_system(1e-3), 1.0).unwrap();
+    let values = single_electronics::engine::linspace(0.0, 2.0 * period, 81).unwrap();
+    let sweep = SweepRunner::new()
+        .run(&master, "gate", &values, "JD")
+        .unwrap();
+    let current_at = |frac: f64| {
+        let target = frac * period;
+        sweep
+            .iter()
+            .min_by(|a, b| {
+                (a.control - target)
+                    .abs()
+                    .total_cmp(&(b.control - target).abs())
+            })
+            .unwrap()
+            .current
+    };
+    assert!(current_at(0.5) > 100.0 * current_at(0.0).abs().max(1e-18));
+    assert!(current_at(1.5) > 100.0 * current_at(1.0).abs().max(1e-18));
+    let (p1, p2) = (current_at(0.5), current_at(1.5));
+    assert!((p1 - p2).abs() < 0.05 * p1, "peaks {p1} vs {p2}");
+}

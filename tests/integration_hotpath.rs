@@ -15,8 +15,7 @@ use single_electronics::montecarlo::{
 use single_electronics::orthodox::live::{LiveState, RateContext};
 use single_electronics::orthodox::set::SingleElectronTransistor;
 use single_electronics::orthodox::{
-    tunnel_rate, BatchedEventRateTable, BatchedLiveState, BatchedRateContext, ChargeState,
-    EventRateTable, TunnelSystem, TunnelSystemBuilder,
+    tunnel_rate, ChargeState, EventRateTable, TunnelSystem, TunnelSystemBuilder,
 };
 
 /// A randomly parameterised island chain: every island couples to the
@@ -218,63 +217,6 @@ proptest! {
                 "event {} diverged at the refill boundary",
                 index
             );
-        }
-    }
-
-    /// The batched lane tables under interleaved per-lane walks: lane `k`
-    /// stays bit-identical to a standalone scalar table fed the same event
-    /// sequence (rates *and* maintained ΔF), and every lane's refill
-    /// boundary reproduces the scalar `fill_rates` of its charge state bit
-    /// for bit.
-    #[test]
-    fn prop_batched_lane_table_refills_match_fill_rates_bit_for_bit(
-        circuit in ArbCircuit,
-        temperature_index in 0usize..3,
-        walk in proptest::collection::vec(0_usize..10_000, 3..240),
-    ) {
-        let temperature = [0.1, 1.0, 4.2][temperature_index];
-        let islands = circuit.gate_caps.len();
-        let system = circuit.build();
-        let replicas = 3;
-        let batch_ctx = BatchedRateContext::new(&system, temperature, replicas).unwrap();
-        let ctx = batch_ctx.context();
-        let mut batch =
-            BatchedLiveState::new(&system, ChargeState::neutral(islands), replicas).unwrap();
-        let mut lanes: Vec<BatchedEventRateTable> = (0..replicas)
-            .map(|r| BatchedEventRateTable::new(&system, ctx, &batch, r))
-            .collect();
-        // Scalar twin of lane 1: fed exactly the walk steps lane 1 sees.
-        let mut twin_live = LiveState::new(&system, ChargeState::neutral(islands));
-        let mut twin = EventRateTable::new(&system, ctx, &twin_live);
-        for (i, &step) in walk.iter().enumerate() {
-            let lane = i % replicas;
-            let event = system.event(step % system.event_count());
-            batch.apply(&system, event, lane);
-            lanes[lane].apply_event(&system, ctx, &batch, event);
-            if lane == 1 {
-                twin_live.apply(&system, event);
-                twin.apply_event(&system, ctx, &twin_live, event);
-            }
-        }
-        for index in 0..twin.event_count() {
-            prop_assert_eq!(lanes[1].rate(index).to_bits(), twin.rate(index).to_bits());
-            prop_assert_eq!(lanes[1].delta_f(index).to_bits(), twin.delta_f(index).to_bits());
-        }
-        let mut rates = Vec::new();
-        for (r, lane) in lanes.iter_mut().enumerate() {
-            batch.refresh_replica(&system, r);
-            prop_assert!(lane.sync(&system, ctx, &batch), "refresh must trigger a refill");
-            let snapshot = LiveState::new(&system, batch.charge_state(r));
-            ctx.fill_rates(&system, &snapshot, &mut rates);
-            for (index, &rate) in rates.iter().enumerate() {
-                prop_assert_eq!(
-                    lane.rate(index).to_bits(),
-                    rate.to_bits(),
-                    "lane {} event {} diverged at the refill boundary",
-                    r,
-                    index
-                );
-            }
         }
     }
 }

@@ -1,8 +1,8 @@
 //! Integration tests of the SPICE engine against analytic references and
 //! against the detailed single-electron model.
 
+use single_electronics::engine::linspace;
 use single_electronics::prelude::*;
-use single_electronics::spice::sweep::linspace;
 
 #[test]
 fn rc_low_pass_transient_matches_the_analytic_time_constant() {

@@ -175,6 +175,7 @@ proptest! {
 const GOLDEN_DECKS: &[&str] = &[
     "array16x16_background",
     "chain256_transport",
+    "ensemble_chain",
     "ensemble_repeats",
     "hybrid_mvl_gate",
     "mosfet_follower",
