@@ -1,6 +1,6 @@
 //! Criterion bench of the incremental physics core: kinetic Monte-Carlo
 //! event throughput (incremental `LiveState` loop vs the pre-refactor
-//! full-recompute loop) and the sparse master-equation state-space solve.
+//! full-recompute loop).
 //!
 //! Besides the criterion timings it writes `BENCH_kmc.json` at the
 //! workspace root with events/sec for both loops, the measured speedup,
@@ -11,18 +11,20 @@
 //! width-8 groups on the se-exec pool, measured at 1 worker and at
 //! min(4, hardware) workers, with `hardware_threads` recorded so
 //! single-core runners are never mistaken for 4-core measurements), and
-//! the states/sec of a master-equation solve an order of magnitude beyond
-//! the old dense-LU state limit, so CI can track the hot path over time.
+//! the event-rate kernel sweep: the tree kernel against full recompute on
+//! chains of 8–256 islands and on a 16×16 background-charge array, whose
+//! dense strong lists run the table's branch-free pass — so CI can track
+//! the hot path over time. The master-equation solver has its own record,
+//! `BENCH_master.json` (`benches/master_throughput.rs`).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use se_bench::{chain_system, kmc};
-use se_montecarlo::{KmcKernel, MasterEquation, BATCH_MIN_REPLICAS};
+use se_bench::{array_system, chain_system, kmc};
+use se_montecarlo::{KmcKernel, BATCH_MIN_REPLICAS};
 use se_numeric::sampling::{exponential_waiting_time, select_weighted};
 use se_orthodox::{rates::tunnel_rate, ChargeState, TunnelSystem};
 use se_units::constants::E;
-use std::time::Instant;
 
 /// Islands in the KMC bench circuit (the acceptance gate asks for ≥ 4).
 const ISLANDS: usize = 8;
@@ -58,16 +60,16 @@ const TEMPERATURE: f64 = 0.1;
 /// shrink with N so the full-recompute side of a sample stays ~10–50 ms;
 /// both kernels run the identical count at each size.
 const SWEEP: [(usize, usize); 3] = [(8, 50_000), (64, 20_000), (256, 10_000)];
-/// The master-equation bench solves at 1 K so thermal mixing populates a
-/// representative share of the enumerated states.
-const MASTER_TEMPERATURE: f64 = 1.0;
-/// The dense-LU implementation's state cap, the yardstick for the sparse
-/// state-space acceptance ratio.
-const OLD_DENSE_STATE_LIMIT: usize = 20_000;
-/// Master-equation bench: 4-island chain, window ±11 → 23⁴ = 279 841
-/// states, 14× the old dense limit.
-const MASTER_ISLANDS: usize = 4;
-const MASTER_WINDOW: i64 = 11;
+/// Side of the 2-D row's island array: 16×16 islands, 512 junctions,
+/// 1 024 candidate events — the committed `array16x16_background.cir`
+/// shape, whose strong lists are dense.
+const ARRAY_SIDE: usize = 16;
+/// Stray-capacitance seed of the 2-D row.
+const ARRAY_SEED: u64 = 23;
+/// The 2-D row runs at the committed array deck's 4.2 K.
+const ARRAY_TEMPERATURE: f64 = 4.2;
+/// Events per 2-D sample, for both kernels.
+const ARRAY_EVENTS: usize = 2_000;
 
 fn bench_chain() -> TunnelSystem {
     chain_system(ISLANDS, VDS, VG)
@@ -120,25 +122,6 @@ fn run_incremental_loop(system: &TunnelSystem, events: usize, seed: u64) -> (u64
     kmc::run_scalar(system, TEMPERATURE, seed, 0, events)
 }
 
-fn master_states() -> usize {
-    (2 * MASTER_WINDOW as usize + 1).pow(MASTER_ISLANDS as u32)
-}
-
-fn solve_large_master() -> f64 {
-    let system = chain_system(MASTER_ISLANDS, 1e-3, VG);
-    let solver = MasterEquation::new(system, MASTER_TEMPERATURE)
-        .expect("valid system")
-        .with_window(MASTER_WINDOW)
-        .expect("valid window");
-    let start = Instant::now();
-    let solution = solver.solve().expect("sparse solve succeeds");
-    let elapsed = start.elapsed().as_secs_f64();
-    assert_eq!(solution.states().len(), master_states());
-    let total: f64 = solution.probabilities().iter().sum();
-    assert!((total - 1.0).abs() < 1e-9);
-    elapsed
-}
-
 fn kmc_hotpath(c: &mut Criterion) {
     let mut group = c.benchmark_group("kmc_hotpath");
     group.sample_size(10);
@@ -163,13 +146,6 @@ fn kmc_hotpath(c: &mut Criterion) {
         });
     });
     group.finish();
-
-    let mut master_group = c.benchmark_group("master_sparse");
-    master_group.sample_size(10);
-    master_group.bench_function("chain4_window11_279841_states", |b| {
-        b.iter(solve_large_master);
-    });
-    master_group.finish();
 
     // Structured record for CI tracking and the acceptance gate.
     let system = bench_chain();
@@ -225,10 +201,6 @@ fn kmc_hotpath(c: &mut Criterion) {
             bench_worker_threads,
         )
     });
-    let master_seconds = (0..3)
-        .map(|_| solve_large_master())
-        .fold(f64::MAX, f64::min);
-    let states = master_states();
     // Kernel-scaling sweep: the tree/axpy kernel against full recompute on
     // chains of N ∈ {8, 64, 256} islands, same circuits and seeds on both
     // sides, construction excluded from the timed region
@@ -262,6 +234,24 @@ fn kmc_hotpath(c: &mut Criterion) {
         .collect();
     let (_, n256_tree, n256_full) = sweep[2];
     let large_n_speedup = n256_tree / n256_full;
+    // The 2-D row: on the 16×16 array nearly every fired strong list is
+    // dense, so the tree kernel runs the event table's branch-free pass;
+    // `dense_list_speedup` (tree / full recompute) carries its CI gate.
+    let array = array_system(ARRAY_SIDE, ARRAY_SEED);
+    let array_tree = kmc::kernel_events_per_sec(
+        &array,
+        ARRAY_TEMPERATURE,
+        3,
+        ARRAY_EVENTS,
+        KmcKernel::Incremental,
+    );
+    let array_full = kmc::kernel_events_per_sec(
+        &array,
+        ARRAY_TEMPERATURE,
+        3,
+        ARRAY_EVENTS,
+        KmcKernel::FullRecompute,
+    );
     let json = format!(
         "{{\n  \"bench\": \"kmc_hotpath\",\n  \"islands\": {ISLANDS},\n  \"events\": {EVENTS},\n  \
          \"events_per_sec_incremental\": {incremental:.1},\n  \
@@ -281,16 +271,13 @@ fn kmc_hotpath(c: &mut Criterion) {
          \"batched_speedup_vs_sequential\": {:.3},\n\
          {sweep_json}  \
          \"large_n_speedup\": {large_n_speedup:.2},\n  \
-         \"master_islands\": {MASTER_ISLANDS},\n  \"master_window\": {MASTER_WINDOW},\n  \
-         \"master_states\": {states},\n  \"master_solve_seconds\": {master_seconds:.6},\n  \
-         \"master_states_per_sec\": {:.1},\n  \
-         \"old_dense_state_limit\": {OLD_DENSE_STATE_LIMIT},\n  \
-         \"state_space_ratio\": {:.2}\n}}\n",
+         \"events_per_sec_array{ARRAY_SIDE}\": {array_tree:.1},\n  \
+         \"events_per_sec_full_recompute_array{ARRAY_SIDE}\": {array_full:.1},\n  \
+         \"dense_list_speedup\": {:.2}\n}}\n",
         incremental / baseline,
         lane_groups_1 / sequential_aggregate,
         lane_groups_multi / sequential_aggregate,
-        states as f64 / master_seconds,
-        states as f64 / OLD_DENSE_STATE_LIMIT as f64,
+        array_tree / array_full,
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_kmc.json");
     std::fs::write(path, &json).expect("BENCH_kmc.json is writable");

@@ -9,6 +9,8 @@
 
 pub mod kmc;
 
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use se_orthodox::set::SingleElectronTransistor;
 use se_orthodox::{TunnelSystem, TunnelSystemBuilder};
 
@@ -105,6 +107,53 @@ pub fn chain_system(islands: usize, vds: f64, vg: f64) -> TunnelSystem {
     builder.build().expect("chain parameters are valid")
 }
 
+/// An `n`×`n` island array with background charge — the shape of the
+/// committed `array16x16_background.cir` at any size, without committing a
+/// large deck. Each row is a drain → ground chain of `n + 1` horizontal
+/// junctions (0.5 aF, 100 kΩ), adjacent rows are coupled by vertical
+/// junctions (0.3 aF, 150 kΩ), and every island has a stray capacitor of
+/// 0.03–0.2 aF, drawn from `seed`, to a `bg` electrode at 0.5 V. The
+/// drain sits at `n` × 50 mV, inside the conducting range of the deck
+/// benchmark's array sweeps.
+///
+/// # Panics
+///
+/// Panics if `n == 0`.
+#[must_use]
+pub fn array_system(n: usize, seed: u64) -> TunnelSystem {
+    assert!(n > 0, "the array needs at least one island");
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut builder = TunnelSystemBuilder::new();
+    let drain = builder.external("drain", 0.05 * n as f64);
+    let ground = builder.external("ground", 0.0);
+    let bg = builder.external("bg", 0.5);
+    let islands: Vec<_> = (0..n * n)
+        .map(|k| builder.island(format!("n{}_{}", k / n, k % n), 0.0))
+        .collect();
+    for r in 0..n {
+        for c in 0..=n {
+            let a = if c == 0 {
+                drain
+            } else {
+                islands[r * n + c - 1]
+            };
+            let b = if c == n { ground } else { islands[r * n + c] };
+            builder.junction(format!("J{r}_{c}"), a, b, 0.5e-18, 100e3);
+        }
+    }
+    for r in 0..n - 1 {
+        for c in 0..n {
+            let (a, b) = (islands[r * n + c], islands[(r + 1) * n + c]);
+            builder.junction(format!("JV{r}_{c}"), a, b, 0.3e-18, 150e3);
+        }
+    }
+    for (k, &island) in islands.iter().enumerate() {
+        let stray = 0.03e-18 + 0.17e-18 * rng.gen::<f64>();
+        builder.capacitor(format!("CB{k}"), bg, island, stray);
+    }
+    builder.build().expect("array parameters are valid")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -124,6 +173,22 @@ mod tests {
         assert_eq!(chain.island_count(), 4);
         assert_eq!(chain.junctions().len(), 5);
         assert_eq!(chain.capacitors().len(), 4);
+    }
+
+    #[test]
+    fn array_has_the_deck_shape_and_is_seeded() {
+        let array = array_system(4, 7);
+        assert_eq!(array.island_count(), 16);
+        assert_eq!(array.junctions().len(), 4 * 5 + 3 * 4);
+        assert_eq!(array.capacitors().len(), 16);
+        let strays = |system: &TunnelSystem| -> Vec<f64> {
+            system.capacitors().iter().map(|c| c.capacitance).collect()
+        };
+        assert_eq!(strays(&array), strays(&array_system(4, 7)));
+        assert_ne!(strays(&array), strays(&array_system(4, 8)));
+        assert!(strays(&array)
+            .iter()
+            .all(|&c| (0.03e-18..0.2e-18).contains(&c)));
     }
 
     #[test]

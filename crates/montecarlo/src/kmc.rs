@@ -25,12 +25,7 @@ use se_orthodox::{ChargeState, EventRateTable, LiveState, RateContext, TunnelEve
 use se_units::constants::E;
 use std::collections::HashMap;
 
-/// Below this many candidate events, [`KmcKernel::Auto`] stays on the
-/// reference full-recompute path: a handful-of-junctions refill is a few
-/// dozen flops, cheaper than any tree bookkeeping, and small-circuit traces
-/// keep their committed bits. From this count up, the O(strong + log E)
-/// incremental kernel wins and Auto routes through it.
-pub const AUTO_TREE_THRESHOLD: usize = 64;
+pub use se_orthodox::events::AUTO_TREE_THRESHOLD;
 
 /// Which event-rate maintenance strategy the step loop runs on.
 ///

@@ -99,6 +99,13 @@ impl PartialSumTree {
         self.nodes[self.width + index] = value;
     }
 
+    /// The real leaves as one mutable slice, written **without**
+    /// propagating — the bulk form of [`PartialSumTree::set_leaf`], with
+    /// the same obligation to propagate afterwards.
+    pub fn leaves_mut(&mut self) -> &mut [f64] {
+        &mut self.nodes[self.width..self.width + self.len]
+    }
+
     /// Copies `values` into the leaves and rebuilds every internal node.
     ///
     /// # Panics

@@ -294,6 +294,62 @@ mod tests {
         assert_eq!(intrinsic_tunnel_time(1e-21, R), f64::INFINITY);
     }
 
+    /// `rate_from_parts_branchfree` against the cascade it replaces,
+    /// compared by bit pattern (so a mismatched zero sign counts too).
+    fn branchfree_matches_cascade(delta_f: f64, temperature: f64, resistance: f64) -> bool {
+        let kt = BOLTZMANN * temperature;
+        let inv_kt = 1.0 / kt;
+        let prefactor = 1.0 / (E * E * resistance);
+        rate_from_parts_branchfree(delta_f, prefactor, kt, inv_kt).to_bits()
+            == rate_from_parts(delta_f, prefactor, kt, inv_kt).to_bits()
+    }
+
+    #[test]
+    fn branchfree_rate_is_bitwise_the_cascade_at_the_edges() {
+        for t in [0.01, 0.1, 4.2, 300.0] {
+            // ±0.0, and ΔF exactly at ±500 kT (the frozen cutoff) with the
+            // neighbouring ulps on both sides.
+            let cutoff = MAX_EXPONENT * (BOLTZMANN * t);
+            let mut cases = vec![0.0, -0.0];
+            for edge in [cutoff, -cutoff] {
+                for ulps in -3_i64..=3 {
+                    cases.push(f64::from_bits(edge.to_bits().wrapping_add_signed(ulps)));
+                }
+            }
+            for delta_f in cases {
+                assert!(
+                    branchfree_matches_cascade(delta_f, t, R),
+                    "T = {t}, ΔF = {delta_f:e}"
+                );
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        /// The branch-free rate is bitwise the cascade wherever the
+        /// cascade switches branch — across the `ΔF → 0` series window,
+        /// around ±`MAX_EXPONENT` (where the 500 kT frozen cutoff also
+        /// sits) — and over the whole thermal range in between.
+        #[test]
+        fn prop_branchfree_rate_is_bitwise_the_cascade(
+            region in 0_usize..4,
+            offset in -1.0_f64..1.0,
+            t in 0.01_f64..300.0,
+            r_kohm in 26.0_f64..10_000.0,
+        ) {
+            let x = match region {
+                0 => 3.0 * SERIES_WINDOW * offset,
+                1 => MAX_EXPONENT * (1.0 + 1e-9 * offset),
+                2 => -MAX_EXPONENT * (1.0 + 1e-9 * offset),
+                _ => 1.2 * MAX_EXPONENT * offset,
+            };
+            let delta_f = x * BOLTZMANN * t;
+            prop_assert!(branchfree_matches_cascade(delta_f, t, r_kohm * 1e3));
+        }
+    }
+
     proptest! {
         /// Rates are always non-negative and finite.
         #[test]

@@ -179,6 +179,25 @@ proptest! {
     }
 }
 
+/// At a refill boundary the event table holds `fill_rates`' bits exactly.
+fn assert_table_is_fill_rates(
+    system: &TunnelSystem,
+    ctx: &RateContext,
+    live: &LiveState,
+    table: &EventRateTable,
+    context: &str,
+) {
+    let mut rates = Vec::new();
+    ctx.fill_rates(system, live, &mut rates);
+    for (e, &rate) in rates.iter().enumerate() {
+        assert_eq!(
+            table.rate(e).to_bits(),
+            rate.to_bits(),
+            "{context}: event {e} diverged from fill_rates at a refill"
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -208,16 +227,7 @@ proptest! {
         }
         live.refresh(&system);
         prop_assert!(table.sync(&system, &ctx, &live), "refresh must trigger a refill");
-        let mut rates = Vec::new();
-        ctx.fill_rates(&system, &live, &mut rates);
-        for (index, &rate) in rates.iter().enumerate() {
-            prop_assert_eq!(
-                table.rate(index).to_bits(),
-                rate.to_bits(),
-                "event {} diverged at the refill boundary",
-                index
-            );
-        }
+        assert_table_is_fill_rates(&system, &ctx, &live, &table, "after the walk");
     }
 }
 
@@ -274,14 +284,76 @@ fn event_table_reclassifies_frozen_events_across_the_cutoff_mid_run() {
 
     live.refresh(&system);
     assert!(table.sync(&system, &ctx, &live));
-    let mut rates = Vec::new();
-    ctx.fill_rates(&system, &live, &mut rates);
-    for (index, &rate) in rates.iter().enumerate() {
+    assert_table_is_fill_rates(&system, &ctx, &live, &table, "after the walk");
+}
+
+fn assert_tables_identical(dense: &EventRateTable, sparse: &EventRateTable, context: &str) {
+    assert_eq!(
+        dense.total().to_bits(),
+        sparse.total().to_bits(),
+        "{context}: total"
+    );
+    for e in 0..dense.event_count() {
         assert_eq!(
-            table.rate(index).to_bits(),
-            rate.to_bits(),
-            "event {index} diverged at the refill boundary"
+            dense.rate(e).to_bits(),
+            sparse.rate(e).to_bits(),
+            "{context}: rate of event {e}"
         );
+        assert_eq!(
+            dense.delta_f(e).to_bits(),
+            sparse.delta_f(e).to_bits(),
+            "{context}: ΔF of event {e}"
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The event table's two passes are one function: over random event
+    /// walks at T ∈ {0, 0.1, 4.2} K, on a small stray-capacitance array
+    /// (dense strong lists) and a 64-island chain (sparse lists), a table
+    /// forced down the dense pass and one forced down the sparse pass agree
+    /// in every leaf, every ΔF and the total, bit for bit, after every
+    /// event; and at every refill both are bitwise `fill_rates`.
+    #[test]
+    fn prop_dense_and_sparse_passes_are_bit_identical(
+        circuit in 0_usize..2,
+        temperature_index in 0_usize..3,
+        seed in 0_u64..1_000_000,
+        vd in 0.0_f64..0.4,
+        walk in proptest::collection::vec(0_usize..100_000, 1..250),
+    ) {
+        let temperature = [0.0, 0.1, 4.2][temperature_index];
+        // A 4×4 stray-capacitance array has dense strong lists; a gated
+        // chain's lists reach only a few neighbours.
+        let system = if circuit == 0 {
+            se_bench::array_system(4, seed)
+        } else {
+            se_bench::chain_system(64, vd, 0.08)
+        };
+        let ctx = RateContext::new(&system, temperature).unwrap();
+        let mut live = LiveState::new(&system, ChargeState::neutral(system.island_count()));
+        let mut dense = EventRateTable::new(&system, &ctx, &live);
+        let mut sparse = EventRateTable::new(&system, &ctx, &live);
+        assert_table_is_fill_rates(&system, &ctx, &live, &dense, "dense, fresh");
+        assert_table_is_fill_rates(&system, &ctx, &live, &sparse, "sparse, fresh");
+        for (step, &draw) in walk.iter().enumerate() {
+            let event = system.event(draw % system.event_count());
+            live.apply(&system, event);
+            dense.apply_event_pass(&system, &ctx, &live, event, true);
+            sparse.apply_event_pass(&system, &ctx, &live, event, false);
+            let context = format!("T = {temperature}, circuit {circuit}, step {step}");
+            assert_tables_identical(&dense, &sparse, &context);
+            // Every 97th draw also forces an exact refresh mid-walk.
+            if draw % 97 == 0 {
+                live.refresh(&system);
+                prop_assert!(dense.sync(&system, &ctx, &live));
+                prop_assert!(sparse.sync(&system, &ctx, &live));
+                assert_table_is_fill_rates(&system, &ctx, &live, &dense, &context);
+                assert_table_is_fill_rates(&system, &ctx, &live, &sparse, &context);
+            }
+        }
     }
 }
 
