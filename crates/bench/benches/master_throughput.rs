@@ -17,7 +17,14 @@
 //!   run three ways — cold Gauss–Seidel (the pre-Krylov sweep behaviour),
 //!   cold Krylov and warm-started Krylov (the shipped default: each point
 //!   seeded with its predecessor's converged distribution) — reporting
-//!   points/s for each, the old-vs-new ratio and the cold-vs-warm ratio.
+//!   points/s for each, the old-vs-new ratio and the cold-vs-warm ratio;
+//! * **preconditioner map**: the `master_map` deck's shape (4-island chain,
+//!   window ±5, an 8×8 drain × gate map) solved cold at every point with
+//!   the Jacobi and the ILU(0) preconditioner, at 4.2 K and at 100 K —
+//!   seconds, Krylov iterations and Gauss–Seidel fallbacks of each, the
+//!   evidence for or against keeping `solver=krylov-jacobi`;
+//! * **scaling**: one full solve per chain length (1–3 islands, window
+//!   ±2), the state-space scaling argument of experiment E10b.
 //!
 //! The comparison runs hot, at `kT` a sizeable fraction of the charging
 //! energy, so the stationary distribution genuinely spreads over the
@@ -50,6 +57,13 @@ const OLD_STATE_CAP: usize = 400_000;
 const SWEEP_POINTS: usize = 32;
 const SWEEP_WINDOW: i64 = 5;
 const SWEEP_HALF_RANGE: f64 = 0.05;
+/// Preconditioner map: the `master_map` deck's chain, window and bias
+/// ranges (drain −0.2…0.2 V, gate 0…0.16 V), every point a cold solve.
+const MAP_SIDE: usize = 8;
+const MAP_WINDOW: i64 = 5;
+const MAP_TEMPERATURES: [(&str, f64); 2] = [("4k2", 4.2), ("100k", 100.0)];
+/// Scaling record: chain lengths at window ±2 (5, 25 and 125 states).
+const SCALING_ISLANDS: [usize; 3] = [1, 2, 3];
 /// Linear-response drain bias, all islands gated to charge degeneracy.
 const VDS: f64 = 1e-3;
 const VG: f64 = E / (2.0 * se_bench::REFERENCE_C_GATE);
@@ -126,6 +140,52 @@ fn best_sweep(solver: StationarySolver, warm_start: bool) -> (f64, usize, usize)
     (a.min(b), warm_used, iterations)
 }
 
+/// One pass over the preconditioner map: every point cold-started with the
+/// given preconditioner. Returns (seconds, Krylov iterations, Gauss–Seidel
+/// fallbacks).
+fn run_map(preconditioner: Preconditioner, temperature: f64) -> (f64, usize, usize) {
+    let start = Instant::now();
+    let (mut iterations, mut fallbacks) = (0, 0);
+    let at = |k: usize, lo: f64, hi: f64| lo + (hi - lo) * k as f64 / (MAP_SIDE - 1) as f64;
+    for drain in 0..MAP_SIDE {
+        for gate in 0..MAP_SIDE {
+            let system = chain_system(MASTER_ISLANDS, at(drain, -0.2, 0.2), at(gate, 0.0, 0.16));
+            let solution = MasterEquation::new(system, temperature)
+                .expect("valid system")
+                .with_window(MAP_WINDOW)
+                .expect("valid window")
+                .with_solver(StationarySolver::Krylov(preconditioner))
+                .solve()
+                .expect("map point solves");
+            if solution.stats().solver == "gauss-seidel(fallback)" {
+                fallbacks += 1;
+            } else {
+                iterations += solution.stats().iterations;
+            }
+        }
+    }
+    (start.elapsed().as_secs_f64(), iterations, fallbacks)
+}
+
+/// Best-of-two map passes (both do identical work) as JSON fields for one
+/// temperature and preconditioner.
+fn map_fields(
+    label: &str,
+    name: &str,
+    preconditioner: Preconditioner,
+    temperature: f64,
+) -> (f64, String) {
+    let (a, iterations, fallbacks) = run_map(preconditioner, temperature);
+    let (b, _, _) = run_map(preconditioner, temperature);
+    let seconds = a.min(b);
+    let fields = format!(
+        "  \"map_{label}_{name}_seconds\": {seconds:.3},\n  \
+         \"map_{label}_{name}_iterations\": {iterations},\n  \
+         \"map_{label}_{name}_fallbacks\": {fallbacks},\n"
+    );
+    (seconds, fields)
+}
+
 fn main() {
     // Part 1: solver-only comparison on one assembled generator.
     let system = chain_system(MASTER_ISLANDS, VDS, VG);
@@ -189,6 +249,43 @@ fn main() {
     let cold_points_per_sec = SWEEP_POINTS as f64 / cold_seconds;
     let warm_points_per_sec = SWEEP_POINTS as f64 / warm_seconds;
 
+    // Part 4: Jacobi against ILU(0) over the preconditioner map, cold and
+    // hot.
+    let mut map_json = format!(
+        "  \"map_points\": {},\n  \"map_states\": {},\n",
+        MAP_SIDE * MAP_SIDE,
+        states_of(MASTER_ISLANDS, MAP_WINDOW)
+    );
+    for (label, temperature) in MAP_TEMPERATURES {
+        let (jacobi, fields) = map_fields(label, "jacobi", Preconditioner::Jacobi, temperature);
+        map_json.push_str(&fields);
+        let (ilu0, fields) = map_fields(label, "ilu0", Preconditioner::Ilu0, temperature);
+        map_json.push_str(&fields);
+        map_json.push_str(&format!(
+            "  \"map_{label}_jacobi_speedup_vs_ilu0\": {:.3},\n",
+            ilu0 / jacobi
+        ));
+    }
+
+    // Part 5: full-solve time against chain length, best of 20.
+    let mut scaling_json = String::new();
+    for islands in SCALING_ISLANDS {
+        let equation = MasterEquation::new(chain_system(islands, VDS, 0.08), 1.0)
+            .expect("valid system")
+            .with_window(2)
+            .expect("valid window");
+        let mut best = f64::MAX;
+        for _ in 0..20 {
+            let start = Instant::now();
+            equation.solve().expect("scaling point solves");
+            best = best.min(start.elapsed().as_secs_f64());
+        }
+        scaling_json.push_str(&format!(
+            "  \"scaling_{islands}_islands_solve_ms\": {:.4},\n",
+            best * 1e3
+        ));
+    }
+
     let json = format!(
         "{{\n  \"bench\": \"master_throughput\",\n  \
          \"temperature_kelvin\": {MASTER_TEMPERATURE},\n  \
@@ -211,7 +308,8 @@ fn main() {
          \"old_gs_cold_points_per_sec\": {old_points_per_sec:.2},\n  \
          \"cold_points_per_sec\": {cold_points_per_sec:.2},\n  \
          \"warm_points_per_sec\": {warm_points_per_sec:.2},\n  \
-         \"sweep_speedup_vs_gs_cold\": {:.3},\n  \
+         \"sweep_speedup_vs_gs_cold\": {:.3},\n\
+         {map_json}{scaling_json}  \
          \"warm_speedup\": {:.3}\n}}\n",
         gs_seconds * 1e3,
         krylov_seconds * 1e3,

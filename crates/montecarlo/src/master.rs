@@ -10,9 +10,9 @@
 //! simulators.
 //!
 //! The state space is handled sparsely: each charge state couples to at
-//! most two neighbours per junction, so the generator is assembled as CSR
-//! triplets over the mixed-radix state lattice (per-event index offsets,
-//! no hash lookups) and the stationary distribution comes from the solver
+//! most two neighbours per junction, so the generator is assembled row by
+//! row into CSR over the mixed-radix state lattice (per-event index
+//! offsets, no hash lookups) and the stationary distribution comes from the solver
 //! selection in [`se_numeric::sparse`] — preconditioned BiCGSTAB by
 //! default, with the anchored Gauss–Seidel sweep as selectable alternative
 //! and automatic fallback. Together with the incremental [`LiveState`]
@@ -35,6 +35,7 @@ use se_numeric::sparse::{
 };
 use se_orthodox::{ChargeState, Endpoint, LiveState, RateContext, TunnelEvent, TunnelSystem};
 use se_units::constants::E;
+use std::cmp::Reverse;
 use std::collections::HashMap;
 
 /// Default half-width of the per-island charge window.
@@ -62,26 +63,46 @@ pub struct MasterSolveStats {
     /// Whether the solve was seeded from a previous solution (see
     /// [`MasterEquation::solve_warm`]).
     pub warm_started: bool,
+    /// Stationary probability on the window boundary: the states with at
+    /// least one island at either edge of its charge window. It bounds the
+    /// mass the truncation could misplace; a value that is not small means
+    /// the window is too narrow for the temperature and bias.
+    pub boundary_mass: f64,
 }
 
 /// Stationary solution of the master equation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MasterSolution {
-    states: Vec<ChargeState>,
     probabilities: Vec<f64>,
     junction_currents: HashMap<String, f64>,
-    /// Window geometry of the enumeration, kept so a later solve can
-    /// re-index this distribution onto its own (possibly shifted) window.
+    /// Window geometry of the enumeration: state `index` has charges
+    /// `center_i − window + digit_i(index)` in base `2·window + 1`. The
+    /// state list, the lookups and a later solve's warm re-indexing all
+    /// decode it.
     center: ChargeState,
     window: i64,
     stats: MasterSolveStats,
 }
 
 impl MasterSolution {
-    /// The enumerated charge states.
-    #[must_use]
-    pub fn states(&self) -> &[ChargeState] {
-        &self.states
+    /// The enumerated charge states, in the order of
+    /// [`Self::probabilities`], decoded on the fly from the window.
+    pub fn states(&self) -> impl ExactSizeIterator<Item = ChargeState> + '_ {
+        let span = self.span();
+        (0..self.probabilities.len()).map(move |index| {
+            let mut rem = index;
+            ChargeState(
+                self.center
+                    .0
+                    .iter()
+                    .map(|&c| {
+                        let digit = rem % span;
+                        rem /= span;
+                        c - self.window + digit as i64
+                    })
+                    .collect(),
+            )
+        })
     }
 
     /// Stationary probability of each state (same order as
@@ -102,20 +123,37 @@ impl MasterSolution {
     /// enumeration window.
     #[must_use]
     pub fn probability_of(&self, state: &ChargeState) -> f64 {
-        self.states
-            .iter()
-            .position(|s| s == state)
-            .map_or(0.0, |i| self.probabilities[i])
+        if state.0.len() != self.center.0.len() {
+            return 0.0;
+        }
+        let span = self.span() as i64;
+        let mut index = 0_i64;
+        for (&n, &c) in state.0.iter().zip(&self.center.0).rev() {
+            let digit = n - (c - self.window);
+            if !(0..span).contains(&digit) {
+                return 0.0;
+            }
+            index = index * span + digit;
+        }
+        self.probabilities[index as usize]
     }
 
     /// Mean number of excess electrons on island `i`.
     #[must_use]
     pub fn mean_occupation(&self, island: usize) -> f64 {
-        self.states
+        let span = self.span();
+        let place = span.pow(island as u32);
+        let lowest = self.center.0[island] - self.window;
+        self.probabilities
             .iter()
-            .zip(&self.probabilities)
-            .map(|(s, &p)| p * s.0[island] as f64)
+            .enumerate()
+            .map(|(index, &p)| p * (lowest + ((index / place) % span) as i64) as f64)
             .sum()
+    }
+
+    /// Charge states per island: `2·window + 1`.
+    fn span(&self) -> usize {
+        (2 * self.window + 1) as usize
     }
 
     /// Provenance of the stationary solve that produced this solution.
@@ -291,17 +329,16 @@ impl MasterEquation {
         &self,
         warm: Option<&MasterSolution>,
     ) -> Result<MasterSolution, MonteCarloError> {
-        let assembly = self.assemble()?;
         let Assembly {
             center,
             span,
             place,
             ground_index,
-            states,
             inflow,
             out_rate,
-        } = assembly;
-        let state_count = states.len();
+            rates,
+        } = self.assemble()?;
+        let state_count = out_rate.len();
         let islands = self.system.island_count();
 
         // Re-index the warm seed onto this window. The state at counter
@@ -364,62 +401,48 @@ impl MasterEquation {
             warm_p.as_deref(),
             &mut workspace,
         )?;
-        let stats = MasterSolveStats {
-            solver: solve_stats.solver,
-            iterations: solve_stats.iterations,
-            residual: solve_stats.residual,
-            warm_started: warm_p.is_some(),
-        };
 
         // Junction currents: net a→b tunnel rate weighted by the stationary
-        // occupation, using the *real* event rates (out-of-window targets
-        // included — charge that leaves the window still crossed the
-        // junction). Events keep their canonical order, so junction `j`
-        // owns rate slots `2j` (a→b) and `2j + 1` (b→a). The lattice is
-        // walked a second time instead of buffering every state's rates
-        // during assembly — the O(states × events) buffer was the memory
-        // ceiling at million-state windows — and states with zero
-        // stationary probability skip the rate evaluation entirely.
-        let rate_ctx = RateContext::new(&self.system, self.temperature)?;
-        let junction_count = self.system.junctions().len();
-        let mut net_rates = vec![0.0_f64; junction_count];
-        let first = ChargeState(center.0.iter().map(|&c| c - self.window).collect());
-        let mut live = LiveState::new(&self.system, first);
+        // occupation, using the *real* event rates the assembly buffered
+        // (out-of-window targets included — charge that leaves the window
+        // still crossed the junction). Events keep their canonical order,
+        // so junction `j` owns rate slots `2j` (a→b) and `2j + 1` (b→a).
+        // The same pass sums the probability on the window boundary.
+        let mut net_rates = vec![0.0_f64; self.system.junctions().len()];
+        let mut boundary_mass = 0.0_f64;
         let mut digits = vec![0_usize; islands];
-        let mut scratch = Vec::with_capacity(self.system.event_count());
-        for (index, &p) in probabilities.iter().enumerate() {
+        let event_count = self.system.event_count();
+        for (&p, state_rates) in probabilities.iter().zip(rates.chunks_exact(event_count)) {
             if p != 0.0 {
-                rate_ctx.fill_rates(&self.system, &live, &mut scratch);
-                for (j_idx, net) in net_rates.iter_mut().enumerate() {
-                    *net += p * (scratch[2 * j_idx] - scratch[2 * j_idx + 1]);
+                for (net, pair) in net_rates.iter_mut().zip(state_rates.chunks_exact(2)) {
+                    *net += p * (pair[0] - pair[1]);
+                }
+                if edge_mask(&digits, span) != 0 {
+                    boundary_mass += p;
                 }
             }
-            if index + 1 < state_count {
-                let mut i = 0;
-                loop {
-                    digits[i] += 1;
-                    if digits[i] < span {
-                        live.shift_island(&self.system, i, 1);
-                        break;
-                    }
-                    digits[i] = 0;
-                    live.shift_island(&self.system, i, -(span as i64 - 1));
-                    i += 1;
-                }
-            }
+            advance(&mut digits, span, |_, _| {});
         }
-        let mut junction_currents = HashMap::new();
-        for (j_idx, junction) in self.system.junctions().iter().enumerate() {
-            junction_currents.insert(junction.name.clone(), -E * net_rates[j_idx]);
-        }
+        let junction_currents = self
+            .system
+            .junctions()
+            .iter()
+            .zip(&net_rates)
+            .map(|(junction, &net)| (junction.name.clone(), -E * net))
+            .collect();
 
         Ok(MasterSolution {
-            states,
             probabilities,
             junction_currents,
             center,
             window: self.window,
-            stats,
+            stats: MasterSolveStats {
+                solver: solve_stats.solver,
+                iterations: solve_stats.iterations,
+                residual: solve_stats.residual,
+                warm_started: warm_p.is_some(),
+                boundary_mass,
+            },
         })
     }
 
@@ -433,7 +456,9 @@ impl MasterEquation {
                     states: usize::MAX,
                     limit: self.max_states,
                 })?;
-        if state_count > self.max_states {
+        // More than 32 islands (3³³ states and up) would also overflow the
+        // 64-bit window-edge masks.
+        if state_count > self.max_states || islands > 32 {
             return Err(MonteCarloError::StateSpaceTooLarge {
                 states: state_count,
                 limit: self.max_states,
@@ -443,6 +468,7 @@ impl MasterEquation {
         let center = self.ground_state();
         let rate_ctx = RateContext::new(&self.system, self.temperature)?;
         let events = self.system.events();
+        let event_count = events.len();
 
         // The enumeration is a mixed-radix counter over the window box
         // around the ground state: island `i` is digit `i` with place value
@@ -458,80 +484,71 @@ impl MasterEquation {
                 Some(p)
             })
             .collect();
-        struct EventGeometry {
-            /// Index offset of the target state.
-            offset: i64,
-            /// Digit moves: (island, ±1).
-            moves: Vec<(usize, i64)>,
-        }
         let geometry: Vec<EventGeometry> = events
             .iter()
             .map(|&event| {
                 let (from, to) = self.system.event_endpoints(event);
-                let mut moves = Vec::with_capacity(2);
+                let mut geo = EventGeometry {
+                    offset: 0,
+                    leaves_from: 0,
+                    arrives_from: 0,
+                };
+                // An electron leaving island `i` cannot fire from its lower
+                // edge nor arrive at its upper edge; one arriving, the
+                // reverse.
                 if let Endpoint::Island(i) = from {
-                    moves.push((i, -1_i64));
+                    geo.offset -= place[i];
+                    geo.leaves_from |= LOWER << (2 * i);
+                    geo.arrives_from |= UPPER << (2 * i);
                 }
                 if let Endpoint::Island(i) = to {
-                    moves.push((i, 1_i64));
+                    geo.offset += place[i];
+                    geo.leaves_from |= UPPER << (2 * i);
+                    geo.arrives_from |= LOWER << (2 * i);
                 }
-                let offset = moves.iter().map(|&(i, d)| d * place[i]).sum();
-                EventGeometry { offset, moves }
+                geo
             })
             .collect();
         let ground_index =
             usize::try_from((0..islands).map(|i| self.window * place[i]).sum::<i64>())
                 .expect("the ground state is inside its own window");
 
-        // Walk the lattice with an incrementally-updated LiveState (one
-        // axpy per counter step) and assemble the off-diagonal inflow
-        // triplets plus the total out-rate of every state. Rates towards
-        // states outside the window are dropped entirely (they neither
-        // appear as inflows nor count into the out-rate), exactly as in the
-        // dense implementation.
+        // One walk of the lattice with an incrementally-updated LiveState
+        // (one axpy per counter step) evaluates every state's event rates
+        // once, into a `states × events` buffer the junction currents read
+        // back after the solve: the walk writes each state's ΔFs, then one
+        // vectorizable pass turns them into rates (bitwise `fill_rates`').
+        // Rates towards states outside the window are dropped from the
+        // generator entirely (they neither appear as inflows nor count into
+        // the out-rate), exactly as in the dense implementation.
         let first = ChargeState(center.0.iter().map(|&c| c - self.window).collect());
         let mut live = LiveState::new(&self.system, first);
         let mut digits = vec![0_usize; islands];
-        let mut states = Vec::with_capacity(state_count);
-        let mut out_rate = vec![0.0_f64; state_count];
-        let mut triplets: Vec<(usize, usize, f64)> = Vec::new();
-        let mut scratch = Vec::with_capacity(events.len());
-
-        for (index, out) in out_rate.iter_mut().enumerate() {
-            states.push(live.state().clone());
-            rate_ctx.fill_rates(&self.system, &live, &mut scratch);
-            for (e, geo) in geometry.iter().enumerate() {
-                let rate = scratch[e];
-                if rate <= 0.0 {
-                    continue;
-                }
-                let in_window = geo.moves.iter().all(|&(i, d)| {
-                    let digit = digits[i] as i64 + d;
-                    (0..span as i64).contains(&digit)
-                });
-                if !in_window {
-                    continue;
-                }
-                let target = (index as i64 + geo.offset) as usize;
-                triplets.push((target, index, rate));
-                *out += rate;
-            }
-            // Advance the mixed-radix counter, keeping the live state in
-            // lockstep (a wrap of digit `i` steps the island back by the
-            // full span; the carry target steps forward by one).
+        let mut rates = vec![0.0_f64; state_count * event_count];
+        for (index, delta_f) in rates.chunks_exact_mut(event_count).enumerate() {
+            rate_ctx.fill_delta_f(&live, delta_f);
+            // Advance the counter, keeping the live state in lockstep (a
+            // wrap of digit `i` steps the island back by the full span; the
+            // carry target steps forward by one).
             if index + 1 < state_count {
-                let mut i = 0;
-                loop {
-                    digits[i] += 1;
-                    if digits[i] < span {
-                        live.shift_island(&self.system, i, 1);
-                        break;
-                    }
-                    digits[i] = 0;
-                    live.shift_island(&self.system, i, -(span as i64 - 1));
-                    i += 1;
+                advance(&mut digits, span, |i, delta| {
+                    live.shift_island(&self.system, i, delta);
+                });
+            }
+        }
+        rate_ctx.rates_from_delta_f(&mut rates);
+        let mut out_rate = vec![0.0_f64; state_count];
+        let mut inflow_entries = 0;
+        digits.fill(0);
+        for (out, state_rates) in out_rate.iter_mut().zip(rates.chunks_exact(event_count)) {
+            let edges = edge_mask(&digits, span);
+            for (&rate, geo) in state_rates.iter().zip(&geometry) {
+                if rate > 0.0 && edges & geo.leaves_from == 0 {
+                    *out += rate;
+                    inflow_entries += 1;
                 }
             }
+            advance(&mut digits, span, |_, _| {});
         }
 
         // Regularise isolated states: at low temperature every rate out of
@@ -544,22 +561,59 @@ impl MasterEquation {
         let rate_scale = out_rate.iter().fold(0.0_f64, |m, &v| m.max(v));
         let epsilon = 1e-12 * if rate_scale > 0.0 { rate_scale } else { 1.0 };
         for (i, out) in out_rate.iter_mut().enumerate() {
-            if i == ground_index {
-                continue;
+            if i != ground_index {
+                *out += epsilon;
             }
-            triplets.push((ground_index, i, epsilon));
-            *out += epsilon;
         }
 
-        let inflow = CsrMatrix::from_triplets(state_count, state_count, &triplets)?;
+        // The inflow rows, built in place from the rate buffer: row `i`
+        // pulls from source `i − offset_e` for every event `e` whose source
+        // lies in the window and whose rate is positive. Sources ascend
+        // (events by descending offset), events with one offset keep their
+        // canonical order, and the anchor row's ε entries come last.
+        let mut by_source: Vec<(usize, i64, u64)> = geometry
+            .iter()
+            .enumerate()
+            .map(|(e, geo)| (e, geo.offset, geo.arrives_from))
+            .collect();
+        by_source.sort_by_key(|&(_, offset, _)| Reverse(offset));
+        let mut row_ptr = Vec::with_capacity(state_count + 1);
+        let nnz = inflow_entries + state_count - 1;
+        let mut col_idx = Vec::with_capacity(nnz);
+        let mut values = Vec::with_capacity(nnz);
+        row_ptr.push(0);
+        digits.fill(0);
+        for target in 0..state_count {
+            let edges = edge_mask(&digits, span);
+            for &(e, offset, arrives_from) in &by_source {
+                if edges & arrives_from != 0 {
+                    continue;
+                }
+                let source = (target as i64 - offset) as usize;
+                let rate = rates[source * event_count + e];
+                if rate > 0.0 {
+                    col_idx.push(source);
+                    values.push(rate);
+                }
+            }
+            if target == ground_index {
+                for source in (0..state_count).filter(|&j| j != ground_index) {
+                    col_idx.push(source);
+                    values.push(epsilon);
+                }
+            }
+            row_ptr.push(col_idx.len());
+            advance(&mut digits, span, |_, _| {});
+        }
+        let inflow = CsrMatrix::from_parts(state_count, state_count, row_ptr, col_idx, values)?;
         Ok(Assembly {
             center,
             span,
             place,
             ground_index,
-            states,
             inflow,
             out_rate,
+            rates,
         })
     }
 
@@ -579,21 +633,306 @@ impl MasterEquation {
     }
 }
 
+/// How one event moves the mixed-radix state counter.
+struct EventGeometry {
+    /// Index offset of the target state.
+    offset: i64,
+    /// The [`edge_mask`] bits of a source state the event cannot leave
+    /// without landing outside the window.
+    leaves_from: u64,
+    /// The [`edge_mask`] bits of a target state the event cannot reach from
+    /// inside the window.
+    arrives_from: u64,
+}
+
+/// [`edge_mask`] bit of an island at the lower edge of its window.
+const LOWER: u64 = 1;
+/// [`edge_mask`] bit of an island at the upper edge of its window.
+const UPPER: u64 = 2;
+
+/// Which islands of the state with these digits sit at a window edge: bit
+/// `2i` for the lower edge of island `i`, bit `2i + 1` for the upper
+/// (`assemble` admits at most 32 islands).
+fn edge_mask(digits: &[usize], span: usize) -> u64 {
+    digits.iter().enumerate().fold(0, |mask, (i, &d)| {
+        let bits = if d == 0 { LOWER } else { 0 } | if d == span - 1 { UPPER } else { 0 };
+        mask | bits << (2 * i)
+    })
+}
+
+/// Steps the mixed-radix counter by one, reporting each digit move to
+/// `shift` as `(island, Δcharge)`: a wrapped digit first, then its carry.
+fn advance(digits: &mut [usize], span: usize, mut shift: impl FnMut(usize, i64)) {
+    for (i, digit) in digits.iter_mut().enumerate() {
+        *digit += 1;
+        if *digit < span {
+            shift(i, 1);
+            return;
+        }
+        *digit = 0;
+        shift(i, -(span as i64 - 1));
+    }
+}
+
 /// The assembled generator of one enumeration window.
 struct Assembly {
     center: ChargeState,
     span: usize,
     place: Vec<i64>,
     ground_index: usize,
-    states: Vec<ChargeState>,
     inflow: CsrMatrix,
     out_rate: Vec<f64>,
+    /// Every event rate of every state, `states × events` in canonical
+    /// event order.
+    rates: Vec<f64>,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use se_numeric::krylov::{reference, stationary_bicgstab, KrylovOptions, KrylovWorkspace};
+    use se_numeric::{NumericError, Preconditioner};
     use se_orthodox::TunnelSystemBuilder;
+
+    /// The assembly the single walk replaced, kept as its bit-identity
+    /// reference: one `ChargeState` per state, `(row, col, rate)` triplets
+    /// in walk order, the ε triplets appended, then `from_triplets`.
+    fn reference_assembly(me: &MasterEquation) -> (Vec<ChargeState>, CsrMatrix, Vec<f64>, usize) {
+        let system = &me.system;
+        let islands = system.island_count();
+        let span = (2 * me.window + 1) as usize;
+        let state_count = span.pow(islands as u32);
+        let center = me.ground_state();
+        let rate_ctx = RateContext::new(system, me.temperature).unwrap();
+        let place: Vec<i64> = (0..islands).map(|i| span.pow(i as u32) as i64).collect();
+        let geometry: Vec<(i64, Vec<(usize, i64)>)> = system
+            .events()
+            .iter()
+            .map(|&event| {
+                let (from, to) = system.event_endpoints(event);
+                let mut moves = Vec::new();
+                if let Endpoint::Island(i) = from {
+                    moves.push((i, -1_i64));
+                }
+                if let Endpoint::Island(i) = to {
+                    moves.push((i, 1_i64));
+                }
+                (moves.iter().map(|&(i, d)| d * place[i]).sum(), moves)
+            })
+            .collect();
+        let ground_index = (0..islands).map(|i| me.window * place[i]).sum::<i64>() as usize;
+        let first = ChargeState(center.0.iter().map(|&c| c - me.window).collect());
+        let mut live = LiveState::new(system, first);
+        let mut digits = vec![0_usize; islands];
+        let mut states = Vec::new();
+        let mut out_rate = vec![0.0_f64; state_count];
+        let mut triplets: Vec<(usize, usize, f64)> = Vec::new();
+        let mut scratch = Vec::new();
+        for (index, out) in out_rate.iter_mut().enumerate() {
+            states.push(live.state().clone());
+            rate_ctx.fill_rates(system, &live, &mut scratch);
+            for (e, (offset, moves)) in geometry.iter().enumerate() {
+                let rate = scratch[e];
+                let in_window = moves
+                    .iter()
+                    .all(|&(i, d)| (0..span as i64).contains(&(digits[i] as i64 + d)));
+                if rate > 0.0 && in_window {
+                    triplets.push(((index as i64 + offset) as usize, index, rate));
+                    *out += rate;
+                }
+            }
+            if index + 1 < state_count {
+                advance(&mut digits, span, |i, delta| {
+                    live.shift_island(system, i, delta)
+                });
+            }
+        }
+        let rate_scale = out_rate.iter().fold(0.0_f64, |m, &v| m.max(v));
+        let epsilon = 1e-12 * if rate_scale > 0.0 { rate_scale } else { 1.0 };
+        for (i, out) in out_rate.iter_mut().enumerate() {
+            if i != ground_index {
+                triplets.push((ground_index, i, epsilon));
+                *out += epsilon;
+            }
+        }
+        let inflow = CsrMatrix::from_triplets(state_count, state_count, &triplets).unwrap();
+        (states, inflow, out_rate, ground_index)
+    }
+
+    /// The currents the single walk replaced: a second lattice walk that
+    /// re-evaluates the rates of every state with nonzero probability.
+    fn reference_currents(me: &MasterEquation, states: &[ChargeState], p: &[f64]) -> Vec<f64> {
+        let system = &me.system;
+        let rate_ctx = RateContext::new(system, me.temperature).unwrap();
+        let span = (2 * me.window + 1) as usize;
+        let mut live = LiveState::new(system, states[0].clone());
+        let mut digits = vec![0_usize; system.island_count()];
+        let mut net = vec![0.0_f64; system.junctions().len()];
+        let mut scratch = Vec::new();
+        for (index, &pi) in p.iter().enumerate() {
+            if pi != 0.0 {
+                rate_ctx.fill_rates(system, &live, &mut scratch);
+                for (j, net) in net.iter_mut().enumerate() {
+                    *net += pi * (scratch[2 * j] - scratch[2 * j + 1]);
+                }
+            }
+            if index + 1 < p.len() {
+                advance(&mut digits, span, |i, delta| {
+                    live.shift_island(system, i, delta)
+                });
+            }
+        }
+        net.iter().map(|&n| -E * n).collect()
+    }
+
+    /// A random 1–4-island circuit: a drain–islands–source chain, extra
+    /// lead junctions (two events with one index offset), optional gates
+    /// and background charges, at a temperature from 0 K (no thermal
+    /// rates) through 0.05 K (frozen events beyond 500 kT) to 100 K.
+    fn random_circuit(seed: u64) -> (TunnelSystem, f64) {
+        let mut rng = proptest::TestRng::deterministic(&seed.to_string());
+        let mut b = TunnelSystemBuilder::new();
+        let drain = b.external("drain", 0.2 * rng.unit_f64() - 0.1);
+        let source = b.external("source", 0.0);
+        let gate = b.external("gate", 0.4 * rng.unit_f64() - 0.2);
+        let islands: Vec<Endpoint> = (0..1 + rng.below(4))
+            .map(|i| b.island(format!("i{i}"), if rng.below(2) == 0 { 0.0 } else { 0.3 }))
+            .collect();
+        let mut previous = drain;
+        for (k, &island) in islands.iter().enumerate() {
+            b.junction(
+                format!("J{k}"),
+                previous,
+                island,
+                0.6e-18,
+                1e5 + 4e4 * k as f64,
+            );
+            if rng.below(2) == 0 {
+                b.capacitor(format!("CG{k}"), gate, island, 0.4e-18 * (1 + k) as f64);
+            }
+            previous = island;
+        }
+        b.junction("Jout", previous, source, 0.5e-18, 1.5e5);
+        for k in 0..rng.below(3) {
+            let island = islands[rng.below(islands.len() as u64) as usize];
+            let lead = if rng.below(2) == 0 { drain } else { source };
+            b.junction(format!("Jx{k}"), lead, island, 0.3e-18, 2e5);
+        }
+        let temperature = [0.0, 0.05, 1.0, 4.2, 30.0, 100.0][rng.below(6) as usize];
+        (b.build().unwrap(), temperature)
+    }
+
+    /// Solves one circuit both ways and asserts every bit agrees: the
+    /// generator rows, the out-rates, the anchored system and ILU(0)
+    /// factor, the Krylov result or error, the accepted distribution and
+    /// its provenance, the currents, the occupations and the state list.
+    fn assert_matches_reference(system: TunnelSystem, temperature: f64, window: i64) {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let me = MasterEquation::new(system, temperature)
+            .unwrap()
+            .with_window(window)
+            .unwrap();
+        let (states, ref_inflow, ref_out, ref_anchor) = reference_assembly(&me);
+        let (inflow, out_rate, anchor) = me.generator().unwrap();
+        assert_eq!(anchor, ref_anchor);
+        assert_eq!(bits(&out_rate), bits(&ref_out));
+        assert_eq!(inflow.rows(), ref_inflow.rows());
+        for r in 0..inflow.rows() {
+            let ((cols, vals), (ref_cols, ref_vals)) = (inflow.row(r), ref_inflow.row(r));
+            assert_eq!((cols, bits(vals)), (ref_cols, bits(ref_vals)), "row {r}");
+        }
+
+        let defaults = StationaryOptions::default();
+        let options = KrylovOptions {
+            preconditioner: Preconditioner::Ilu0,
+            tolerance: defaults.tolerance,
+            max_iterations: (defaults.max_sweeps / 20).clamp(64, 1024),
+        };
+        let mut ws = KrylovWorkspace::new();
+        let krylov = stationary_bicgstab(&inflow, &out_rate, anchor, &options, None, &mut ws);
+        let (ref_krylov, ref_system) =
+            reference::stationary_bicgstab(&ref_inflow, &ref_out, anchor, &options, None);
+        assert_eq!(ws.anchored_system().bits(), ref_system.bits());
+        let expected: Result<(Vec<f64>, &str, usize, f64), NumericError> = match ref_krylov {
+            Ok((p, stats)) => Ok((p, stats.solver, stats.iterations, stats.residual)),
+            Err(_) => {
+                assert!(
+                    krylov.is_err(),
+                    "Krylov converged where the reference did not"
+                );
+                let gauss_seidel = StationaryOptions {
+                    solver: StationarySolver::GaussSeidel,
+                    ..defaults
+                };
+                se_numeric::sparse::stationary_distribution(
+                    &ref_inflow,
+                    &ref_out,
+                    anchor,
+                    &gauss_seidel,
+                )
+                .map(|p| (p, "gauss-seidel(fallback)", 0, 0.0))
+            }
+        };
+
+        match (me.solve(), expected) {
+            (Ok(solution), Ok((p, solver, iterations, residual))) => {
+                assert_eq!(bits(solution.probabilities()), bits(&p));
+                assert_eq!(solution.stats().solver, solver);
+                if solver.starts_with("bicgstab") {
+                    assert_eq!(solution.stats().iterations, iterations);
+                    assert_eq!(solution.stats().residual.to_bits(), residual.to_bits());
+                }
+                let currents = reference_currents(&me, &states, &p);
+                for (junction, current) in me.system.junctions().iter().zip(currents) {
+                    let got = solution.junction_current(&junction.name).unwrap();
+                    assert_eq!(got.to_bits(), current.to_bits(), "{}", junction.name);
+                }
+                assert!(solution.states().eq(states.iter().cloned()));
+                for island in 0..me.system.island_count() {
+                    let mean: f64 = states
+                        .iter()
+                        .zip(&p)
+                        .map(|(s, &p)| p * s.0[island] as f64)
+                        .sum();
+                    assert_eq!(solution.mean_occupation(island).to_bits(), mean.to_bits());
+                }
+                for (state, &p) in states.iter().zip(&p).step_by(7) {
+                    assert_eq!(solution.probability_of(state).to_bits(), p.to_bits());
+                }
+            }
+            (Err(a), Err(b)) => assert_eq!(a.to_string(), MonteCarloError::from(b).to_string()),
+            (a, b) => panic!("single walk {a:?} vs reference {b:?}"),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The single-walk assembly and the fused Krylov kernel reproduce
+        /// the triplet assembly, the unfused kernel and the two-walk
+        /// currents bit for bit on random circuits and windows.
+        #[test]
+        fn prop_single_walk_solve_matches_the_triplet_reference(
+            seed in 0_u64..u64::MAX,
+            window in 1_i64..=3,
+        ) {
+            let (system, temperature) = random_circuit(seed);
+            assert_matches_reference(system, temperature, window);
+        }
+    }
+
+    #[test]
+    fn single_walk_solve_matches_the_triplet_reference_on_edge_cases() {
+        let cg = 1e-18;
+        // An SET: drain and source junctions on one island, so two events
+        // share each index offset; hot, at 0 K and with frozen events.
+        for temperature in [0.0, 0.05, 4.2, 100.0] {
+            for window in 1..=3 {
+                assert_matches_reference(set_system(1e-3, 0.3 * E / cg, 0.1), temperature, window);
+            }
+        }
+    }
 
     fn set_system(vds: f64, vg: f64, q0: f64) -> TunnelSystem {
         let mut b = TunnelSystemBuilder::new();
@@ -811,6 +1150,37 @@ mod tests {
         assert!(!solved.stats().warm_started);
         let bits = |p: &[f64]| p.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(solved.probabilities()), bits(cold.probabilities()));
+    }
+
+    #[test]
+    fn boundary_mass_falls_as_the_window_grows() {
+        // A hot SET (kT ≈ 0.65 E_c at 300 K) spreads over several charge
+        // states, so a narrow window truncates real probability; widening
+        // it must shrink the mass on the window edge towards nothing.
+        let cg = 1e-18;
+        let masses: Vec<f64> = (1..=4)
+            .map(|window| {
+                MasterEquation::new(set_system(1e-3, 0.3 * E / cg, 0.0), 300.0)
+                    .unwrap()
+                    .with_window(window)
+                    .unwrap()
+                    .solve()
+                    .unwrap()
+                    .stats()
+                    .boundary_mass
+            })
+            .collect();
+        assert!(masses[0] > 0.1, "±1 window edge carries {}", masses[0]);
+        for pair in masses.windows(2) {
+            assert!(pair[1] < 0.1 * pair[0], "boundary mass {masses:?}");
+        }
+        assert!(masses[3] < 1e-6, "±4 window edge carries {}", masses[3]);
+        // A cold blockaded SET sits on its ground state, far from any edge.
+        let cold = MasterEquation::new(set_system(1e-4, 0.0, 0.0), 1.0)
+            .unwrap()
+            .solve()
+            .unwrap();
+        assert!(cold.stats().boundary_mass < 1e-30);
     }
 
     #[test]

@@ -20,10 +20,12 @@
 //!   of the scaled matrix, which typically cuts the iteration count by an
 //!   order of magnitude on the master-equation lattices.
 //!
-//! All inner loops run over reusable [`KrylovWorkspace`] buffers — after
-//! the workspace has grown to the problem size no further allocation
-//! happens, so a warm-started bias sweep re-solves without touching the
-//! allocator.
+//! All inner loops run over [`KrylovWorkspace`] buffers with 32-bit column
+//! indices. Each BiCGSTAB pass fuses a vector update with the reductions
+//! that read it (the matrix–vector product with its dot product, the
+//! residual update with its norm), and every reduction still folds
+//! sequentially in index order — so the iterates are bit-identical to the
+//! one-reduction-per-pass form kept as the test reference.
 //!
 //! The solver can fail (breakdown of the BiCGSTAB recurrence, stagnation
 //! short of the tolerance); callers fall back to the unconditionally
@@ -33,6 +35,9 @@
 
 use crate::error::NumericError;
 use crate::sparse::{CsrMatrix, SolveStats};
+
+#[cfg(any(test, feature = "reference"))]
+pub mod reference;
 
 /// Preconditioner of the BiCGSTAB stationary solve.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -73,20 +78,23 @@ pub struct KrylovOptions {
 }
 
 /// Reusable buffers of the BiCGSTAB solve: the assembled anchored system,
-/// the optional ILU(0) factor and the eight iteration vectors. Reusing one
-/// workspace across solves (a warm-started sweep) keeps the inner loops
-/// allocation-free once the buffers have grown to the problem size.
+/// the optional ILU(0) factor and the iteration vectors. The buffers grow to
+/// the problem size on first use; passing one workspace to several solves
+/// skips those allocations.
 #[derive(Debug, Default)]
 pub struct KrylovWorkspace {
     // Assembled row-scaled anchored system (sorted, deduplicated columns).
     row_ptr: Vec<usize>,
-    col_idx: Vec<usize>,
+    col_idx: Vec<u32>,
     values: Vec<f64>,
     /// Position of the diagonal entry within each row.
     diag_ptr: Vec<usize>,
     /// ILU(0) factor values (same sparsity pattern as `values`).
     ilu: Vec<f64>,
-    /// Row-assembly scratch: (column, value) pairs of the row under merge.
+    /// ILU(0) scatter map: the position of column `j` in the row under
+    /// elimination, [`NO_SLOT`] elsewhere.
+    slot: Vec<usize>,
+    /// Row-assembly scratch for an inflow row that arrives unsorted.
     row_scratch: Vec<(usize, f64)>,
     // BiCGSTAB vectors.
     x: Vec<f64>,
@@ -100,16 +108,34 @@ pub struct KrylovWorkspace {
     shat: Vec<f64>,
 }
 
+/// Scatter-map marker of a column absent from the row under elimination.
+const NO_SLOT: usize = usize::MAX;
+
 impl KrylovWorkspace {
     /// Creates an empty workspace; buffers grow on first use.
     #[must_use]
     pub fn new() -> Self {
         KrylovWorkspace::default()
     }
+
+    /// The anchored system and ILU(0) factor of the last solve, for
+    /// bit-identity pins against [the reference kernel](self::reference).
+    #[cfg(any(test, feature = "reference"))]
+    #[must_use]
+    pub fn anchored_system(&self) -> reference::AnchoredSystem {
+        reference::AnchoredSystem {
+            row_ptr: self.row_ptr.clone(),
+            col_idx: self.col_idx.iter().map(|&c| c as usize).collect(),
+            values: self.values.clone(),
+            diag_ptr: self.diag_ptr.clone(),
+            ilu: self.ilu.clone(),
+        }
+    }
 }
 
 /// Fixed-order sequential dot product — the deterministic reduction every
-/// BiCGSTAB step uses.
+/// BiCGSTAB step uses. The fused kernels below fold their reductions in
+/// the same order, term for term.
 fn dot(a: &[f64], b: &[f64]) -> f64 {
     let mut acc = 0.0;
     for (x, y) in a.iter().zip(b) {
@@ -118,17 +144,16 @@ fn dot(a: &[f64], b: &[f64]) -> f64 {
     acc
 }
 
-/// 2-norm via the fixed-order dot product.
-fn norm2(a: &[f64]) -> f64 {
-    dot(a, a).sqrt()
-}
-
 /// Assembles the row-scaled anchored system into the workspace:
 /// `A = D⁻¹·(diag(out_rate) − Q)` with row `anchor` replaced by the
 /// identity row (and rows with zero out-rate decoupled the same way, which
 /// pins their probability at 0 exactly as the Gauss–Seidel sweep does).
-/// Columns are sorted and duplicates merged, which the ILU(0) factorisation
-/// requires.
+///
+/// Columns come out sorted with duplicates merged, which the ILU(0)
+/// factorisation requires. Merge order: within one column the entries add
+/// up in row order, the diagonal `out_rate[i]` first. An inflow row whose
+/// columns already ascend (the master equation emits them so) takes one
+/// merge pass with the diagonal spliced in; any other row is sorted first.
 fn assemble_anchored(
     ws: &mut KrylovWorkspace,
     inflow: &CsrMatrix,
@@ -136,6 +161,11 @@ fn assemble_anchored(
     anchor: usize,
 ) -> Result<(), NumericError> {
     let n = inflow.rows();
+    if u32::try_from(n).is_err() {
+        return Err(NumericError::InvalidArgument(format!(
+            "{n} states exceed the solver's 32-bit column indices"
+        )));
+    }
     ws.row_ptr.clear();
     ws.col_idx.clear();
     ws.values.clear();
@@ -146,45 +176,55 @@ fn assemble_anchored(
     ws.diag_ptr.reserve(n);
     ws.row_ptr.push(0);
     for i in 0..n {
+        let row_start = ws.col_idx.len();
         if i == anchor || out_rate[i] <= 0.0 {
-            ws.diag_ptr.push(ws.col_idx.len());
-            ws.col_idx.push(i);
+            ws.diag_ptr.push(row_start);
+            ws.col_idx.push(i as u32);
             ws.values.push(1.0);
-            ws.row_ptr.push(ws.col_idx.len());
+            ws.row_ptr.push(row_start + 1);
             continue;
         }
-        ws.row_scratch.clear();
-        ws.row_scratch.push((i, out_rate[i]));
         let (cols, vals) = inflow.row(i);
-        for (&c, &v) in cols.iter().zip(vals) {
-            ws.row_scratch.push((c, -v));
-        }
-        ws.row_scratch.sort_unstable_by_key(|&(c, _)| c);
-        // Merge duplicate columns (the CSR stamping semantics) in place.
-        let mut diag = None;
-        let mut cursor: Option<usize> = None;
-        for k in 0..ws.row_scratch.len() {
-            let (c, v) = ws.row_scratch[k];
-            match cursor {
-                Some(last) if ws.col_idx[last] == c => ws.values[last] += v,
-                _ => {
-                    if c == i {
-                        diag = Some(ws.col_idx.len());
-                    }
-                    cursor = Some(ws.col_idx.len());
-                    ws.col_idx.push(c);
-                    ws.values.push(v);
+        let diag = if cols.windows(2).all(|w| w[0] <= w[1]) {
+            let split = cols.partition_point(|&c| c < i);
+            merge_negated(
+                &mut ws.col_idx,
+                &mut ws.values,
+                row_start,
+                &cols[..split],
+                &vals[..split],
+            );
+            let diag = push_merged(&mut ws.col_idx, &mut ws.values, row_start, i, out_rate[i]);
+            merge_negated(
+                &mut ws.col_idx,
+                &mut ws.values,
+                row_start,
+                &cols[split..],
+                &vals[split..],
+            );
+            diag
+        } else {
+            let mut scratch = std::mem::take(&mut ws.row_scratch);
+            scratch.clear();
+            scratch.push((i, out_rate[i]));
+            scratch.extend(cols.iter().zip(vals).map(|(&c, &v)| (c, -v)));
+            scratch.sort_unstable_by_key(|&(c, _)| c);
+            let mut diag = 0;
+            for &(c, v) in &scratch {
+                let pos = push_merged(&mut ws.col_idx, &mut ws.values, row_start, c, v);
+                if c == i {
+                    diag = pos;
                 }
             }
-        }
-        let diag = diag.expect("the out-rate entry puts a diagonal in every balance row");
+            ws.row_scratch = scratch;
+            diag
+        };
         let d = ws.values[diag];
         if !(d > 0.0) || !d.is_finite() {
             return Err(NumericError::InvalidArgument(format!(
                 "state {i}: anchored diagonal must be positive and finite, got {d}"
             )));
         }
-        let row_start = ws.row_ptr[i];
         for value in &mut ws.values[row_start..] {
             *value /= d;
         }
@@ -194,49 +234,143 @@ fn assemble_anchored(
     Ok(())
 }
 
-/// `out = A·x` over the assembled system (fixed-order row sums).
-fn matvec(ws_row_ptr: &[usize], col_idx: &[usize], values: &[f64], x: &[f64], out: &mut [f64]) {
-    for (i, out_i) in out.iter_mut().enumerate() {
-        let mut acc = 0.0;
-        for k in ws_row_ptr[i]..ws_row_ptr[i + 1] {
-            acc += values[k] * x[col_idx[k]];
-        }
-        *out_i = acc;
+/// Appends entry `(c, v)` to the row that starts at `row_start`, adding it
+/// into the row's last entry if that has column `c`. Entries must arrive in
+/// ascending column order. Returns the entry's position.
+#[inline(always)]
+fn push_merged(
+    col_idx: &mut Vec<u32>,
+    values: &mut Vec<f64>,
+    row_start: usize,
+    c: usize,
+    v: f64,
+) -> usize {
+    let c = c as u32;
+    if col_idx.len() > row_start && col_idx.last() == Some(&c) {
+        let last = values.len() - 1;
+        values[last] += v;
+        return last;
     }
+    col_idx.push(c);
+    values.push(v);
+    col_idx.len() - 1
+}
+
+/// [`push_merged`] over a run of inflow entries, negated.
+fn merge_negated(
+    col_idx: &mut Vec<u32>,
+    values: &mut Vec<f64>,
+    row_start: usize,
+    cols: &[usize],
+    vals: &[f64],
+) {
+    for (&c, &v) in cols.iter().zip(vals) {
+        push_merged(col_idx, values, row_start, c, -v);
+    }
+}
+
+/// Row `i` of `A·x` (a fixed-order row sum).
+#[inline(always)]
+fn row_dot(row_ptr: &[usize], col_idx: &[u32], values: &[f64], x: &[f64], i: usize) -> f64 {
+    let span = row_ptr[i]..row_ptr[i + 1];
+    let mut acc = 0.0;
+    for (&c, &a) in col_idx[span.clone()].iter().zip(&values[span]) {
+        acc += a * x[c as usize];
+    }
+    acc
+}
+
+/// `out = A·x` over the assembled system.
+fn matvec(row_ptr: &[usize], col_idx: &[u32], values: &[f64], x: &[f64], out: &mut [f64]) {
+    for (i, out_i) in out.iter_mut().enumerate() {
+        *out_i = row_dot(row_ptr, col_idx, values, x, i);
+    }
+}
+
+/// `out = A·x` and, in the same pass, `Σ w_i·out_i` (the fold of [`dot`]).
+fn matvec_dot(
+    row_ptr: &[usize],
+    col_idx: &[u32],
+    values: &[f64],
+    x: &[f64],
+    out: &mut [f64],
+    w: &[f64],
+) -> f64 {
+    let mut dot = 0.0;
+    for (i, (out_i, &w_i)) in out.iter_mut().zip(w).enumerate() {
+        *out_i = row_dot(row_ptr, col_idx, values, x, i);
+        dot += w_i * *out_i;
+    }
+    dot
+}
+
+/// `out = A·x` and, in the same pass, `(out·out, out·w)`.
+fn matvec_dot2(
+    row_ptr: &[usize],
+    col_idx: &[u32],
+    values: &[f64],
+    x: &[f64],
+    out: &mut [f64],
+    w: &[f64],
+) -> (f64, f64) {
+    let (mut oo, mut ow) = (0.0, 0.0);
+    for (i, (out_i, &w_i)) in out.iter_mut().zip(w).enumerate() {
+        let o = row_dot(row_ptr, col_idx, values, x, i);
+        *out_i = o;
+        oo += o * o;
+        ow += o * w_i;
+    }
+    (oo, ow)
 }
 
 /// Computes the ILU(0) factorisation of the assembled system into
 /// `ws.ilu` (same sparsity pattern; `L` unit-lower, `U` upper with the
 /// pivots on the stored diagonal). Row-wise IKJ elimination in fixed
-/// order, so the factor is deterministic.
+/// order, so the factor is deterministic. The row under elimination is
+/// scattered into a column→position map, so each update of the `U`-part
+/// of pivot row `k` finds its target (or its absence) in one lookup: the
+/// same positions, in the same order, that a merge scan of the two sorted
+/// rows visits.
 fn factor_ilu0(ws: &mut KrylovWorkspace, n: usize) -> Result<(), NumericError> {
-    ws.ilu.clear();
-    ws.ilu.extend_from_slice(&ws.values);
+    let KrylovWorkspace {
+        row_ptr,
+        col_idx,
+        values,
+        diag_ptr,
+        ilu,
+        slot,
+        ..
+    } = ws;
+    ilu.clear();
+    ilu.extend_from_slice(values);
+    slot.clear();
+    slot.resize(n, NO_SLOT);
     for i in 0..n {
-        let (start, end) = (ws.row_ptr[i], ws.row_ptr[i + 1]);
-        let diag = ws.diag_ptr[i];
-        for ptr in start..diag {
-            let k = ws.col_idx[ptr];
-            let pivot = ws.ilu[ws.diag_ptr[k]];
+        let row = row_ptr[i]..row_ptr[i + 1];
+        for pos in row.clone() {
+            slot[col_idx[pos] as usize] = pos;
+        }
+        for ptr in row.start..diag_ptr[i] {
+            let k = col_idx[ptr] as usize;
+            let pivot = ilu[diag_ptr[k]];
             if pivot == 0.0 || !pivot.is_finite() {
                 return Err(NumericError::SingularMatrix { pivot: k });
             }
-            let factor = ws.ilu[ptr] / pivot;
-            ws.ilu[ptr] = factor;
-            // Subtract factor × (U-part of row k) from the tail of row i,
-            // keeping only positions already present (zero fill-in).
-            let mut pi = ptr + 1;
-            for pk in (ws.diag_ptr[k] + 1)..ws.row_ptr[k + 1] {
-                let j = ws.col_idx[pk];
-                while pi < end && ws.col_idx[pi] < j {
-                    pi += 1;
-                }
-                if pi < end && ws.col_idx[pi] == j {
-                    ws.ilu[pi] -= factor * ws.ilu[pk];
+            let factor = ilu[ptr] / pivot;
+            ilu[ptr] = factor;
+            // Subtract factor × (U-part of row k) from row i, keeping only
+            // positions already present (zero fill-in).
+            for pk in (diag_ptr[k] + 1)..row_ptr[k + 1] {
+                let target = slot[col_idx[pk] as usize];
+                if target != NO_SLOT {
+                    ilu[target] -= factor * ilu[pk];
                 }
             }
         }
-        let pivot = ws.ilu[diag];
+        for pos in row {
+            slot[col_idx[pos] as usize] = NO_SLOT;
+        }
+        let pivot = ilu[diag_ptr[i]];
         if pivot == 0.0 || !pivot.is_finite() {
             return Err(NumericError::SingularMatrix { pivot: i });
         }
@@ -252,7 +386,7 @@ fn factor_ilu0(ws: &mut KrylovWorkspace, n: usize) -> Result<(), NumericError> {
 fn apply_preconditioner(
     row_ptr: &[usize],
     diag_ptr: &[usize],
-    col_idx: &[usize],
+    col_idx: &[u32],
     ilu: &[f64],
     kind: Preconditioner,
     z: &[f64],
@@ -266,7 +400,7 @@ fn apply_preconditioner(
             for i in 0..n {
                 let mut acc = z[i];
                 for k in row_ptr[i]..diag_ptr[i] {
-                    acc -= ilu[k] * out[col_idx[k]];
+                    acc -= ilu[k] * out[col_idx[k] as usize];
                 }
                 out[i] = acc;
             }
@@ -274,7 +408,7 @@ fn apply_preconditioner(
             for i in (0..n).rev() {
                 let mut acc = out[i];
                 for k in (diag_ptr[i] + 1)..row_ptr[i + 1] {
-                    acc -= ilu[k] * out[col_idx[k]];
+                    acc -= ilu[k] * out[col_idx[k] as usize];
                 }
                 out[i] = acc / ilu[diag_ptr[i]];
             }
@@ -329,125 +463,144 @@ pub fn stationary_bicgstab(
         factor_ilu0(ws, n)?;
     }
     let tol = options.tolerance.max(f64::MIN_POSITIVE);
+    let KrylovWorkspace {
+        row_ptr,
+        col_idx,
+        values,
+        diag_ptr,
+        ilu,
+        x,
+        r,
+        rhat,
+        p,
+        v,
+        s,
+        t,
+        phat,
+        shat,
+        ..
+    } = ws;
+    let (row_ptr, col_idx, values) = (&row_ptr[..], &col_idx[..], &values[..]);
+    let precondition = |z: &[f64], out: &mut [f64]| {
+        apply_preconditioner(
+            row_ptr,
+            diag_ptr,
+            col_idx,
+            ilu,
+            options.preconditioner,
+            z,
+            out,
+        );
+    };
 
     // Cold start: the anchor alone carries mass (the Gauss–Seidel initial
     // state). Warm start: a previous distribution re-scaled to anchor 1.
-    reset(&mut ws.x, n);
+    reset(x, n);
     match warm_start {
         Some(w) if w.len() == n && w[anchor] > 0.0 && w.iter().all(|value| value.is_finite()) => {
             let scale = 1.0 / w[anchor];
-            for (x, &wv) in ws.x.iter_mut().zip(w) {
+            for (x, &wv) in x.iter_mut().zip(w) {
                 *x = wv * scale;
             }
         }
-        _ => ws.x[anchor] = 1.0,
+        _ => x[anchor] = 1.0,
     }
 
     for buf in [
-        &mut ws.r,
-        &mut ws.rhat,
-        &mut ws.p,
-        &mut ws.v,
-        &mut ws.s,
-        &mut ws.t,
-        &mut ws.phat,
-        &mut ws.shat,
+        &mut *r, &mut *rhat, &mut *p, &mut *v, &mut *s, &mut *t, &mut *phat, &mut *shat,
     ] {
         reset(buf, n);
     }
 
     // r = b − A x, with b = e_anchor.
-    matvec(&ws.row_ptr, &ws.col_idx, &ws.values, &ws.x, &mut ws.r);
-    for r in ws.r.iter_mut() {
+    matvec(row_ptr, col_idx, values, x, r);
+    for r in r.iter_mut() {
         *r = -*r;
     }
-    ws.r[anchor] += 1.0;
+    r[anchor] += 1.0;
 
+    // Each pass below fuses a vector update with the reductions that read
+    // it; every reduction still folds its terms sequentially in index order,
+    // so the iterates are those of one-reduction-per-pass BiCGSTAB, bit for
+    // bit (pinned against `reference`).
     let solver = options.preconditioner.solver_name();
-    let mut residual = norm2(&ws.r);
+    let mut residual = dot(r, r).sqrt();
     let mut iterations = 0usize;
     let mut converged = residual <= tol && residual.is_finite();
     if !converged {
-        ws.rhat.copy_from_slice(&ws.r);
+        rhat.copy_from_slice(r);
         let (mut rho, mut alpha, mut omega) = (1.0_f64, 1.0_f64, 1.0_f64);
+        // ρ = r̂·r of the coming iteration, folded by the previous one's
+        // residual pass.
+        let mut rho_new = dot(rhat, r);
         let breakdown = |iterations: usize, residual: f64| NumericError::NoConvergence {
             iterations,
             residual,
         };
         for iter in 1..=options.max_iterations {
             iterations = iter;
-            let rho_new = dot(&ws.rhat, &ws.r);
             if rho_new == 0.0 || !rho_new.is_finite() {
                 return Err(breakdown(iter, residual));
             }
             if iter == 1 {
-                ws.p.copy_from_slice(&ws.r);
+                p.copy_from_slice(r);
             } else {
                 let beta = (rho_new / rho) * (alpha / omega);
                 if !beta.is_finite() {
                     return Err(breakdown(iter, residual));
                 }
-                for i in 0..n {
-                    ws.p[i] = ws.r[i] + beta * (ws.p[i] - omega * ws.v[i]);
+                for ((p, &r), &v) in p.iter_mut().zip(&r[..]).zip(&v[..]) {
+                    *p = r + beta * (*p - omega * v);
                 }
             }
             rho = rho_new;
-            apply_preconditioner(
-                &ws.row_ptr,
-                &ws.diag_ptr,
-                &ws.col_idx,
-                &ws.ilu,
-                options.preconditioner,
-                &ws.p,
-                &mut ws.phat,
-            );
-            matvec(&ws.row_ptr, &ws.col_idx, &ws.values, &ws.phat, &mut ws.v);
-            let denom = dot(&ws.rhat, &ws.v);
+            precondition(p, phat);
+            // v = A·p̂ with r̂·v.
+            let denom = matvec_dot(row_ptr, col_idx, values, phat, v, rhat);
             if denom == 0.0 || !denom.is_finite() {
                 return Err(breakdown(iter, residual));
             }
             alpha = rho / denom;
-            for i in 0..n {
-                ws.s[i] = ws.r[i] - alpha * ws.v[i];
+            // s = r − α·v with s·s.
+            let mut ss = 0.0;
+            for ((s, &r), &v) in s.iter_mut().zip(&r[..]).zip(&v[..]) {
+                *s = r - alpha * v;
+                ss += *s * *s;
             }
-            let s_norm = norm2(&ws.s);
+            let s_norm = ss.sqrt();
             if !s_norm.is_finite() {
                 return Err(breakdown(iter, s_norm));
             }
             if s_norm <= tol {
-                for i in 0..n {
-                    ws.x[i] += alpha * ws.phat[i];
+                for (x, &ph) in x.iter_mut().zip(&phat[..]) {
+                    *x += alpha * ph;
                 }
-                ws.r.copy_from_slice(&ws.s);
+                r.copy_from_slice(s);
                 residual = s_norm;
                 converged = true;
                 break;
             }
-            apply_preconditioner(
-                &ws.row_ptr,
-                &ws.diag_ptr,
-                &ws.col_idx,
-                &ws.ilu,
-                options.preconditioner,
-                &ws.s,
-                &mut ws.shat,
-            );
-            matvec(&ws.row_ptr, &ws.col_idx, &ws.values, &ws.shat, &mut ws.t);
-            let tt = dot(&ws.t, &ws.t);
+            precondition(s, shat);
+            // t = A·ŝ with t·t and t·s.
+            let (tt, ts) = matvec_dot2(row_ptr, col_idx, values, shat, t, s);
             if tt == 0.0 || !tt.is_finite() {
                 return Err(breakdown(iter, s_norm));
             }
-            omega = dot(&ws.t, &ws.s) / tt;
+            omega = ts / tt;
             if omega == 0.0 || !omega.is_finite() {
                 return Err(breakdown(iter, s_norm));
             }
+            // x += α·p̂ + ω·ŝ and r = s − ω·t, with r·r and r̂·r.
+            let (mut rr, mut rho_next) = (0.0, 0.0);
             for i in 0..n {
-                ws.x[i] += alpha * ws.phat[i] + omega * ws.shat[i];
+                x[i] += alpha * phat[i] + omega * shat[i];
+                let ri = s[i] - omega * t[i];
+                r[i] = ri;
+                rr += ri * ri;
+                rho_next += rhat[i] * ri;
             }
-            for i in 0..n {
-                ws.r[i] = ws.s[i] - omega * ws.t[i];
-            }
-            residual = norm2(&ws.r);
+            rho_new = rho_next;
+            residual = rr.sqrt();
             if !residual.is_finite() {
                 return Err(breakdown(iter, residual));
             }
@@ -466,9 +619,9 @@ pub fn stationary_bicgstab(
 
     // The recurrence residual can drift from the true residual; re-check
     // against the assembled system before accepting the solution.
-    matvec(&ws.row_ptr, &ws.col_idx, &ws.values, &ws.x, &mut ws.t);
-    ws.t[anchor] -= 1.0;
-    let true_residual = norm2(&ws.t);
+    matvec(row_ptr, col_idx, values, x, t);
+    t[anchor] -= 1.0;
+    let true_residual = dot(t, t).sqrt();
     if !true_residual.is_finite() || true_residual > 10.0 * tol.max(1e-300) {
         return Err(NumericError::NoConvergence {
             iterations,
@@ -480,7 +633,7 @@ pub fn stationary_bicgstab(
     // Gauss–Seidel path (whose iterates are non-negative by construction).
     let mut probabilities = vec![0.0; n];
     let mut total = 0.0;
-    for (p, &x) in probabilities.iter_mut().zip(&ws.x) {
+    for (p, &x) in probabilities.iter_mut().zip(&x[..]) {
         *p = if x > 0.0 { x } else { 0.0 };
         total += *p;
     }
@@ -506,6 +659,101 @@ pub fn stationary_bicgstab(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// A random generator shaped like the master equation's: each row pulls
+    /// from a few nearby sources, often the same source twice or more (events
+    /// with one index offset) and sometimes itself; one row in five arrives
+    /// unsorted; some states have no outflow. Rows stay within 20 merged
+    /// entries (see the note in `fused_kernel_matches_the_reference_bits`).
+    fn random_generator(seed: u64) -> (CsrMatrix, Vec<f64>) {
+        let mut rng = proptest::TestRng::deterministic(&seed.to_string());
+        let n = 2 + rng.below(40) as usize;
+        let (mut row_ptr, mut cols, mut vals) = (vec![0], Vec::new(), Vec::new());
+        let mut out = vec![0.0; n];
+        for i in 0..n {
+            let mut row: Vec<(usize, f64)> = (0..rng.below(9))
+                .map(|_| {
+                    let c = (i + n * 3 - 2 + rng.below(5) as usize) % n;
+                    (c, 1e9 * 10f64.powf(6.0 * rng.unit_f64() - 3.0))
+                })
+                .collect();
+            if rng.below(5) != 0 {
+                row.sort_by_key(|&(c, _)| c);
+            }
+            for (c, v) in row {
+                out[c] += v;
+                cols.push(c);
+                vals.push(v);
+            }
+            row_ptr.push(cols.len());
+        }
+        for d in &mut out {
+            *d = if rng.below(10) == 0 {
+                0.0
+            } else {
+                *d * (1.0 + 0.1 * rng.unit_f64())
+            };
+        }
+        (
+            CsrMatrix::from_parts(n, n, row_ptr, cols, vals).unwrap(),
+            out,
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The fused kernel (sorted-row diagonal merge, 32-bit columns,
+        /// scatter-map ILU(0), fused reductions) reproduces the unfused
+        /// reference bit for bit: the anchored system, the factor, the
+        /// distribution, the residual, the iteration count and every error.
+        ///
+        /// Rows are capped at 20 merged entries: up to that length the
+        /// reference's unstable sort is an insertion sort, so its merge order
+        /// (row order, diagonal first) is defined and is the fused kernel's
+        /// contract. On longer sorted rows with three or more entries in one
+        /// column the reference's order is whatever the sort does.
+        #[test]
+        fn fused_kernel_matches_the_reference_bits(
+            seed in 0_u64..u64::MAX,
+            anchor_draw in 0_usize..1000,
+            ilu in 0_u8..2,
+            budget in 1_usize..40,
+            warm in 0_u8..3,
+        ) {
+            let (inflow, out) = random_generator(seed);
+            let n = inflow.rows();
+            let anchor = anchor_draw % n;
+            let options = KrylovOptions {
+                preconditioner: if ilu == 1 { Preconditioner::Ilu0 } else { Preconditioner::Jacobi },
+                tolerance: 1e-13,
+                max_iterations: budget,
+            };
+            let seed_p: Vec<f64> = (0..n).map(|i| 1.0 + (i % 7) as f64).collect();
+            let warm = (warm == 0).then_some(&seed_p[..]);
+            let mut ws = KrylovWorkspace::new();
+            let fused = stationary_bicgstab(&inflow, &out, anchor, &options, warm, &mut ws);
+            let (reference, system) =
+                reference::stationary_bicgstab(&inflow, &out, anchor, &options, warm);
+            prop_assert_eq!(ws.anchored_system().bits(), system.bits());
+            match (fused, reference) {
+                (Ok((p, stats)), Ok((q, expected))) => {
+                    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    prop_assert_eq!(bits(&p), bits(&q));
+                    prop_assert_eq!(stats.iterations, expected.iterations);
+                    prop_assert_eq!(stats.residual.to_bits(), expected.residual.to_bits());
+                    prop_assert_eq!(stats.solver, expected.solver);
+                }
+                (Err(a), Err(b)) => {
+                    prop_assert_eq!(format!("{a:?}"), format!("{b:?}"));
+                }
+                (a, b) => {
+                    prop_assert!(false, "fused {a:?} vs reference {b:?}");
+                }
+            }
+        }
+    }
 
     fn solve(
         inflow: &CsrMatrix,

@@ -7,7 +7,8 @@
 //! thousand states; the generator is in fact extremely sparse (each state
 //! couples to at most two states per junction), so this module provides
 //!
-//! * [`CsrMatrix`] — a read-optimised CSR matrix built from triplets, and
+//! * [`CsrMatrix`] — a read-optimised CSR matrix built from triplets or
+//!   from ready row arrays, and
 //! * [`stationary_distribution_with`] — a solver for the stationary
 //!   balance `p_i · D_i = Σ_j Q[i][j] · p_j` of a conservative generator
 //!   split into its off-diagonal inflow matrix `Q` and the total out-rate
@@ -95,6 +96,71 @@ impl CsrMatrix {
             col_idx[slot] = c;
             values[slot] = v;
             cursor[r] += 1;
+        }
+        Ok(CsrMatrix {
+            rows,
+            cols,
+            row_ptr,
+            col_idx,
+            values,
+        })
+    }
+
+    /// Builds a CSR matrix from ready row arrays: row `r` holds
+    /// `col_idx[row_ptr[r]..row_ptr[r + 1]]` and the matching `values`, in
+    /// the order given (duplicates act additively, as in
+    /// [`CsrMatrix::from_triplets`]). For callers that emit their entries
+    /// row by row and need no triplet buffer.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NumericError::DimensionMismatch`] for zero dimensions, a
+    /// `row_ptr` that is not `rows + 1` long, does not start at 0, decreases
+    /// or does not end at the entry count, array lengths that disagree, or
+    /// an out-of-range column, and [`NumericError::InvalidArgument`] for
+    /// non-finite values.
+    pub fn from_parts(
+        rows: usize,
+        cols: usize,
+        row_ptr: Vec<usize>,
+        col_idx: Vec<usize>,
+        values: Vec<f64>,
+    ) -> Result<Self, NumericError> {
+        if rows == 0 || cols == 0 {
+            return Err(NumericError::DimensionMismatch {
+                expected: "at least 1x1".into(),
+                found: format!("{rows}x{cols}"),
+            });
+        }
+        let nnz = values.len();
+        if row_ptr.len() != rows + 1
+            || row_ptr[0] != 0
+            || row_ptr[rows] != nnz
+            || col_idx.len() != nnz
+            || row_ptr.windows(2).any(|w| w[0] > w[1])
+        {
+            return Err(NumericError::DimensionMismatch {
+                expected: format!(
+                    "monotone row pointers 0..={nnz} over {rows} rows, {nnz} column indices"
+                ),
+                found: format!(
+                    "{} row pointers, {} column indices, {nnz} values",
+                    row_ptr.len(),
+                    col_idx.len()
+                ),
+            });
+        }
+        if let Some(k) = col_idx.iter().position(|&c| c >= cols) {
+            return Err(NumericError::DimensionMismatch {
+                expected: format!("columns below {cols}"),
+                found: format!("column {} at entry {k}", col_idx[k]),
+            });
+        }
+        if let Some(k) = values.iter().position(|v| !v.is_finite()) {
+            return Err(NumericError::InvalidArgument(format!(
+                "matrix entry {k} must be finite, got {}",
+                values[k]
+            )));
         }
         Ok(CsrMatrix {
             rows,
@@ -261,9 +327,10 @@ impl Default for StationaryOptions {
 }
 
 /// Reusable buffers of [`stationary_distribution_with`]: the Gauss–Seidel
-/// sweep vectors plus the embedded [`KrylovWorkspace`]. Reusing one
-/// workspace across the solves of a warm-started sweep keeps every inner
-/// loop allocation-free once the buffers have grown to the problem size.
+/// sweep vectors plus the embedded [`KrylovWorkspace`]. The buffers grow to
+/// the problem size on first use; a caller that passes the same workspace
+/// to several solves skips those allocations. The master equation builds a
+/// fresh one per solve: keeping one across a warm block measured no faster.
 #[derive(Debug, Default)]
 pub struct StationaryWorkspace {
     p: Vec<f64>,
@@ -550,6 +617,50 @@ mod tests {
         assert!(CsrMatrix::from_triplets(2, 2, &[(2, 0, 1.0)]).is_err());
         assert!(CsrMatrix::from_triplets(2, 2, &[(0, 2, 1.0)]).is_err());
         assert!(CsrMatrix::from_triplets(2, 2, &[(0, 0, f64::NAN)]).is_err());
+    }
+
+    #[test]
+    fn from_parts_matches_from_triplets_and_validates() {
+        let triplets = [(0usize, 1usize, 2.0), (0, 1, 3.0), (2, 0, -1.5)];
+        let built =
+            CsrMatrix::from_parts(3, 2, vec![0, 2, 2, 3], vec![1, 1, 0], vec![2.0, 3.0, -1.5]);
+        assert_eq!(
+            built.unwrap(),
+            CsrMatrix::from_triplets(3, 2, &triplets).unwrap()
+        );
+        let parts = |row_ptr: Vec<usize>, col_idx: Vec<usize>, values: Vec<f64>| {
+            CsrMatrix::from_parts(2, 2, row_ptr, col_idx, values)
+        };
+        assert!(CsrMatrix::from_parts(0, 2, vec![0], vec![], vec![]).is_err());
+        assert!(
+            parts(vec![0, 1], vec![0], vec![1.0]).is_err(),
+            "short row_ptr"
+        );
+        assert!(
+            parts(vec![1, 1, 1], vec![0], vec![1.0]).is_err(),
+            "nonzero start"
+        );
+        assert!(
+            parts(vec![0, 2, 1], vec![0], vec![1.0]).is_err(),
+            "decreasing"
+        );
+        assert!(
+            parts(vec![0, 1, 2], vec![0], vec![1.0]).is_err(),
+            "end past nnz"
+        );
+        assert!(
+            parts(vec![0, 1, 1], vec![0, 1], vec![1.0]).is_err(),
+            "length mismatch"
+        );
+        assert!(
+            parts(vec![0, 1, 1], vec![2], vec![1.0]).is_err(),
+            "column range"
+        );
+        assert!(
+            parts(vec![0, 1, 1], vec![0], vec![f64::INFINITY]).is_err(),
+            "finite"
+        );
+        assert!(parts(vec![0, 0, 1], vec![1], vec![1.0]).is_ok());
     }
 
     #[test]

@@ -41,7 +41,7 @@
 //! thread scheduling — so runs remain bit-for-bit reproducible.
 
 use crate::error::OrthodoxError;
-use crate::rates::rate_from_parts;
+use crate::rates::{rate_from_parts, rate_from_parts_branchfree};
 use crate::system::{ChargeState, Endpoint, TunnelEvent, TunnelSystem};
 use se_units::constants::{BOLTZMANN, E};
 
@@ -404,6 +404,59 @@ impl RateContext {
         }
         total
     }
+
+    /// The ΔF half of [`Self::fill_rates`], for a caller that evaluates the
+    /// rates of many states in one pass (the master-equation walk): writes
+    /// the free-energy change of every event in `live`, in canonical event
+    /// order, into `delta_f` (one slot per event).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `delta_f` is shorter than the event count.
+    pub fn fill_delta_f(&self, live: &LiveState, delta_f: &mut [f64]) {
+        let phi = live.endpoint_potentials();
+        let slots = delta_f[..2 * self.endpoints.len()].chunks_exact_mut(2);
+        for ((pair, &(ia, ib)), &self_energy) in slots.zip(&self.endpoints).zip(&self.self_energies)
+        {
+            let phi_gap = E * (phi[ia] - phi[ib]);
+            pair[0] = phi_gap + self_energy;
+            pair[1] = self_energy - phi_gap;
+        }
+    }
+
+    /// The rate half of [`Self::fill_rates`]: replaces each ΔF in `values`
+    /// — consecutive states, each a full set of events in canonical order,
+    /// as [`Self::fill_delta_f`] writes them — by its event's rate, bitwise
+    /// the rate `fill_rates` returns. Above zero temperature every slot goes
+    /// through [`crate::rates`]' branch-free kernel behind the frozen-cutoff
+    /// select, so the pass vectorizes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the length of `values` is not a multiple of the event
+    /// count.
+    pub fn rates_from_delta_f(&self, values: &mut [f64]) {
+        let (kt, inv_kt, cutoff) = (self.kt, self.inv_kt, self.frozen_cutoff);
+        let prefactors: Vec<f64> = self.prefactors.iter().flat_map(|&pf| [pf, pf]).collect();
+        assert_eq!(values.len() % prefactors.len(), 0, "whole states only");
+        for state in values.chunks_exact_mut(prefactors.len()) {
+            let slots = state.iter_mut().zip(&prefactors);
+            if kt == 0.0 {
+                for (df, &pf) in slots {
+                    *df = if *df > cutoff {
+                        0.0
+                    } else {
+                        rate_from_parts(*df, pf, kt, inv_kt)
+                    };
+                }
+            } else {
+                for (df, &pf) in slots {
+                    let thermal = rate_from_parts_branchfree(*df, pf, kt, inv_kt);
+                    *df = if *df > cutoff { 0.0 } else { thermal };
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -520,6 +573,32 @@ mod tests {
                 expected_total += got;
             }
             assert!((total - expected_total).abs() <= 1e-9 * expected_total.max(1e-30));
+        }
+    }
+
+    #[test]
+    fn split_rate_pass_is_bitwise_fill_rates() {
+        // Many states in one buffer, at 0 K, with frozen events (0.05 K)
+        // and hot: ΔF per state, then one rate pass over the whole buffer.
+        let system = chain(3e-3, 0.04);
+        let states: Vec<LiveState> = (-3..=3)
+            .flat_map(|a| (-3..=3).map(move |b| ChargeState(vec![a, b])))
+            .map(|state| LiveState::new(&system, state))
+            .collect();
+        let events = system.event_count();
+        for temperature in [0.0, 0.05, 1.0, 77.0, 300.0] {
+            let ctx = RateContext::new(&system, temperature).unwrap();
+            let mut buffer = vec![0.0; states.len() * events];
+            for (live, slots) in states.iter().zip(buffer.chunks_exact_mut(events)) {
+                ctx.fill_delta_f(live, slots);
+            }
+            ctx.rates_from_delta_f(&mut buffer);
+            let mut rates = Vec::new();
+            for (live, split) in states.iter().zip(buffer.chunks_exact(events)) {
+                ctx.fill_rates(&system, live, &mut rates);
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(split), bits(&rates), "T = {temperature}");
+            }
         }
     }
 
