@@ -13,8 +13,8 @@
 //! single-core runners are never mistaken for 4-core measurements), and
 //! the event-rate kernel sweep: the tree kernel against full recompute on
 //! chains of 8–256 islands and on a 16×16 background-charge array, whose
-//! dense strong lists run the table's branch-free pass — so CI can track
-//! the hot path over time. The master-equation solver has its own record,
+//! dense strong lists span many runs of the table's branch-free run pass
+//! — so CI can track the hot path over time. The master-equation solver has its own record,
 //! `BENCH_master.json` (`benches/master_throughput.rs`).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
@@ -235,8 +235,9 @@ fn kmc_hotpath(c: &mut Criterion) {
     let (_, n256_tree, n256_full) = sweep[2];
     let large_n_speedup = n256_tree / n256_full;
     // The 2-D row: on the 16×16 array nearly every fired strong list is
-    // dense, so the tree kernel runs the event table's branch-free pass;
-    // `dense_list_speedup` (tree / full recompute) carries its CI gate.
+    // dense, so the tree kernel's run pass evaluates most of the table per
+    // event; `dense_list_speedup` (tree / full recompute) carries its CI
+    // gate.
     let array = array_system(ARRAY_SIDE, ARRAY_SEED);
     let array_tree = kmc::kernel_events_per_sec(
         &array,

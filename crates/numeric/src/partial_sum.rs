@@ -14,7 +14,7 @@
 //!   internal node as `left + right` from its children's current values.
 //!   Nodes are never corrected by adding a delta (`node += new − old` would
 //!   accumulate round-off that depends on the update history), so any
-//!   sequence of [`PartialSumTree::update_leaves`] calls leaves every node
+//!   sequence of [`PartialSumTree::rebuild_span`] calls leaves every node
 //!   bit-identical to a from-scratch [`PartialSumTree::rebuild`] over the
 //!   same leaf values. The unit tests pin this equivalence.
 //!
@@ -49,8 +49,6 @@ pub struct PartialSumTree {
     width: usize,
     /// Implicit heap storage, `2 · width` slots (`nodes[0]` unused).
     nodes: Vec<f64>,
-    /// Scratch for the level-by-level propagation of `update_leaves`.
-    frontier: Vec<u32>,
 }
 
 impl PartialSumTree {
@@ -62,7 +60,6 @@ impl PartialSumTree {
             len,
             width,
             nodes: vec![0.0; 2 * width],
-            frontier: Vec::new(),
         }
     }
 
@@ -90,18 +87,10 @@ impl PartialSumTree {
         self.nodes[self.width + index]
     }
 
-    /// Writes leaf `index` **without** propagating to the internal nodes.
-    ///
-    /// Callers batch leaf writes and then propagate once via
-    /// [`PartialSumTree::update_leaves`] (or [`PartialSumTree::rebuild`]).
-    pub fn set_leaf(&mut self, index: usize, value: f64) {
-        debug_assert!(index < self.len, "leaf {index} out of range {}", self.len);
-        self.nodes[self.width + index] = value;
-    }
-
     /// The real leaves as one mutable slice, written **without**
-    /// propagating — the bulk form of [`PartialSumTree::set_leaf`], with
-    /// the same obligation to propagate afterwards.
+    /// propagating to the internal nodes: callers batch leaf writes and
+    /// then propagate once via [`PartialSumTree::rebuild_span`] (or
+    /// [`PartialSumTree::rebuild`]).
     pub fn leaves_mut(&mut self) -> &mut [f64] {
         &mut self.nodes[self.width..self.width + self.len]
     }
@@ -123,64 +112,44 @@ impl PartialSumTree {
     /// `len`, which are permanently zero) keep their construction-time zero
     /// and are skipped, so the pass costs O(len) adds, not O(width).
     pub fn rebuild(&mut self) {
+        if self.len > 0 {
+            self.rebuild_span(0, self.len - 1);
+        }
+    }
+
+    /// Recomputes the ancestors of the leaf span `[first, last]` bottom-up,
+    /// after leaf writes confined to that span.
+    ///
+    /// Each level recomputes one contiguous node range as `left + right`,
+    /// so the result is bit-identical to a full rebuild: no node outside
+    /// the span's ancestors has a written descendant, and a recomputed
+    /// node whose children did not change keeps its bits. Cost is
+    /// O(last − first + log width).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `first > last` or `last` is not a real leaf.
+    pub fn rebuild_span(&mut self, first: usize, last: usize) {
+        assert!(
+            first <= last && last < self.len,
+            "leaf span [{first}, {last}] out of range {}",
+            self.len
+        );
         let mut level_width = self.width;
-        let mut live = self.len;
+        let (mut lo, mut hi) = (first, last);
         while level_width > 1 {
             let parent_width = level_width / 2;
-            let parent_live = live.div_ceil(2);
+            let (parent_lo, parent_hi) = (lo / 2, hi / 2);
             let (parents, children) = self.nodes.split_at_mut(level_width);
-            for (parent, pair) in parents[parent_width..parent_width + parent_live]
+            for (parent, pair) in parents[parent_width + parent_lo..=parent_width + parent_hi]
                 .iter_mut()
-                .zip(children[..2 * parent_live].chunks_exact(2))
+                .zip(children[2 * parent_lo..2 * parent_hi + 2].chunks_exact(2))
             {
                 *parent = pair[0] + pair[1];
             }
             level_width = parent_width;
-            live = parent_live;
+            (lo, hi) = (parent_lo, parent_hi);
         }
-    }
-
-    /// Propagates a batch of leaf writes up to the root.
-    ///
-    /// `changed` holds the written leaf indices, **sorted ascending** (
-    /// duplicates are tolerated). Each affected internal node is recomputed
-    /// as `left + right`, so the result is bit-identical to a full
-    /// [`PartialSumTree::rebuild`] — the batch only bounds *which* nodes are
-    /// touched, never what value they get. Cost is O(k · log width) with
-    /// shared ancestors deduplicated level by level.
-    pub fn update_leaves(&mut self, changed: &[u32]) {
-        debug_assert!(changed.windows(2).all(|w| w[0] <= w[1]));
-        if changed.is_empty() || self.width == 1 {
-            return;
-        }
-        // Seed the frontier with the parents of the changed leaves; ascend
-        // one level per pass until only the root's level remains. Sorted
-        // input keeps duplicates adjacent, so a last-pushed check dedups.
-        let mut frontier = std::mem::take(&mut self.frontier);
-        frontier.clear();
-        for &leaf in changed {
-            let parent = ((self.width + leaf as usize) >> 1) as u32;
-            if frontier.last() != Some(&parent) {
-                frontier.push(parent);
-            }
-        }
-        loop {
-            let mut write = 0;
-            for read in 0..frontier.len() {
-                let node = frontier[read] as usize;
-                self.nodes[node] = self.nodes[2 * node] + self.nodes[2 * node + 1];
-                let parent = (node >> 1) as u32;
-                if write == 0 || frontier[write - 1] != parent {
-                    frontier[write] = parent;
-                    write += 1;
-                }
-            }
-            frontier.truncate(write);
-            if frontier[0] == 0 {
-                break;
-            }
-        }
-        self.frontier = frontier;
     }
 
     /// Inverse-CDF descent: the leaf whose prefix-sum bucket contains
@@ -214,6 +183,7 @@ impl PartialSumTree {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -240,40 +210,56 @@ mod tests {
         }
     }
 
+    /// Every node of `tree` is bitwise the node of a fresh `fill` over
+    /// `values`, and the fresh fill is bitwise the plain heap reduction
+    /// `node = left + right` over every slot, padding included.
+    fn assert_nodes_are_a_fresh_fill(tree: &PartialSumTree, values: &[f64], context: &str) {
+        let mut fresh = PartialSumTree::new(values.len());
+        fresh.fill(values);
+        let mut heap = vec![0.0; fresh.nodes.len()];
+        heap[fresh.width..fresh.width + values.len()].copy_from_slice(values);
+        for node in (1..fresh.width).rev() {
+            heap[node] = heap[2 * node] + heap[2 * node + 1];
+        }
+        assert_eq!(tree.nodes.len(), heap.len(), "{context}: node storage");
+        for (node, (&got, (&want, &plain))) in tree
+            .nodes
+            .iter()
+            .zip(fresh.nodes.iter().zip(&heap))
+            .enumerate()
+        {
+            assert_eq!(
+                want.to_bits(),
+                plain.to_bits(),
+                "{context}, node {node}: fill drifted from the heap reduction"
+            );
+            assert_eq!(
+                got.to_bits(),
+                want.to_bits(),
+                "{context}, node {node}: span rebuild drifted from a fresh fill"
+            );
+        }
+    }
+
     #[test]
     fn incremental_updates_match_full_rebuild_bit_for_bit() {
-        // The determinism contract: any update history ends with every node
-        // identical to a from-scratch rebuild over the same leaves.
+        // The determinism contract, exhaustively on small trees: after
+        // rewriting every leaf of any span `[first, last]` and rebuilding
+        // just that span, every node is identical to a from-scratch fill.
         let mut rng = StdRng::seed_from_u64(42);
-        for len in [1usize, 2, 3, 7, 8, 9, 64, 100] {
+        for len in 1_usize..=9 {
             let mut values: Vec<f64> = (0..len).map(|_| rng.gen::<f64>() * 1e9).collect();
-            let mut incremental = PartialSumTree::new(len);
-            incremental.fill(&values);
-            for _ in 0..50 {
-                let count = 1 + rng.gen::<u64>() as usize % len;
-                let mut changed: Vec<u32> = (0..count)
-                    .map(|_| (rng.gen::<u64>() as usize % len) as u32)
-                    .collect();
-                changed.sort_unstable();
-                for &leaf in &changed {
-                    let v = rng.gen::<f64>() * 1e9;
-                    values[leaf as usize] = v;
-                    incremental.set_leaf(leaf as usize, v);
-                }
-                incremental.update_leaves(&changed);
-                let mut rebuilt = PartialSumTree::new(len);
-                rebuilt.fill(&values);
-                assert_eq!(
-                    incremental.nodes.len(),
-                    rebuilt.nodes.len(),
-                    "len {len}: node storage diverged"
-                );
-                for node in 1..incremental.nodes.len() {
-                    assert_eq!(
-                        incremental.nodes[node].to_bits(),
-                        rebuilt.nodes[node].to_bits(),
-                        "len {len}, node {node}: incremental update drifted from rebuild"
-                    );
+            let mut tree = PartialSumTree::new(len);
+            tree.fill(&values);
+            for first in 0..len {
+                for last in first..len {
+                    for leaf in first..=last {
+                        values[leaf] = rng.gen::<f64>() * 1e9;
+                        tree.leaves_mut()[leaf] = values[leaf];
+                    }
+                    tree.rebuild_span(first, last);
+                    let context = format!("len {len}, span [{first}, {last}]");
+                    assert_nodes_are_a_fresh_fill(&tree, &values, &context);
                 }
             }
         }
@@ -334,17 +320,46 @@ mod tests {
         assert_eq!(empty.total(), 0.0);
     }
 
-    #[test]
-    fn update_leaves_tolerates_duplicates_and_full_batches() {
-        let mut tree = PartialSumTree::new(4);
-        tree.fill(&[1.0, 1.0, 1.0, 1.0]);
-        tree.set_leaf(2, 9.0);
-        tree.update_leaves(&[2, 2, 2]);
-        assert_eq!(tree.total(), 12.0);
-        for (i, v) in [10.0, 20.0, 30.0, 40.0].iter().enumerate() {
-            tree.set_leaf(i, *v);
+    proptest! {
+        /// `rebuild_span` ≡ `rebuild`: over tree lengths from one leaf to
+        /// past a power of two, a walk of spans (whole tree, single edge
+        /// leaves, prefixes, suffixes, random single leaves and random
+        /// ranges), each with random leaf writes inside it (zeros
+        /// included), leaves every node bitwise a fresh `fill`.
+        #[test]
+        fn prop_rebuild_span_is_bitwise_a_fresh_fill(
+            len_index in 0_usize..9,
+            seed in 0_u64..1_000_000,
+            spans in proptest::collection::vec(0_usize..7, 1..40),
+        ) {
+            let len = [1_usize, 2, 3, 7, 8, 9, 64, 100, 514][len_index];
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut draw = |bound: usize| rng.gen::<u64>() as usize % bound;
+            let mut values: Vec<f64> = (0..len).map(|_| draw(1 << 30) as f64 * 1e-3).collect();
+            let mut tree = PartialSumTree::new(len);
+            tree.fill(&values);
+            for (step, &shape) in spans.iter().enumerate() {
+                let (a, b) = (draw(len), draw(len));
+                let (first, last) = match shape {
+                    0 => (0, len - 1),
+                    1 => (0, 0),
+                    2 => (len - 1, len - 1),
+                    3 => (a, a),
+                    4 => (0, a),
+                    5 => (a, len - 1),
+                    _ => (a.min(b), a.max(b)),
+                };
+                let writes = 1 + draw(last - first + 1);
+                for _ in 0..writes {
+                    let leaf = first + draw(last - first + 1);
+                    let value = if draw(4) == 0 { 0.0 } else { draw(1 << 30) as f64 * 1e-3 };
+                    values[leaf] = value;
+                    tree.leaves_mut()[leaf] = value;
+                }
+                tree.rebuild_span(first, last);
+                let context = format!("len {len}, step {step}, span [{first}, {last}]");
+                assert_nodes_are_a_fresh_fill(&tree, &values, &context);
+            }
         }
-        tree.update_leaves(&[0, 1, 2, 3]);
-        assert_eq!(tree.total(), 100.0);
     }
 }

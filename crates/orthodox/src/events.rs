@@ -26,26 +26,22 @@
 //! The rates live in the leaves of a fixed-shape [`PartialSumTree`],
 //! giving an O(log E) total and an O(log E) inverse-CDF selection.
 //!
-//! Each fired event takes one of two passes, chosen from the list length
-//! before any rate is evaluated:
+//! A strong list is stored as maximal runs of consecutive junction
+//! indices ([`runs`](crate::system::StrongCouplings::runs)): a chain's list is one run, a 32×32
+//! array's about 46. Every fired event takes one pass over the runs. Per
+//! run it shifts the contiguous ΔF pairs in place, evaluates their rates
+//! straight into the matching contiguous leaves with one branch-free,
+//! auto-vectorized kernel behind the frozen-cutoff select, and writes the
+//! leaves without comparing them first. Then
+//! [`PartialSumTree::rebuild_span`] recomputes the ancestors of the leaf
+//! span from the first run to the last. A refill runs the same kernel over
+//! every junction.
 //!
-//! * **Dense pass** — a list covering at least 1/8 of the junctions, in a
-//!   table of at least [`AUTO_TREE_THRESHOLD`] events. Block by block, the
-//!   shifted ΔFs and their prefactors are gathered into contiguous
-//!   scratch, every rate is evaluated by one branch-free, auto-vectorized
-//!   kernel, and the leaves are written without comparing them first;
-//!   then the tree is rebuilt in one sequential pass. A refill runs the
-//!   same kernel over every junction.
-//! * **Sparse pass** — every other list. One fused loop shifts each ΔF and
-//!   evaluates its rate behind the frozen cutoff (a frozen event costs one
-//!   compare), writes only the leaves whose bits changed, and fixes the
-//!   tree up along them.
-//!
-//! The two passes are bit-identical: the branch-free kernel is bitwise the
-//! cascade of `rate_from_parts`, rewriting a leaf with its own value
+//! The pass is bitwise an entry-by-entry one (shift, `rate_from_parts`
+//! cascade behind the cutoff, fix up the changed leaves): the branch-free
+//! kernel is bitwise the cascade, rewriting a leaf with its own value
 //! changes nothing, and the tree recomputes its nodes rather than
-//! adjusting them, so a rebuild equals a partial fix-up bit for bit. The
-//! choice is therefore invisible to totals, selections and traces.
+//! adjusting them, so a span rebuild equals a partial fix-up bit for bit.
 //!
 //! Synchronisation contract: the table tracks the [`LiveState`] generation
 //! counter. Drive/background syncs, explicit refreshes and the periodic
@@ -73,8 +69,6 @@ use se_units::constants::E;
 /// refill is a few dozen flops, cheaper than any tree bookkeeping, and
 /// small-circuit traces keep their committed bits. From this count up, the
 /// O(strong + log E) incremental kernel wins and Auto routes through it.
-/// The table's dense pass needs the same territory: below it, a forced
-/// table runs every event on the sparse pass.
 pub const AUTO_TREE_THRESHOLD: usize = 64;
 
 /// Everything a ΔF/rate evaluation needs, gathered once per entry point so
@@ -114,23 +108,12 @@ impl<'a> EvalParams<'a> {
         (phi_gap + self_energy, self_energy - phi_gap)
     }
 
-    /// One directed rate — the `fill_rates` cutoff-then-kernel expression.
-    #[inline]
-    fn rate(&self, j: usize, df: f64) -> f64 {
-        if df > self.cutoff {
-            0.0
-        } else {
-            rate_from_parts(df, self.prefactors[j], self.kt, self.inv_kt)
-        }
-    }
-
-    /// The contiguous twin of [`EvalParams::rate`] over junction pairs:
+    /// The `fill_rates` cutoff-then-kernel expression over junction pairs:
     /// `rates[k]` holds both directed rates for the ΔFs `df[k]` and the
     /// prefactor `prefactor[k]`, every slot evaluated. For `kt > 0` the
     /// kernel is [`rate_from_parts_branchfree`] behind the cutoff select,
     /// so the loop auto-vectorizes; its bits equal `rate_from_parts`'
-    /// (pinned in `rates.rs`), so every rate is bitwise
-    /// [`EvalParams::rate`]'s.
+    /// (pinned in `rates.rs`).
     fn rates_into(&self, df: &[[f64; 2]], prefactor: &[f64], rates: &mut [[f64; 2]]) {
         let (kt, inv_kt, cutoff) = (self.kt, self.inv_kt, self.cutoff);
         let slots = rates.iter_mut().zip(df).zip(prefactor);
@@ -196,9 +179,6 @@ pub struct EventRateTable {
     /// junction — axpy-updated between refills, recomputed exactly from the
     /// live potentials at every refill.
     df: Vec<f64>,
-    /// Sparse pass: leaf indices whose rate bits changed this event
-    /// (always ascending: the strong list is sorted).
-    changed: Vec<u32>,
     /// The live-state generation the table was last filled against.
     seen_generation: u64,
 }
@@ -211,7 +191,6 @@ impl EventRateTable {
         let mut table = EventRateTable {
             tree: PartialSumTree::new(2 * junctions),
             df: vec![0.0; 2 * junctions],
-            changed: Vec::new(),
             seen_generation: 0,
         };
         table.refill(ctx, live);
@@ -254,13 +233,9 @@ impl EventRateTable {
     /// build-time coupling constant and the Boltzmann kernel is recomputed
     /// only for the shifted events.
     ///
-    /// A list covering at least 1/8 of the junctions takes the dense pass
-    /// (an auto-vectorized kernel over the gathered events, unconditional
-    /// leaf writes, one sequential tree rebuild) if the table has at least
-    /// [`AUTO_TREE_THRESHOLD`] events. Any other list takes the sparse
-    /// pass (a frozen event past the cutoff costs one compare, and only
-    /// the changed leaves are written and propagated).
-    /// The two passes leave every ΔF, leaf and tree node bit-identical.
+    /// Run by run, the shifted ΔF pairs are evaluated in place by an
+    /// auto-vectorized kernel straight into their leaves; then the tree
+    /// recomputes the ancestors of the span the runs cover.
     pub fn apply_event(
         &mut self,
         system: &TunnelSystem,
@@ -268,28 +243,16 @@ impl EventRateTable {
         live: &LiveState,
         event: TunnelEvent,
     ) {
-        let events = self.tree.len();
-        let listed = system.junction_strong_couplings(event.junction).len();
-        let dense = events >= AUTO_TREE_THRESHOLD && 16 * listed >= events;
-        self.apply_event_pass(system, ctx, live, event, dense);
-    }
-
-    /// [`EventRateTable::apply_event`] with the pass chosen by the caller
-    /// instead of the strong-list length — the hook the dense ≡ sparse
-    /// equivalence tests drive. Not part of the supported API.
-    #[doc(hidden)]
-    pub fn apply_event_pass(
-        &mut self,
-        system: &TunnelSystem,
-        ctx: &RateContext,
-        live: &LiveState,
-        event: TunnelEvent,
-        dense: bool,
-    ) {
         if live.generation() != self.seen_generation {
             self.refill(ctx, live);
             return;
         }
+        let strong = system.junction_strong_couplings(event.junction);
+        let runs = strong.runs();
+        // A junction between two electrodes moves no island charge.
+        let (Some(&(first, _)), Some(&(last, last_len))) = (runs.first(), runs.last()) else {
+            return;
+        };
         let p = EvalParams::new(ctx, live.endpoint_potentials());
         // +1 for a→b, −1 for b→a — the convention [`LiveState::apply`]
         // uses for its potential axpy.
@@ -297,79 +260,22 @@ impl EventRateTable {
             Direction::AToB => 1.0,
             Direction::BToA => -1.0,
         };
-        let strong = system.junction_strong_couplings(event.junction);
-        let values = system.junction_strong_coupling_values(event.junction);
-        if dense {
-            self.dense_pass(&p, strong, values, sign);
-        } else {
-            self.sparse_pass(&p, strong, values, sign);
-        }
-    }
-
-    /// Shift and gather, one contiguous kernel call, unconditional leaf
-    /// writes — block by block — then one sequential rebuild. Writing an
-    /// unchanged leaf stores the same bits, and the tree recomputes (never
-    /// adjusts) its nodes, so the result is bitwise the sparse pass's.
-    fn dense_pass(&mut self, p: &EvalParams, strong: &[u32], values: &[f64], sign: f64) {
-        // Junctions per block. Blocks keep the gathered scratch on the
-        // stack and in L1, and let the scalar gather and scatter of one
-        // block overlap the vector kernel of the next: ≈ 15 % less time
-        // per event on a 32×32 array than one whole-list pass, on a 2-vCPU
-        // Xeon (AVX-512) host.
-        const BLOCK: usize = 32;
+        let mut values = system.junction_strong_coupling_values(event.junction);
         let (df_pairs, _) = self.df.as_chunks_mut::<2>();
-        let prefactors = &p.prefactors[..df_pairs.len()];
         let (leaf_pairs, _) = self.tree.leaves_mut().as_chunks_mut::<2>();
-        let mut gathered_df = [[0.0; 2]; BLOCK];
-        let mut gathered_prefactor = [0.0; BLOCK];
-        let mut rates = [[0.0; 2]; BLOCK];
-        for (strong, values) in strong.chunks(BLOCK).zip(values.chunks(BLOCK)) {
-            let n = strong.len();
-            let gathered = gathered_df[..n]
-                .iter_mut()
-                .zip(&mut gathered_prefactor[..n]);
-            for ((&j, &g), (df_out, pf_out)) in strong.iter().zip(values).zip(gathered) {
-                let j = j as usize;
+        for &(start, len) in runs {
+            let run = start as usize..(start + len) as usize;
+            let (run_values, rest) = values.split_at(len as usize);
+            values = rest;
+            let df = &mut df_pairs[run.clone()];
+            for (pair, &g) in df.iter_mut().zip(run_values) {
                 let shift = sign * g;
-                let [df_ab, df_ba] = df_pairs[j];
-                let shifted = [df_ab + shift, df_ba - shift];
-                df_pairs[j] = shifted;
-                *df_out = shifted;
-                *pf_out = prefactors[j];
+                *pair = [pair[0] + shift, pair[1] - shift];
             }
-            p.rates_into(&gathered_df[..n], &gathered_prefactor[..n], &mut rates[..n]);
-            for (&j, &pair) in strong.iter().zip(&rates[..n]) {
-                leaf_pairs[j as usize] = pair;
-            }
+            p.rates_into(df, &p.prefactors[run.clone()], &mut leaf_pairs[run]);
         }
-        self.tree.rebuild();
-    }
-
-    /// The fused per-junction loop: shift, evaluate (a frozen event costs
-    /// one compare), write only the leaves whose bits changed and
-    /// propagate them up the tree.
-    fn sparse_pass(&mut self, p: &EvalParams, strong: &[u32], values: &[f64], sign: f64) {
-        self.changed.clear();
-        for (&j, &g) in strong.iter().zip(values) {
-            let j = j as usize;
-            let shift = sign * g;
-            let df_ab = self.df[2 * j] + shift;
-            let df_ba = self.df[2 * j + 1] - shift;
-            self.df[2 * j] = df_ab;
-            self.df[2 * j + 1] = df_ba;
-            let rate_ab = p.rate(j, df_ab);
-            let rate_ba = p.rate(j, df_ba);
-            if rate_ab.to_bits() != self.tree.leaf(2 * j).to_bits() {
-                self.tree.set_leaf(2 * j, rate_ab);
-                self.changed.push((2 * j) as u32);
-            }
-            if rate_ba.to_bits() != self.tree.leaf(2 * j + 1).to_bits() {
-                self.tree.set_leaf(2 * j + 1, rate_ba);
-                self.changed.push((2 * j + 1) as u32);
-            }
-        }
-        // Pushed in ascending strong-list order — already sorted.
-        self.tree.update_leaves(&self.changed);
+        let end = (last + last_len) as usize;
+        self.tree.rebuild_span(2 * first as usize, 2 * end - 1);
     }
 
     /// The total rate — the partial-sum tree's root, a fixed pairwise
@@ -639,44 +545,60 @@ mod tests {
 
     #[test]
     fn strong_lists_cover_every_non_negligible_coupling() {
-        let system = chain(1e-3, 0.02);
-        let junctions = system.junctions().len();
-        let mut g_max = 0.0_f64;
-        for f in 0..junctions {
-            for j in 0..junctions {
-                g_max = g_max.max(system.junction_coupling(f, j).abs());
-            }
-        }
-        assert!(g_max > 0.0);
-        for f in 0..junctions {
-            let strong = system.junction_strong_couplings(f);
-            let values = system.junction_strong_coupling_values(f);
-            assert_eq!(strong.len(), values.len(), "value slice aligned");
-            assert!(strong.windows(2).all(|w| w[0] < w[1]), "sorted, unique");
-            for (&j, &g) in strong.iter().zip(values) {
-                assert_eq!(
-                    g.to_bits(),
-                    system.junction_coupling(f, j as usize).to_bits(),
-                    "stored coupling {f}->{j} differs from the dense lookup"
-                );
-            }
-            for j in 0..junctions {
-                let g = system.junction_coupling(f, j).abs();
-                let listed = strong.contains(&(j as u32));
-                if g > 1e-7 * g_max {
-                    assert!(listed, "coupling {f}->{j} ({g:e}) missing from strong list");
+        // The gated chain's lists are one run each. A junction between the
+        // two electrodes, listed between a dot's two junctions, has an
+        // empty list and leaves a gap in theirs.
+        let mut b = TunnelSystemBuilder::new();
+        let dot = b.island("dot", 0.0);
+        let drain = b.external("drain", 1e-3);
+        let source = b.external("source", 0.0);
+        b.junction("JD", drain, dot, 0.7e-18, 80e3);
+        b.junction("Jleak", drain, source, 0.1e-18, 1e9);
+        b.junction("JS", dot, source, 0.6e-18, 90e3);
+        let leaky = b.build().unwrap();
+        let mut gapped = false;
+        for system in [chain(1e-3, 0.02), leaky] {
+            let junctions = system.junctions().len();
+            let mut g_max = 0.0_f64;
+            for f in 0..junctions {
+                for j in 0..junctions {
+                    g_max = g_max.max(system.junction_coupling(f, j).abs());
                 }
-                if !listed {
-                    assert!(
-                        g <= 1e-7 * g_max,
-                        "unlisted coupling {f}->{j} ({g:e}) above threshold"
+            }
+            assert!(g_max > 0.0);
+            for f in 0..junctions {
+                let strong = system.junction_strong_couplings(f);
+                let runs = strong.runs();
+                let values = system.junction_strong_coupling_values(f);
+                assert!(runs.iter().all(|&(_, len)| len > 0), "runs are non-empty");
+                assert!(
+                    runs.windows(2).all(|w| w[0].0 + w[0].1 < w[1].0),
+                    "runs ascend and no two touch: {runs:?}"
+                );
+                let entries: u32 = runs.iter().map(|&(_, len)| len).sum();
+                assert_eq!(entries as usize, values.len(), "one value per entry");
+                assert_eq!(strong.len(), values.len(), "view length");
+                gapped |= runs.len() > 1;
+                let expanded: Vec<usize> = strong.iter().collect();
+                let dense: Vec<usize> = (0..junctions)
+                    .filter(|&j| system.junction_coupling(f, j).abs() > 1e-7 * g_max)
+                    .collect();
+                assert_eq!(expanded, dense, "junction {f}: runs vs threshold set");
+                for (j, &g) in expanded.into_iter().zip(values) {
+                    assert_eq!(
+                        g.to_bits(),
+                        system.junction_coupling(f, j).to_bits(),
+                        "stored coupling {f}->{j} differs from the dense lookup"
                     );
                 }
+                // A junction couples strongly to itself unless it moves no
+                // island charge at all.
+                let moves_charge = system.junction_coupling(f, f) != 0.0;
+                assert_eq!(strong.iter().any(|j| j == f), moves_charge);
+                assert_eq!(strong.is_empty(), !moves_charge);
             }
-            // A junction always couples strongly to itself (unless it moves
-            // no island charge at all).
-            assert!(strong.contains(&(f as u32)));
+            assert!(system.coupling_margin() > 0.0);
         }
-        assert!(system.coupling_margin() > 0.0);
+        assert!(gapped, "some list must span more than one run");
     }
 }

@@ -66,6 +66,6 @@ pub use events::EventRateTable;
 pub use live::{LiveState, RateContext};
 pub use rates::{tunnel_rate, tunnel_rate_zero_temperature};
 pub use system::{
-    Capacitor, ChargeState, Direction, Endpoint, Junction, TunnelEvent, TunnelSystem,
-    TunnelSystemBuilder,
+    Capacitor, ChargeState, Direction, Endpoint, Junction, StrongCouplings, TunnelEvent,
+    TunnelSystem, TunnelSystemBuilder,
 };

@@ -340,8 +340,11 @@ impl RateContext {
         self.inv_kt
     }
 
-    /// The frozen-event ΔF cutoff `MAX_EXPONENT · kT`.
-    pub(crate) fn frozen_cutoff(&self) -> f64 {
+    /// The frozen-event ΔF cutoff `MAX_EXPONENT · kT` in joule: every
+    /// event whose ΔF exceeds it rates exactly zero in
+    /// [`Self::fill_rates`].
+    #[must_use]
+    pub fn frozen_cutoff(&self) -> f64 {
         self.frozen_cutoff
     }
 

@@ -393,7 +393,8 @@ impl TunnelSystemBuilder {
         // `coupling_margin` stability guard accounts for.
         //
         // One pass finds the strongest coupling, a second fills each fired
-        // junction's list and values from one evaluation of its row.
+        // junction's values and runs of consecutive junction indices from
+        // one evaluation of its row.
         let n_junctions = self.junctions.len();
         let mut row = vec![0.0; n_junctions];
         let mut g_max = 0.0_f64;
@@ -404,20 +405,23 @@ impl TunnelSystemBuilder {
             }
         }
         let threshold = COUPLING_THRESHOLD_REL * g_max;
-        let mut coupling_strong = Vec::with_capacity(n_junctions);
+        let mut coupling_strong_runs = Vec::with_capacity(n_junctions);
         let mut coupling_strong_values = Vec::with_capacity(n_junctions);
         for resp in &event_response {
             coupling_row(&self.junctions, resp, &mut row);
             let strong = row.iter().filter(|g| g.abs() > threshold).count();
-            let mut list = Vec::with_capacity(strong);
+            let mut runs: Vec<(u32, u32)> = Vec::new();
             let mut values = Vec::with_capacity(strong);
-            for (idx, &g) in row.iter().enumerate() {
+            for (idx, &g) in (0_u32..).zip(&row) {
                 if g.abs() > threshold {
-                    list.push(idx as u32);
+                    match runs.last_mut() {
+                        Some((start, len)) if *start + *len == idx => *len += 1,
+                        _ => runs.push((idx, 1)),
+                    }
                     values.push(g);
                 }
             }
-            coupling_strong.push(list);
+            coupling_strong_runs.push(runs);
             coupling_strong_values.push(values);
         }
         let coupling_margin = 2.0 * f64::from(crate::live::REFRESH_INTERVAL) * threshold;
@@ -452,7 +456,7 @@ impl TunnelSystemBuilder {
                 coupling,
                 self_charging,
                 event_response,
-                coupling_strong,
+                coupling_strong_runs,
                 coupling_strong_values,
                 coupling_margin,
                 drive_response,
@@ -472,6 +476,44 @@ fn coupling_row(junctions: &[Junction], response: &[f64], row: &mut [f64]) {
     };
     for (g, j) in row.iter_mut().zip(junctions) {
         *g = E * (at(j.a) - at(j.b));
+    }
+}
+
+/// One junction's strong list ([`TunnelSystem::junction_strong_couplings`]):
+/// ascending junction indices, stored as maximal runs of consecutive
+/// indices.
+#[derive(Debug, Clone, Copy)]
+pub struct StrongCouplings<'a> {
+    runs: &'a [(u32, u32)],
+    len: usize,
+}
+
+impl<'a> StrongCouplings<'a> {
+    /// Number of listed junctions.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether no junction is listed — a junction between two electrodes
+    /// moves no island charge.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The listed junction indices, ascending.
+    pub fn iter(&self) -> impl Iterator<Item = usize> + 'a {
+        self.runs
+            .iter()
+            .flat_map(|&(start, len)| start as usize..(start + len) as usize)
+    }
+
+    /// The list as maximal runs `(start, len)`: junctions
+    /// `start..start + len`, ascending, non-empty, no two runs adjacent.
+    #[must_use]
+    pub fn runs(&self) -> &'a [(u32, u32)] {
+        self.runs
     }
 }
 
@@ -507,15 +549,16 @@ struct SystemTables {
     /// (volt): `e·K[:,a] − e·K[:,b]`, zero contribution for external
     /// endpoints.
     event_response: Vec<Vec<f64>>,
-    /// Per-junction event-coupling strong list: `coupling_strong[f]` holds
-    /// every junction index whose ΔF potential-gap term moves by more than
-    /// the negligibility threshold when an event fires on junction `f`
-    /// (see [`TunnelSystem::junction_coupling`]). Sorted ascending.
-    coupling_strong: Vec<Vec<u32>>,
-    /// `coupling_strong_values[f][k]` is
-    /// `junction_coupling(f, coupling_strong[f][k])` — the strong list's
-    /// coupling constants, aligned entry for entry, so the incremental
-    /// event-rate table's axpy streams both slices together.
+    /// Per-junction event-coupling strong list as maximal runs
+    /// `(start, len)` of consecutive junction indices, ascending: every
+    /// junction whose ΔF potential-gap term moves by more than the
+    /// negligibility threshold when an event fires on junction `f` (see
+    /// [`TunnelSystem::junction_coupling`]).
+    coupling_strong_runs: Vec<Vec<(u32, u32)>>,
+    /// `coupling_strong_values[f]` holds the strong list's coupling
+    /// constants in run order, one per listed junction, so the incremental
+    /// event-rate table's axpy streams each run's ΔF slice and values
+    /// together.
     coupling_strong_values: Vec<Vec<f64>>,
     /// Stability margin (joule) for the incremental event-rate table: the
     /// accumulated ΔF drift that below-threshold (unlisted) couplings can
@@ -886,23 +929,26 @@ impl TunnelSystem {
     /// The junctions whose ΔF moves non-negligibly when an event fires on
     /// junction `fired` — every `observed` with
     /// `|junction_coupling(fired, observed)|` above the build-time
-    /// negligibility threshold, sorted ascending. The incremental event-rate
-    /// table re-evaluates exactly these junctions after each event; the
-    /// drift every *unlisted* coupling can accumulate between two exact
-    /// refreshes is bounded by [`TunnelSystem::coupling_margin`].
+    /// negligibility threshold, ascending, stored as runs of consecutive
+    /// indices. The incremental event-rate table re-evaluates exactly these
+    /// junctions after each event; the drift every *unlisted* coupling can
+    /// accumulate between two exact refreshes is bounded by
+    /// [`TunnelSystem::coupling_margin`].
     ///
     /// # Panics
     ///
     /// Panics if `fired` is out of range.
     #[must_use]
-    pub fn junction_strong_couplings(&self, fired: usize) -> &[u32] {
-        &self.tables.coupling_strong[fired]
+    pub fn junction_strong_couplings(&self, fired: usize) -> StrongCouplings<'_> {
+        StrongCouplings {
+            runs: &self.tables.coupling_strong_runs[fired],
+            len: self.tables.coupling_strong_values[fired].len(),
+        }
     }
 
     /// The coupling constants of `fired`'s strong list, aligned entry for
-    /// entry with [`TunnelSystem::junction_strong_couplings`]:
-    /// `junction_strong_coupling_values(f)[k]` equals
-    /// `junction_coupling(f, junction_strong_couplings(f)[k])`.
+    /// entry with [`StrongCouplings::iter`]: the `k`-th value is
+    /// `junction_coupling(f, j)` for the `k`-th listed junction `j`.
     ///
     /// # Panics
     ///

@@ -12,10 +12,12 @@ use proptest::prelude::*;
 use single_electronics::montecarlo::{
     MasterEquation, MonteCarloSimulator, SimulationOptions, StationarySolver,
 };
+use single_electronics::numeric::partial_sum::PartialSumTree;
 use single_electronics::orthodox::live::{LiveState, RateContext};
 use single_electronics::orthodox::set::SingleElectronTransistor;
 use single_electronics::orthodox::{
-    tunnel_rate, ChargeState, EventRateTable, TunnelSystem, TunnelSystemBuilder,
+    tunnel_rate, ChargeState, Direction, EventRateTable, TunnelEvent, TunnelSystem,
+    TunnelSystemBuilder,
 };
 
 /// A randomly parameterised island chain: every island couples to the
@@ -287,71 +289,159 @@ fn event_table_reclassifies_frozen_events_across_the_cutoff_mid_run() {
     assert_table_is_fill_rates(&system, &ctx, &live, &table, "after the walk");
 }
 
-fn assert_tables_identical(dense: &EventRateTable, sparse: &EventRateTable, context: &str) {
-    assert_eq!(
-        dense.total().to_bits(),
-        sparse.total().to_bits(),
-        "{context}: total"
-    );
-    for e in 0..dense.event_count() {
+/// The entry-by-entry event pass, kept as the reference the table's run
+/// pass must reproduce bit for bit: strong lists as sorted index lists
+/// rebuilt from the `junction_coupling` threshold, one axpy per listed
+/// entry, each rate by the `fill_rates` cutoff-then-cascade expression,
+/// and the total from a fresh `PartialSumTree::fill`.
+struct EntrywiseTable {
+    /// `strong[f]`: every `(j, g)` with `|g| = |junction_coupling(f, j)|`
+    /// above the build-time threshold, ascending in `j`.
+    strong: Vec<Vec<(usize, f64)>>,
+    df: Vec<f64>,
+    rates: Vec<f64>,
+    tree: PartialSumTree,
+}
+
+impl EntrywiseTable {
+    fn new(system: &TunnelSystem, ctx: &RateContext, live: &LiveState) -> Self {
+        let junctions = system.junctions().len();
+        let g_max = (0..junctions)
+            .flat_map(|f| (0..junctions).map(move |j| system.junction_coupling(f, j).abs()))
+            .fold(0.0_f64, f64::max);
+        let strong = (0..junctions)
+            .map(|f| {
+                (0..junctions)
+                    .map(|j| (j, system.junction_coupling(f, j)))
+                    .filter(|(_, g)| g.abs() > 1e-7 * g_max)
+                    .collect()
+            })
+            .collect();
+        let mut table = EntrywiseTable {
+            strong,
+            df: vec![0.0; 2 * junctions],
+            rates: vec![0.0; 2 * junctions],
+            tree: PartialSumTree::new(2 * junctions),
+        };
+        table.refill(ctx, live);
+        table
+    }
+
+    fn rate(ctx: &RateContext, j: usize, df: f64) -> f64 {
+        if df > ctx.frozen_cutoff() {
+            0.0
+        } else {
+            ctx.event_rate(j, df)
+        }
+    }
+
+    fn refill(&mut self, ctx: &RateContext, live: &LiveState) {
+        ctx.fill_delta_f(live, &mut self.df);
+        for (e, rate) in self.rates.iter_mut().enumerate() {
+            *rate = Self::rate(ctx, e / 2, self.df[e]);
+        }
+        self.tree.fill(&self.rates);
+    }
+
+    fn apply_event(&mut self, ctx: &RateContext, event: TunnelEvent) {
+        let sign = match event.direction {
+            Direction::AToB => 1.0,
+            Direction::BToA => -1.0,
+        };
+        for &(j, g) in &self.strong[event.junction] {
+            let shift = sign * g;
+            self.df[2 * j] += shift;
+            self.df[2 * j + 1] -= shift;
+            self.rates[2 * j] = Self::rate(ctx, j, self.df[2 * j]);
+            self.rates[2 * j + 1] = Self::rate(ctx, j, self.df[2 * j + 1]);
+        }
+        self.tree.fill(&self.rates);
+    }
+
+    fn assert_matches(&self, table: &EventRateTable, context: &str) {
         assert_eq!(
-            dense.rate(e).to_bits(),
-            sparse.rate(e).to_bits(),
-            "{context}: rate of event {e}"
+            table.total().to_bits(),
+            self.tree.total().to_bits(),
+            "{context}: total"
         );
-        assert_eq!(
-            dense.delta_f(e).to_bits(),
-            sparse.delta_f(e).to_bits(),
-            "{context}: ΔF of event {e}"
-        );
+        for (e, (&rate, &df)) in self.rates.iter().zip(&self.df).enumerate() {
+            assert_eq!(
+                table.rate(e).to_bits(),
+                rate.to_bits(),
+                "{context}: rate of event {e}"
+            );
+            assert_eq!(
+                table.delta_f(e).to_bits(),
+                df.to_bits(),
+                "{context}: ΔF of event {e}"
+            );
+        }
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+/// A single-electron transistor with a leakage junction straight from
+/// drain to source, listed between the dot's two junctions: the leak moves
+/// no island charge, so its strong list is empty and the dot junctions'
+/// lists have a gap.
+fn leaky_set(vd: f64) -> TunnelSystem {
+    let mut b = TunnelSystemBuilder::new();
+    let dot = b.island("dot", 0.1);
+    let drain = b.external("drain", vd);
+    let source = b.external("source", 0.0);
+    let gate = b.external("gate", 0.02);
+    b.junction("JD", drain, dot, 0.7e-18, 80e3);
+    b.junction("Jleak", drain, source, 0.1e-18, 1e9);
+    b.junction("JS", dot, source, 0.6e-18, 90e3);
+    b.capacitor("Cg", gate, dot, 0.3e-18);
+    b.build().expect("the leaky SET is non-singular")
+}
 
-    /// The event table's two passes are one function: over random event
-    /// walks at T ∈ {0, 0.1, 4.2} K, on a small stray-capacitance array
-    /// (dense strong lists) and a 64-island chain (sparse lists), a table
-    /// forced down the dense pass and one forced down the sparse pass agree
-    /// in every leaf, every ΔF and the total, bit for bit, after every
-    /// event; and at every refill both are bitwise `fill_rates`.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The table's run pass is the entry-by-entry pass: over random event
+    /// walks at T ∈ {0, 0.1, 4.2} K — on a small stray-capacitance array
+    /// (lists of several runs with gaps), a 64-island chain (one run per
+    /// list), a one-island SET (a 4-event table, far below the Auto
+    /// threshold) and a SET with an electrode-to-electrode junction (an
+    /// empty list) — the table and [`EntrywiseTable`] agree in every ΔF,
+    /// every leaf and the total, bit for bit, after every event; and at
+    /// every refill the table is bitwise `fill_rates`.
     #[test]
-    fn prop_dense_and_sparse_passes_are_bit_identical(
-        circuit in 0_usize..2,
+    fn prop_run_pass_is_bitwise_the_entrywise_pass(
+        circuit in 0_usize..4,
         temperature_index in 0_usize..3,
         seed in 0_u64..1_000_000,
         vd in 0.0_f64..0.4,
         walk in proptest::collection::vec(0_usize..100_000, 1..250),
     ) {
         let temperature = [0.0, 0.1, 4.2][temperature_index];
-        // A 4×4 stray-capacitance array has dense strong lists; a gated
-        // chain's lists reach only a few neighbours.
-        let system = if circuit == 0 {
-            se_bench::array_system(4, seed)
-        } else {
-            se_bench::chain_system(64, vd, 0.08)
+        let system = match circuit {
+            0 => se_bench::array_system(4, seed),
+            1 => se_bench::chain_system(64, vd, 0.08),
+            2 => se_bench::chain_system(1, vd, 0.08),
+            _ => leaky_set(vd),
         };
         let ctx = RateContext::new(&system, temperature).unwrap();
         let mut live = LiveState::new(&system, ChargeState::neutral(system.island_count()));
-        let mut dense = EventRateTable::new(&system, &ctx, &live);
-        let mut sparse = EventRateTable::new(&system, &ctx, &live);
-        assert_table_is_fill_rates(&system, &ctx, &live, &dense, "dense, fresh");
-        assert_table_is_fill_rates(&system, &ctx, &live, &sparse, "sparse, fresh");
+        let mut table = EventRateTable::new(&system, &ctx, &live);
+        let mut reference = EntrywiseTable::new(&system, &ctx, &live);
+        assert_table_is_fill_rates(&system, &ctx, &live, &table, "fresh");
+        reference.assert_matches(&table, "fresh");
         for (step, &draw) in walk.iter().enumerate() {
             let event = system.event(draw % system.event_count());
             live.apply(&system, event);
-            dense.apply_event_pass(&system, &ctx, &live, event, true);
-            sparse.apply_event_pass(&system, &ctx, &live, event, false);
+            table.apply_event(&system, &ctx, &live, event);
+            reference.apply_event(&ctx, event);
             let context = format!("T = {temperature}, circuit {circuit}, step {step}");
-            assert_tables_identical(&dense, &sparse, &context);
+            reference.assert_matches(&table, &context);
             // Every 97th draw also forces an exact refresh mid-walk.
             if draw % 97 == 0 {
                 live.refresh(&system);
-                prop_assert!(dense.sync(&system, &ctx, &live));
-                prop_assert!(sparse.sync(&system, &ctx, &live));
-                assert_table_is_fill_rates(&system, &ctx, &live, &dense, &context);
-                assert_table_is_fill_rates(&system, &ctx, &live, &sparse, &context);
+                prop_assert!(table.sync(&system, &ctx, &live));
+                reference.refill(&ctx, &live);
+                assert_table_is_fill_rates(&system, &ctx, &live, &table, &context);
+                reference.assert_matches(&table, &context);
             }
         }
     }
