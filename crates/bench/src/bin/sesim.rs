@@ -93,10 +93,10 @@ fn usage() -> &'static str {
      --progress        throttled per-analysis progress lines on stderr\n\
      --quiet           errors only: no tables, no warnings, no chatter\n\
      --plan            compile and report the plan, don't run\n\
-     --scalar-ensemble run .options repeats= ensembles through the per-seed\n\
-     \u{20}                 scalar loop for every lane group (by default,\n\
-     \u{20}                 groups of 8+ replicas on circuits with < 64\n\
-     \u{20}                 events take the batched engine; the results\n\
+     --scalar-ensemble run .options repeats= stationary ensembles through\n\
+     \u{20}                 the per-seed scalar loop for every lane group (by\n\
+     \u{20}                 default, groups of 8+ replicas on circuits with\n\
+     \u{20}                 < 64 events take the batched engine; the results\n\
      \u{20}                 are bit-identical; used by the CI gate)\n\
      --lane-width N    replicas per ensemble lane group (default 8): each\n\
      \u{20}                 bias point's repeats shard into ceil(repeats/N)\n\

@@ -49,9 +49,7 @@ pub mod waveform;
 
 pub use grid::{linspace, sample_times, validate_sample_times, GridError};
 pub use runner::{derive_seed, StabilityMap, SweepPoint, SweepRunner};
-pub use transient::{
-    QuasiStatic, Scenario, TransientEngine, TransientRunner, TransientTrace, ENSEMBLE_CHUNK,
-};
+pub use transient::{QuasiStatic, Scenario, TransientEngine, TransientRunner, TransientTrace};
 pub use waveform::{Waveform, WaveformError};
 
 /// Typed handle to a swept control (an electrode or voltage source),

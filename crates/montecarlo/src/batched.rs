@@ -1,9 +1,9 @@
-//! Batched ensemble kinetic Monte-Carlo: N replicas of one system stepped
-//! in lockstep on the struct-of-arrays hot path.
+//! Batched ensemble kinetic Monte-Carlo: N stationary replicas of one
+//! system stepped in lockstep on the struct-of-arrays hot path.
 //!
 //! A [`BatchedKmcEngine`] owns N independent Gillespie walks of the *same*
-//! [`TunnelSystem`] — the ensemble shape behind seed repeats, stationary
-//! statistics and noise estimates. The physics state lives in a
+//! [`TunnelSystem`] at fixed drives — the ensemble shape behind seed
+//! repeats of a stationary solve. The physics state lives in a
 //! [`BatchedLiveState`] / [`BatchedRateContext`] pair (see
 //! [`se_orthodox::batch`]), so every lockstep round evaluates all replicas'
 //! rates in one junction-major pass over the shared per-junction columns
@@ -16,39 +16,36 @@
 //! operations in the same order as the scalar [`LiveState`] path) this
 //! makes replica `k` **bit-identical** to a standalone
 //! [`MonteCarloSimulator`] running seed `k` — same event sequence, same
-//! times, same transfer counters — which is what lets the ensemble layers
-//! swap the batched engine in for a loop of scalar runs without changing a
-//! single published number.
+//! times, same transfer counters — which is what lets the stationary
+//! ensemble face swap the batched engine in for a loop of scalar runs
+//! without changing a single published number.
 //!
 //! The engine serves one circuit shape: the flat full-recompute kernel
 //! ([`KmcKernel::uses_tree`] false) with at most 64 candidate events, so
 //! that one `u64` hit mask per lane covers every event.
 //! [`BatchedKmcEngine::new`] refuses any other circuit: its scalar twin
 //! would maintain rates incrementally, and the lanes would no longer match
-//! its bits. The ensemble faces of [`MonteCarloSimulator`] route a group
-//! here only when it also has enough replicas for the lockstep loops to
-//! pay (`BATCH_MIN_REPLICAS`); every other group loops the scalar engine.
+//! its bits. The stationary ensemble face of [`MonteCarloSimulator`] routes
+//! a group here only when it also has enough replicas for the lockstep loop
+//! to pay (`BATCH_MIN_REPLICAS`); every other group, and every transient
+//! ensemble, loops the scalar engine.
 //!
 //! Frozen replicas (total rate zero — deep blockade at zero temperature)
-//! retire from the lockstep front without stalling the batch: the remaining
-//! lanes keep stepping through subset rate fills, and a retired lane costs
-//! nothing until a drive change thaws it.
+//! are masked, not retired: a frozen lane stays in the full-width rate fill
+//! but draws, advances and applies nothing, and the loop ends as soon as
+//! every lane is frozen or has run its count.
 //!
 //! [`LiveState`]: se_orthodox::LiveState
 //! [`MonteCarloSimulator`]: crate::MonteCarloSimulator
 
 use crate::error::MonteCarloError;
-use crate::kmc::{select_event_from, select_with_target, KmcKernel, SimulationOptions};
+use crate::kmc::{select_with_target, KmcKernel, SimulationOptions};
 use crate::observables::RunResult;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use se_engine::derive_seed;
-use se_numeric::sampling::{
-    exponential_waiting_time, ln_unit, unit_interval_open, validate_waiting_rate,
-};
-use se_orthodox::{
-    BatchedLiveState, BatchedRateContext, ChargeState, Direction, TunnelEvent, TunnelSystem,
-};
+use se_numeric::sampling::{ln_unit, unit_interval_open, validate_waiting_rate};
+use se_orthodox::{BatchedLiveState, BatchedRateContext, ChargeState, TunnelSystem};
 use se_units::constants::E;
 use std::collections::HashMap;
 
@@ -63,16 +60,8 @@ pub(crate) fn batch_serves(kernel: KmcKernel, events: usize) -> bool {
     !kernel.uses_tree(events) && events <= MAX_BATCH_EVENTS
 }
 
-/// N lockstep replicas of one [`TunnelSystem`], advanced by kinetic
-/// Monte-Carlo over SoA-packed state.
-///
-/// The mutate-then-run protocol matches the scalar
-/// [`MonteCarloSimulator`]: change drives through [`Self::system_mut`]
-/// (the change applies to every replica — the batch shares one system),
-/// then step; pending changes fold into each lane lazily at its next step,
-/// exactly when the scalar engine would fold them.
-///
-/// [`MonteCarloSimulator`]: crate::MonteCarloSimulator
+/// N lockstep replicas of one [`TunnelSystem`] at fixed drives, advanced
+/// by kinetic Monte-Carlo over SoA-packed state.
 #[derive(Debug, Clone)]
 pub struct BatchedKmcEngine {
     system: TunnelSystem,
@@ -87,19 +76,11 @@ pub struct BatchedKmcEngine {
     rates: Vec<f64>,
     /// Per-replica total rates, accumulated in scalar junction order.
     totals: Vec<f64>,
-    /// Per-replica pending-drive flags: set for every lane by
-    /// [`Self::system_mut`], cleared lane-by-lane as each joins a step
-    /// front (the scalar engine's lazy `sync_drives`, per lane).
-    drives_dirty: Vec<bool>,
     times: Vec<f64>,
     /// Replica-major transfer counters: `net_transfers[r * junctions + j]`.
     net_transfers: Vec<i64>,
     events_executed: Vec<u64>,
     frozen: Vec<bool>,
-    /// Scratch: the replicas taking part in the current lockstep round.
-    front: Vec<usize>,
-    /// Scratch: per-round outcomes `(replica, executed event or frozen)`.
-    round: Vec<(usize, Option<TunnelEvent>)>,
     /// Per-event decode table for the branchless apply phase:
     /// `[from_slot, to_slot]` per canonical event index (slots per
     /// [`BatchedLiveState::endpoint_slot`] — island index or the spill
@@ -180,13 +161,10 @@ impl BatchedKmcEngine {
             rate_ctx,
             rates: vec![0.0; 2 * junctions * replicas],
             totals: vec![0.0; replicas],
-            drives_dirty: vec![false; replicas],
             times: vec![0.0; replicas],
             net_transfers: vec![0; junctions * replicas],
             events_executed: vec![0; replicas],
             frozen: vec![false; replicas],
-            front: Vec::with_capacity(replicas),
-            round: Vec::with_capacity(replicas),
             event_slots,
             targets: vec![0.0; replicas],
             wait_u: vec![0.0; replicas],
@@ -235,15 +213,6 @@ impl BatchedKmcEngine {
     #[must_use]
     pub fn options(&self) -> &SimulationOptions {
         &self.options
-    }
-
-    /// Mutable access to the shared tunnel system — a drive or background
-    /// change applies to **every** replica and is folded into each lane
-    /// lazily at its next step, exactly like the scalar engine's
-    /// mutate-then-run protocol.
-    pub fn system_mut(&mut self) -> &mut TunnelSystem {
-        self.drives_dirty.fill(true);
-        &mut self.system
     }
 
     /// Replica `r`'s simulation clock in seconds.
@@ -315,89 +284,20 @@ impl BatchedKmcEngine {
         self.net_transfers.fill(0);
     }
 
-    /// Rebuilds the lockstep front from a per-replica keep mask.
-    fn rebuild_front(&mut self, keep: &[bool]) {
-        self.front.clear();
-        self.front
-            .extend(keep.iter().enumerate().filter_map(|(r, &k)| k.then_some(r)));
-    }
-
-    /// One lockstep round over the replicas currently in `self.front`:
-    /// sync pending drive changes into each lane, fill all lanes' rates in
-    /// one batched pass (the full-batch fast path when every replica is on
-    /// the front, a subset fill otherwise), then draw each lane's waiting
-    /// time and event from its own RNG and apply it. Outcomes land in
-    /// `self.round` as `(replica, Some(event))` or `(replica, None)` for a
-    /// lane that froze this round.
+    /// Advances every replica through up to `rounds` lockstep rounds — the
+    /// one loop behind [`Self::equilibrate_all`] and
+    /// [`Self::run_events_all`]. Each round fills every lane's rates in one
+    /// batched pass, then draws, selects and applies one event per live
+    /// lane, so after the loop each lane has run `rounds` events or frozen.
     ///
-    /// Per replica this performs the exact scalar
-    /// [`MonteCarloSimulator::step`] sequence — sync, fill, freeze test,
-    /// waiting-time draw, selection draw, apply — so lane `r`'s state and
-    /// RNG stream stay bit-identical to a standalone simulator.
-    ///
-    /// [`MonteCarloSimulator::step`]: crate::MonteCarloSimulator::step
-    fn step_front(&mut self) -> Result<(), MonteCarloError> {
-        let replicas = self.replicas();
-        let junctions = self.system.junctions().len();
-        for idx in 0..self.front.len() {
-            let r = self.front[idx];
-            if self.drives_dirty[r] {
-                self.live.sync_replica(&self.system, r);
-                self.drives_dirty[r] = false;
-            }
-        }
-        if self.front.len() == replicas {
-            self.rate_ctx.fill_rates_batch(
-                &self.system,
-                &self.live,
-                &mut self.rates,
-                &mut self.totals,
-            );
-        } else {
-            self.rate_ctx.fill_rates_subset(
-                &self.system,
-                &self.live,
-                &mut self.rates,
-                &mut self.totals,
-                &self.front,
-            );
-        }
-        self.round.clear();
-        for idx in 0..self.front.len() {
-            let r = self.front[idx];
-            let total = self.totals[r];
-            if total <= 0.0 {
-                self.frozen[r] = true;
-                self.round.push((r, None));
-                continue;
-            }
-            let rng = &mut self.rngs[r];
-            let dt = exponential_waiting_time(rng, total)?;
-            let lane = self.rates[r..].iter().step_by(replicas).copied();
-            let chosen = select_event_from(rng, lane, total);
-            let event = self.system.event(chosen);
-            self.live.apply(&self.system, event, r);
-            self.times[r] += dt;
-            self.events_executed[r] += 1;
-            match event.direction {
-                Direction::AToB => self.net_transfers[r * junctions + event.junction] += 1,
-                Direction::BToA => self.net_transfers[r * junctions + event.junction] -= 1,
-            }
-            self.frozen[r] = false;
-            self.round.push((r, Some(event)));
-        }
-        Ok(())
-    }
-
-    /// Advances every replica through up to `rounds` full-front lockstep
-    /// rounds — the branch-light fast path behind [`Self::equilibrate_all`]
-    /// and [`Self::run_events_all`]. Skips the front/round machinery
-    /// entirely: one batched fill, then a tight per-replica
-    /// draw–select–apply loop. Returns `true` when all `rounds` completed
-    /// with every replica stepping; `false` as soon as any replica froze,
-    /// or immediately when a pending drive change or an already-frozen
-    /// lane needs the general front path (callers finish there — the
-    /// per-lane state and RNG streams are bit-identical either way).
+    /// A lane whose total rate is zero freezes and stays frozen: its state
+    /// no longer changes, so it stays in the full-width fill (a bit-neutral
+    /// re-evaluation whose total stays zero) but draws no random number,
+    /// advances no clock, applies no event and ticks no refresh counter —
+    /// exactly the scalar walk, which stops at its first failed step. A
+    /// round with a frozen lane therefore applies lane by lane instead of
+    /// through the batched [`BatchedLiveState::apply_all`], which ticks
+    /// every lane. The loop ends early once every lane is frozen.
     ///
     /// `tracker` holds replica-major occupation planes with one spill slot
     /// per replica after the islands (`occupation[r * (islands + 1) + i]`,
@@ -427,10 +327,7 @@ impl BatchedKmcEngine {
         &mut self,
         rounds: usize,
         mut tracker: Option<(&mut [f64], &mut [f64])>,
-    ) -> Result<bool, MonteCarloError> {
-        if self.drives_dirty.iter().any(|&d| d) || self.frozen.iter().any(|&f| f) {
-            return Ok(false);
-        }
+    ) -> Result<(), MonteCarloError> {
         let replicas = self.replicas();
         let junctions = self.system.junctions().len();
         let islands = self.system.island_count();
@@ -446,12 +343,12 @@ impl BatchedKmcEngine {
             // uniform. Only the draws happen here (RNG streams are
             // serial per-lane state); the `ln` and the target scaling
             // run in the vectorizable clock pass below.
-            let mut froze = false;
+            let mut any_frozen = false;
             for r in 0..replicas {
                 let total = self.totals[r];
                 if total <= 0.0 {
                     self.frozen[r] = true;
-                    froze = true;
+                    any_frozen = true;
                     // u = 1 keeps the masked clock pass finite
                     // (ln_unit(1) = 0); the NaN selection uniform
                     // poisons the lane's mask so no hit bit can set.
@@ -513,28 +410,30 @@ impl BatchedKmcEngine {
                     )
                 };
             }
-            if froze {
-                // Rare: a lane froze this round. Finish the survivors one
-                // by one, then hand over to the general front path.
+            if any_frozen {
+                // Rare: a lane is frozen. Apply the live lanes one by one,
+                // leaving the frozen lanes' refresh counters untouched.
                 for r in 0..replicas {
-                    if self.totals[r] <= 0.0 {
+                    if self.frozen[r] {
                         continue;
                     }
                     let chosen = self.chosen[r];
-                    let event = self.system.event(chosen);
-                    self.live.apply(&self.system, event, r);
+                    self.live.apply(&self.system, self.system.event(chosen), r);
                     self.bookkeep_event(chosen, r, &mut tracker, islands, junctions);
                 }
-                return Ok(false);
-            }
-            // Apply pass: every lane stepped, so the store-width-aware
-            // batched apply folds all lanes' events in at once.
-            self.live.apply_all(&self.system, &self.chosen);
-            for r in 0..replicas {
-                self.bookkeep_event(self.chosen[r], r, &mut tracker, islands, junctions);
+                if self.frozen.iter().all(|&f| f) {
+                    break;
+                }
+            } else {
+                // Apply pass: every lane stepped, so the store-width-aware
+                // batched apply folds all lanes' events in at once.
+                self.live.apply_all(&self.system, &self.chosen);
+                for r in 0..replicas {
+                    self.bookkeep_event(self.chosen[r], r, &mut tracker, islands, junctions);
+                }
             }
         }
-        Ok(true)
+        Ok(())
     }
 
     /// Post-apply accounting for one executed event on lane `r`: event and
@@ -565,35 +464,10 @@ impl BatchedKmcEngine {
         }
     }
 
-    /// Advances every non-retired replica by one tunnel event. Frozen
-    /// replicas stay retired (they cost nothing) unless a drive change is
-    /// pending, in which case they rejoin the front and may thaw — the
-    /// batch-wide equivalent of calling [`MonteCarloSimulator::step`] once
-    /// per replica. Returns the number of replicas that executed an event.
-    ///
-    /// [`MonteCarloSimulator::step`]: crate::MonteCarloSimulator::step
-    ///
-    /// # Errors
-    ///
-    /// Propagates waiting-time sampling errors (which cannot occur for the
-    /// finite, positive totals the fill establishes first).
-    pub fn step_all(&mut self) -> Result<usize, MonteCarloError> {
-        let keep: Vec<bool> = (0..self.replicas())
-            .map(|r| !self.frozen[r] || self.drives_dirty[r])
-            .collect();
-        self.rebuild_front(&keep);
-        if self.front.is_empty() {
-            return Ok(0);
-        }
-        self.step_front()?;
-        Ok(self.round.iter().filter(|(_, e)| e.is_some()).count())
-    }
-
     /// Runs the equilibration phase configured in the options on every
     /// replica — each lane steps until it has executed
-    /// `equilibration_events` events or freezes, with frozen lanes
-    /// retiring from the front while the rest keep stepping — then resets
-    /// the observable counters, exactly like the scalar
+    /// `equilibration_events` events or freezes — then resets the
+    /// observable counters, exactly like the scalar
     /// [`MonteCarloSimulator::equilibrate`] per lane.
     ///
     /// [`MonteCarloSimulator::equilibrate`]:
@@ -601,38 +475,9 @@ impl BatchedKmcEngine {
     ///
     /// # Errors
     ///
-    /// Propagates step errors.
+    /// Propagates waiting-time sampling errors.
     pub fn equilibrate_all(&mut self) -> Result<(), MonteCarloError> {
-        let goal = self.options.equilibration_events;
-        if goal > 0 {
-            let before = self.events_executed.clone();
-            if !self.lockstep_rounds(goal, None)? {
-                // General front path: lanes that already had their failed
-                // (frozen) attempt simply re-confirm and retire — a
-                // re-evaluation of an unchanged lane is bit-neutral.
-                let mut keep: Vec<bool> = (0..self.replicas())
-                    .map(|r| self.events_executed[r] - before[r] < goal as u64)
-                    .collect();
-                loop {
-                    self.rebuild_front(&keep);
-                    if self.front.is_empty() {
-                        break;
-                    }
-                    self.step_front()?;
-                    for idx in 0..self.round.len() {
-                        let (r, event) = self.round[idx];
-                        match event {
-                            Some(_) => {
-                                if self.events_executed[r] - before[r] >= goal as u64 {
-                                    keep[r] = false;
-                                }
-                            }
-                            None => keep[r] = false,
-                        }
-                    }
-                }
-            }
-        }
+        self.lockstep_rounds(self.options.equilibration_events, None)?;
         self.reset_counters_all();
         Ok(())
     }
@@ -640,9 +485,8 @@ impl BatchedKmcEngine {
     /// Runs `events` measurement events on every replica (after batch-wide
     /// equilibration) and returns one [`RunResult`] per replica — the
     /// ensemble face of [`MonteCarloSimulator::run_events`]. A replica
-    /// that freezes retires early: its measurement simply ends there
-    /// (`RunResult::is_frozen` reports it) while the remaining lanes keep
-    /// stepping at full batch speed.
+    /// that freezes ends its measurement there (`RunResult::is_frozen`
+    /// reports it) while the remaining lanes keep stepping.
     ///
     /// [`MonteCarloSimulator::run_events`]:
     ///     crate::MonteCarloSimulator::run_events
@@ -650,7 +494,7 @@ impl BatchedKmcEngine {
     /// # Errors
     ///
     /// Returns [`MonteCarloError::InvalidArgument`] if `events == 0`, and
-    /// propagates step errors.
+    /// propagates waiting-time sampling errors.
     pub fn run_events_all(&mut self, events: usize) -> Result<Vec<RunResult>, MonteCarloError> {
         if events == 0 {
             return Err(MonteCarloError::InvalidArgument(
@@ -670,42 +514,7 @@ impl BatchedKmcEngine {
         for r in 0..replicas {
             segments[r * stride..(r + 1) * stride].fill(self.times[r]);
         }
-        let before = self.events_executed.clone();
-        if !self.lockstep_rounds(events, Some((&mut occupation, &mut segments)))? {
-            let mut keep: Vec<bool> = (0..replicas)
-                .map(|r| self.events_executed[r] - before[r] < events as u64)
-                .collect();
-            loop {
-                self.rebuild_front(&keep);
-                if self.front.is_empty() {
-                    break;
-                }
-                self.step_front()?;
-                for idx in 0..self.round.len() {
-                    let (r, event) = self.round[idx];
-                    match event {
-                        Some(event) => {
-                            let (from, to) = self.system.event_endpoints(event);
-                            let slots =
-                                [self.live.endpoint_slot(from), self.live.endpoint_slot(to)];
-                            settle_occupation_slots(
-                                &mut occupation,
-                                &mut segments,
-                                r * stride,
-                                slots,
-                                &self.live,
-                                r,
-                                self.times[r],
-                            );
-                            if self.events_executed[r] - before[r] >= events as u64 {
-                                keep[r] = false;
-                            }
-                        }
-                        None => keep[r] = false,
-                    }
-                }
-            }
-        }
+        self.lockstep_rounds(events, Some((&mut occupation, &mut segments)))?;
         Ok((0..replicas)
             .map(|r| {
                 let base = r * stride;
@@ -719,51 +528,6 @@ impl BatchedKmcEngine {
                 self.collect_replica(r, occupation_time)
             })
             .collect())
-    }
-
-    /// Advances every replica's event clock to at least `t` (absolute
-    /// simulation time, seconds) — the batch-wide
-    /// [`MonteCarloSimulator::run_until`]. A replica that freezes jumps
-    /// its clock directly to `t` and retires from the front; a later call
-    /// after the drive voltages change re-evaluates its rates, so frozen
-    /// lanes thaw as soon as an event becomes favourable.
-    ///
-    /// [`MonteCarloSimulator::run_until`]:
-    ///     crate::MonteCarloSimulator::run_until
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MonteCarloError::InvalidArgument`] for a non-finite
-    /// target time, and propagates step errors.
-    pub fn run_until_all(&mut self, t: f64) -> Result<(), MonteCarloError> {
-        if !t.is_finite() {
-            return Err(MonteCarloError::InvalidArgument(format!(
-                "target time must be finite, got {t}"
-            )));
-        }
-        let mut keep: Vec<bool> = self.times.iter().map(|&now| now < t).collect();
-        loop {
-            self.rebuild_front(&keep);
-            if self.front.is_empty() {
-                break;
-            }
-            self.step_front()?;
-            for idx in 0..self.round.len() {
-                let (r, event) = self.round[idx];
-                match event {
-                    Some(_) => {
-                        if self.times[r] >= t {
-                            keep[r] = false;
-                        }
-                    }
-                    None => {
-                        self.times[r] = t;
-                        keep[r] = false;
-                    }
-                }
-            }
-        }
-        Ok(())
     }
 
     /// Assembles replica `r`'s [`RunResult`] from its counters — the exact
@@ -891,44 +655,19 @@ mod tests {
     }
 
     #[test]
-    fn run_until_matches_standalone_clock_and_transfers() {
-        let options = SimulationOptions::new(1.0).with_equilibration(50);
-        let mut batch = BatchedKmcEngine::from_base_seed(set_at_peak(1e-3), options, 3, 7).unwrap();
-        batch.equilibrate_all().unwrap();
-        batch.run_until_all(10e-9).unwrap();
-        for r in 0..3 {
-            let seed = derive_seed(7, r as u64);
-            let mut scalar =
-                MonteCarloSimulator::new(set_at_peak(1e-3), options.with_seed(seed)).unwrap();
-            scalar.equilibrate().unwrap();
-            scalar.run_until(10e-9).unwrap();
-            assert_eq!(batch.time(r).to_bits(), scalar.time().to_bits());
-            assert_eq!(batch.net_transfers(r), scalar.net_transfers());
-        }
-    }
-
-    #[test]
     fn frozen_replicas_retire_without_stalling_the_batch() {
-        // Replica lanes share one system, so freeze together here — the
-        // point is that a frozen batch retires instead of spinning, and
-        // run_until jumps every clock to the target.
+        // Replica lanes share one system, so they freeze together here: a
+        // budget of 10⁹ events must return at once, every lane frozen
+        // after 0 events, instead of spinning through the rounds.
         let options = SimulationOptions::new(0.0).with_equilibration(0);
         let mut batch = BatchedKmcEngine::from_base_seed(blockaded(), options, 4, 3).unwrap();
-        assert_eq!(batch.step_all().unwrap(), 0, "no lane can step");
-        assert!((0..4).all(|r| batch.is_frozen(r)));
-        // Retired lanes cost nothing: another step_all touches no lane.
-        assert_eq!(batch.step_all().unwrap(), 0);
-        batch.run_until_all(5e-9).unwrap();
-        assert!((0..4).all(|r| batch.time(r) == 5e-9));
-        let results = batch.run_events_all(100).unwrap();
-        for result in &results {
+        let results = batch.run_events_all(1_000_000_000).unwrap();
+        for (r, result) in results.iter().enumerate() {
             assert!(result.is_frozen());
             assert_eq!(result.events(), 0);
+            assert_eq!(result.total_time(), 0.0);
+            assert!(batch.is_frozen(r));
         }
-        // A drive change thaws the whole batch.
-        batch.system_mut().set_external_voltage(0, 0.5).unwrap();
-        assert_eq!(batch.step_all().unwrap(), 4);
-        assert!((0..4).all(|r| !batch.is_frozen(r)));
     }
 
     /// A gated chain with `junctions` junctions (`2 · junctions` events).
@@ -980,6 +719,5 @@ mod tests {
         );
         let mut batch = BatchedKmcEngine::from_base_seed(set_at_peak(1e-3), options, 2, 1).unwrap();
         assert!(batch.run_events_all(0).is_err());
-        assert!(batch.run_until_all(f64::NAN).is_err());
     }
 }

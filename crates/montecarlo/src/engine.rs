@@ -19,18 +19,19 @@ use se_engine::{
 use se_orthodox::TunnelSystem;
 use se_units::constants::E;
 
-/// Least replicas an ensemble group needs to run on the
+/// Least replicas a stationary ensemble group needs to run on the
 /// [`BatchedKmcEngine`]. Narrower groups loop the scalar engine: measured
 /// with `sesim --serial` on a 4-island chain ensemble (2-vCPU AVX-512 Xeon
 /// host), 4–7-lane batches ran 1.4–1.5× slower than scalar replicas, and
 /// 8- and 16-lane batches 1.6× and 1.9× faster.
 pub const BATCH_MIN_REPLICAS: usize = 8;
 
-/// The ensemble routing rule: a group of `replicas` runs batched only when
-/// it has at least [`BATCH_MIN_REPLICAS`] replicas and the circuit is one
-/// the batched engine serves (flat kernel, at most 64 events; on the tree
-/// kernel the scalar walk measured faster). Every replica is bit-identical
-/// to its scalar walk either way, so the rule decides speed only.
+/// The stationary ensemble routing rule: a group of `replicas` runs
+/// batched only when it has at least [`BATCH_MIN_REPLICAS`] replicas and
+/// the circuit is one the batched engine serves (flat kernel, at most 64
+/// events; on the tree kernel the scalar walk measured faster). Every
+/// replica is bit-identical to its scalar walk either way, so the rule
+/// decides speed only.
 fn runs_batched(system: &TunnelSystem, options: &SimulationOptions, replicas: usize) -> bool {
     replicas >= BATCH_MIN_REPLICAS && batch_serves(options.kernel, system.event_count())
 }
@@ -339,88 +340,6 @@ impl TransientEngine for MonteCarloSimulator {
             currents,
         ))
     }
-
-    /// A transient seed ensemble that passes the routing rule runs through
-    /// the [`BatchedKmcEngine`]: every replica follows the same
-    /// zero-order-hold drive schedule (the batch shares one system) while
-    /// the event walks stay independent per replica. Any other ensemble
-    /// loops [`Self::transient_currents`]. Trace `k` is bit-identical to
-    /// [`Self::transient_currents`] with `seeds[k]` on both routes — same
-    /// lazy drive-sync timing, same per-lane RNG stream — so
-    /// [`se_engine::TransientRunner::run_repeats`] can route repeats here
-    /// without changing a published number.
-    fn transient_currents_ensemble(
-        &self,
-        drives: &[(ControlId, Waveform)],
-        observables: &[ObservableId],
-        times: &[f64],
-        seeds: &[u64],
-    ) -> Result<Vec<TransientTrace>, MonteCarloError> {
-        se_engine::transient::check_sample_times::<MonteCarloError>(times)?;
-        if !runs_batched(self.system(), self.options(), seeds.len()) {
-            return seeds
-                .iter()
-                .map(|&seed| self.transient_currents(drives, observables, times, seed))
-                .collect();
-        }
-        let junction_count = self.system().junctions().len();
-        for &ObservableId(junction) in observables {
-            if junction >= junction_count {
-                return Err(MonteCarloError::InvalidArgument(format!(
-                    "unknown junction handle {junction}"
-                )));
-            }
-        }
-
-        let mut system = self.system().clone();
-        for &(ControlId(electrode), ref waveform) in drives {
-            system.set_external_voltage(electrode, waveform.value_at(0.0))?;
-        }
-        let replicas = seeds.len();
-        let mut batch = BatchedKmcEngine::new(system, *self.options(), seeds)?;
-        batch.equilibrate_all()?;
-
-        let mut currents = vec![Vec::with_capacity(times.len() * observables.len()); replicas];
-        let mut previous_transfers = vec![vec![0_i64; junction_count]; replicas];
-        let mut t_prev = 0.0;
-        for &t in times {
-            if t == 0.0 {
-                for lane in &mut currents {
-                    lane.resize(lane.len() + observables.len(), 0.0);
-                }
-                continue;
-            }
-            for &(ControlId(electrode), ref waveform) in drives {
-                batch
-                    .system_mut()
-                    .set_external_voltage(electrode, waveform.value_at(t))?;
-            }
-            batch.run_until_all(t)?;
-            let window = t - t_prev;
-            for (r, (lane, previous)) in currents
-                .iter_mut()
-                .zip(previous_transfers.iter_mut())
-                .enumerate()
-            {
-                let transfers = batch.net_transfers(r);
-                for &ObservableId(junction) in observables {
-                    let tunnelled = transfers[junction] - previous[junction];
-                    // Same sign convention as the scalar transient face.
-                    lane.push(-E * tunnelled as f64 / window);
-                }
-                previous.copy_from_slice(transfers);
-            }
-            t_prev = t;
-        }
-        Ok(currents
-            .into_iter()
-            .map(|lane| TransientTrace::new(times.to_vec(), observables.len(), lane))
-            .collect())
-    }
-
-    fn has_batched_transient_ensemble(&self) -> bool {
-        true
-    }
 }
 
 #[cfg(test)]
@@ -653,65 +572,6 @@ mod tests {
         .unwrap();
         let seeds: Vec<u64> = (0..16).map(|k| 100 + k).collect();
         assert_stationary_rows_match(&chain, &seeds);
-    }
-
-    #[test]
-    fn transient_ensemble_is_bit_identical_to_the_per_seed_loop() {
-        let vg = E / (2.0 * 1e-18);
-        let sim = MonteCarloSimulator::new(
-            set_system(0.0, vg),
-            SimulationOptions::new(1.0)
-                .with_seed(3)
-                .with_equilibration(200),
-        )
-        .unwrap();
-        assert!(sim.has_batched_transient_ensemble());
-        let drain = TransientEngine::resolve_drive(&sim, "drain").unwrap();
-        let jd = TransientEngine::resolve_observable(&sim, "JD").unwrap();
-        let pulse = Waveform::pulse(0.0, 1e-3, 20e-9, 40e-9, 1e-6).unwrap();
-        let times: Vec<f64> = (0..6).map(|i| i as f64 * 10e-9).collect();
-        // Three replicas take the scalar route, eight the batched one.
-        for seeds in [&[5, 6, 7][..], &[5, 6, 7, 8, 9, 10, 11, 12][..]] {
-            let traces = sim
-                .transient_currents_ensemble(&[(drain, pulse.clone())], &[jd], &times, seeds)
-                .unwrap();
-            assert_eq!(traces.len(), seeds.len());
-            for (trace, &seed) in traces.iter().zip(seeds) {
-                let scalar = sim
-                    .transient_currents(&[(drain, pulse.clone())], &[jd], &times, seed)
-                    .unwrap();
-                assert_eq!(trace, &scalar, "seed {seed} diverged");
-            }
-        }
-    }
-
-    #[test]
-    fn run_repeats_routes_through_the_batch_unchanged() {
-        // More repeats than one ENSEMBLE_CHUNK, so the grouped path splits
-        // into several batches — results must still match the per-repeat
-        // default loop bit for bit.
-        let vg = E / (2.0 * 1e-18);
-        let sim = MonteCarloSimulator::new(
-            set_system(1e-3, vg),
-            SimulationOptions::new(1.0).with_equilibration(50),
-        )
-        .unwrap();
-        let times: Vec<f64> = (1..4).map(|i| i as f64 * 5e-9).collect();
-        let repeats = se_engine::ENSEMBLE_CHUNK + 3;
-        let runner = se_engine::TransientRunner::new().with_seed(9);
-        let via_batch = runner
-            .run_repeats(&sim, &[], &["JD"], &times, repeats)
-            .unwrap();
-        // The default per-seed loop with the same derived seeds.
-        let loose: Vec<TransientTrace> = (0..repeats)
-            .map(|k| {
-                sim.transient_currents(&[], &[ObservableId(0)], &times, {
-                    se_engine::derive_seed(9, k as u64)
-                })
-                .unwrap()
-            })
-            .collect();
-        assert_eq!(via_batch, loose);
     }
 
     #[test]

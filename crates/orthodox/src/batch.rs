@@ -27,9 +27,13 @@
 //! per rate; only mid-regime (thermal-window) events fall back to the exact
 //! shared kernel (`rate_from_parts` in [`crate::rates`]).
 //!
+//! The batch serves stationary ensembles: every lane shares the system's
+//! drive voltages and background charges, which stay fixed for the batch's
+//! lifetime, so only tunnel events move a lane's potentials.
+//!
 //! Bit-identity contract: every floating-point operation applied to one
 //! replica's lane — the potential axpys of [`BatchedLiveState::apply`] and
-//! [`BatchedLiveState::sync_replica`], the per-junction rate evaluation and
+//! [`BatchedLiveState::apply_all`], the per-junction rate evaluation and
 //! the junction-order total accumulation, and the periodic exact refresh
 //! after [`REFRESH_INTERVAL`] lane updates — is the *same operation in the
 //! same order* as the scalar [`LiveState`](crate::LiveState) path. A batch lane is therefore
@@ -48,19 +52,18 @@ use se_units::constants::E;
 ///
 /// The batched sibling of [`LiveState`](crate::LiveState): replica `r`'s lane — the strided
 /// elements `phi[e·N + r]`, `electrons[i·N + r]` — evolves through exactly
-/// the scalar update algebra (one response-column axpy per event or drive
-/// change, an exact recompute every [`REFRESH_INTERVAL`] lane updates), so
-/// each lane stays bit-identical to a standalone `LiveState` fed the same
-/// sequence of events and syncs.
+/// the scalar update algebra (one response-column axpy per event, an exact
+/// recompute every [`REFRESH_INTERVAL`] lane updates), so each lane stays
+/// bit-identical to a standalone `LiveState` fed the same sequence of
+/// events.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BatchedLiveState {
     replicas: usize,
     islands: usize,
     externals: usize,
     /// Endpoint-major potential planes: `phi[e * replicas + r]`, islands
-    /// first, then externals. The external planes double as each replica's
-    /// record of the last drive values folded in (what `sync_replica`
-    /// compares against), exactly like the scalar flat buffer's tail.
+    /// first, then the externals' drive voltages, exactly like the scalar
+    /// flat buffer's tail.
     phi: Vec<f64>,
     /// Island-major electron planes: `electrons[i * replicas + r]`, plus
     /// one trailing *spill plane* at index `islands`. The spill plane lets
@@ -70,8 +73,6 @@ pub struct BatchedLiveState {
     /// data-dependent branches a lockstep front cannot predict. Spill
     /// contents are garbage by design and never read back as physics.
     electrons: Vec<i64>,
-    /// Island-major planes of the last-seen background charges.
-    seen_backgrounds: Vec<f64>,
     /// Per-replica incremental-update counters driving the periodic exact
     /// refresh (the same deterministic schedule as the scalar path).
     updates_since_refresh: Vec<u32>,
@@ -132,7 +133,6 @@ impl BatchedLiveState {
             phi: vec![0.0; (islands + externals) * replicas],
             // One extra spill plane (see the field docs) after the islands.
             electrons: vec![0; (islands + 1) * replicas],
-            seen_backgrounds: vec![0.0; islands * replicas],
             updates_since_refresh: vec![0; replicas],
             scratch: state.clone(),
             event_slots,
@@ -150,10 +150,6 @@ impl BatchedLiveState {
         for k in 0..externals {
             let plane = (islands + k) * replicas;
             live.phi[plane..plane + replicas].fill(system.external_voltage(k));
-        }
-        for i in 0..islands {
-            let plane = i * replicas;
-            live.seen_backgrounds[plane..plane + replicas].fill(system.background_charge(i));
         }
         Ok(live)
     }
@@ -251,45 +247,7 @@ impl BatchedLiveState {
         for k in 0..self.externals {
             self.phi[(self.islands + k) * replicas + r] = system.external_voltage(k);
         }
-        for i in 0..self.islands {
-            self.seen_backgrounds[i * replicas + r] = system.background_charge(i);
-        }
         self.updates_since_refresh[r] = 0;
-    }
-
-    /// Folds any drive-voltage or background-charge changes made to the
-    /// system since replica `r` last synced into its lane — one axpy of the
-    /// precomputed response column per changed value, exactly the scalar
-    /// [`LiveState::sync`](crate::LiveState::sync) comparison pass on lane `r`.
-    pub fn sync_replica(&mut self, system: &TunnelSystem, r: usize) {
-        let replicas = self.replicas;
-        for k in 0..self.externals {
-            let v = system.external_voltage(k);
-            let seen = self.phi[(self.islands + k) * replicas + r];
-            if v != seen {
-                let dv = v - seen;
-                let column = system.drive_response(k);
-                for (i, &c) in column.iter().enumerate() {
-                    self.phi[i * replicas + r] += dv * c;
-                }
-                self.phi[(self.islands + k) * replicas + r] = v;
-                self.count_update(system, r);
-            }
-        }
-        for i in 0..self.islands {
-            let q0 = system.background_charge(i);
-            let seen = self.seen_backgrounds[i * replicas + r];
-            if q0 != seen {
-                // q_i = −e·n_i + e·q0_i, so Δq0 adds e·Δq0 of island charge.
-                let dq = E * (q0 - seen);
-                let column = system.inverse_row(i);
-                for (ii, &c) in column.iter().enumerate() {
-                    self.phi[ii * replicas + r] += dq * c;
-                }
-                self.seen_backgrounds[i * replicas + r] = q0;
-                self.count_update(system, r);
-            }
-        }
     }
 
     /// Applies a tunnel event to replica `r`: one electron moves and the
@@ -362,7 +320,10 @@ impl BatchedLiveState {
         for (plane, &c) in self.phi.chunks_exact_mut(replicas).zip(column.iter()) {
             plane[r] += sign * c;
         }
-        self.count_update(system, r);
+        self.updates_since_refresh[r] += 1;
+        if self.updates_since_refresh[r] >= REFRESH_INTERVAL {
+            self.refresh_replica(system, r);
+        }
     }
 
     /// Applies one chosen event **per lane** — `chosen[r]` is the canonical
@@ -429,13 +390,6 @@ impl BatchedLiveState {
                     self.refresh_replica(system, r);
                 }
             }
-        }
-    }
-
-    fn count_update(&mut self, system: &TunnelSystem, r: usize) {
-        self.updates_since_refresh[r] += 1;
-        if self.updates_since_refresh[r] >= REFRESH_INTERVAL {
-            self.refresh_replica(system, r);
         }
     }
 }
@@ -677,60 +631,6 @@ impl BatchedRateContext {
             }
         }
     }
-
-    /// [`Self::fill_rates_batch`] restricted to a subset of replica lanes —
-    /// used once a batch front has retired replicas, so finished lanes cost
-    /// nothing. Only the listed replicas' rate lanes and totals are
-    /// (re)written; `rates`/`totals` must already have the full batch shape
-    /// (call [`Self::fill_rates_batch`] first or size them identically).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a subset index is out of range or the buffers have the
-    /// wrong shape.
-    pub fn fill_rates_subset(
-        &self,
-        system: &TunnelSystem,
-        live: &BatchedLiveState,
-        rates: &mut [f64],
-        totals: &mut [f64],
-        subset: &[usize],
-    ) {
-        let replicas = self.replicas;
-        assert_eq!(live.replicas(), replicas, "replica counts must match");
-        let endpoints = self.ctx.endpoints();
-        assert_eq!(rates.len(), 2 * endpoints.len() * replicas);
-        assert_eq!(totals.len(), replicas);
-        debug_assert_eq!(endpoints.len(), system.junctions().len());
-        let phi = live.endpoint_planes();
-        let kt = self.ctx.kt();
-        let inv_kt = self.ctx.inv_kt();
-        let cutoff = self.ctx.frozen_cutoff();
-        for &r in subset {
-            totals[r] = 0.0;
-        }
-        for (j, &(ia, ib)) in endpoints.iter().enumerate() {
-            let prefactor = self.ctx.prefactors()[j];
-            let self_energy = self.ctx.self_energies()[j];
-            let plane_a = &phi[ia * replicas..(ia + 1) * replicas];
-            let plane_b = &phi[ib * replicas..(ib + 1) * replicas];
-            let (out_ab, rest) = rates[2 * j * replicas..].split_at_mut(replicas);
-            let out_ba = &mut rest[..replicas];
-            for &r in subset {
-                let (rate_ab, rate_ba) = directed_rates(
-                    E * (plane_a[r] - plane_b[r]),
-                    self_energy,
-                    prefactor,
-                    kt,
-                    inv_kt,
-                    cutoff,
-                );
-                out_ab[r] = rate_ab;
-                out_ba[r] = rate_ba;
-                totals[r] += rate_ab + rate_ba;
-            }
-        }
-    }
 }
 
 /// Both directed rates of one junction given the potential gap — the
@@ -885,59 +785,6 @@ mod tests {
         assert_eq!(batch.updates_since_refresh[1], 0);
         let exact = system.island_potentials(&batch.charge_state(1));
         assert_eq!(batch.potentials(1), exact, "idle lane holds exact values");
-    }
-
-    #[test]
-    fn sync_replica_matches_scalar_sync() {
-        let mut system = chain(0.0, 0.0);
-        let mut batch = BatchedLiveState::new(&system, ChargeState(vec![1, -2]), 3).unwrap();
-        let mut scalar = LiveState::new(&system, ChargeState(vec![1, -2]));
-        system.set_external_voltage(0, 4e-3).unwrap();
-        system.set_external_voltage(2, -0.07).unwrap();
-        system.set_background_charge(1, 0.35).unwrap();
-        scalar.sync(&system);
-        // Sync lanes 0 and 2, leave lane 1 stale.
-        batch.sync_replica(&system, 0);
-        batch.sync_replica(&system, 2);
-        assert_eq!(batch.potentials(0), scalar.potentials());
-        assert_eq!(batch.potentials(2), scalar.potentials());
-        assert_ne!(batch.potentials(1), scalar.potentials());
-        // A second sync of a clean lane is a no-op.
-        let before = batch.clone();
-        batch.sync_replica(&system, 0);
-        assert_eq!(before, batch);
-    }
-
-    #[test]
-    fn subset_fill_matches_the_full_fill() {
-        let system = chain(2e-3, 0.05);
-        let replicas = 4;
-        let mut batch = BatchedLiveState::new(&system, ChargeState::neutral(2), replicas).unwrap();
-        let ctx = BatchedRateContext::new(&system, 0.5, replicas).unwrap();
-        let mut walks: Vec<u64> = (0..replicas).map(|r| 77 + r as u64).collect();
-        for _ in 0..50 {
-            for (r, walk) in walks.iter_mut().enumerate() {
-                let event = walk_event(walk, &system);
-                batch.apply(&system, event, r);
-            }
-        }
-        let mut full_rates = Vec::new();
-        let mut full_totals = Vec::new();
-        ctx.fill_rates_batch(&system, &batch, &mut full_rates, &mut full_totals);
-        let mut sub_rates = vec![f64::NAN; full_rates.len()];
-        let mut sub_totals = vec![f64::NAN; full_totals.len()];
-        let subset = [0, 2, 3];
-        ctx.fill_rates_subset(&system, &batch, &mut sub_rates, &mut sub_totals, &subset);
-        for &r in &subset {
-            assert_eq!(sub_totals[r].to_bits(), full_totals[r].to_bits());
-            for e in 0..system.event_count() {
-                assert_eq!(
-                    sub_rates[e * replicas + r].to_bits(),
-                    full_rates[e * replicas + r].to_bits()
-                );
-            }
-        }
-        assert!(sub_totals[1].is_nan(), "unlisted lane untouched");
     }
 
     #[test]

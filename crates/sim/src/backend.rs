@@ -148,22 +148,6 @@ where
             .engine
             .transient_currents(drives, observables, times, seed)?)
     }
-
-    fn transient_currents_ensemble(
-        &self,
-        drives: &[(ControlId, Waveform)],
-        observables: &[ObservableId],
-        times: &[f64],
-        seeds: &[u64],
-    ) -> Result<Vec<TransientTrace>, SimError> {
-        Ok(self
-            .engine
-            .transient_currents_ensemble(drives, observables, times, seeds)?)
-    }
-
-    fn has_batched_transient_ensemble(&self) -> bool {
-        self.engine.has_batched_transient_ensemble()
-    }
 }
 
 /// The analytic SET model addressed with deck names: sources map to the
@@ -666,31 +650,6 @@ impl TransientEngine for TransientBackend {
             TransientBackend::Hybrid(e) => {
                 Ok(e.transient_currents(drives, observables, times, seed)?)
             }
-        }
-    }
-
-    fn transient_currents_ensemble(
-        &self,
-        drives: &[(ControlId, Waveform)],
-        observables: &[ObservableId],
-        times: &[f64],
-        seeds: &[u64],
-    ) -> Result<Vec<TransientTrace>, SimError> {
-        match self {
-            TransientBackend::Kmc(e) => {
-                e.transient_currents_ensemble(drives, observables, times, seeds)
-            }
-            other => seeds
-                .iter()
-                .map(|&seed| other.transient_currents(drives, observables, times, seed))
-                .collect(),
-        }
-    }
-
-    fn has_batched_transient_ensemble(&self) -> bool {
-        match self {
-            TransientBackend::Kmc(e) => e.has_batched_transient_ensemble(),
-            _ => false,
         }
     }
 }

@@ -58,12 +58,14 @@ pub struct ExecOptions {
     /// Cooperative cancellation: when the token fires, workers stop, and a
     /// checkpointed run can later resume from the completed chunks.
     pub cancel: Option<CancelToken>,
-    /// Force `.options repeats=` ensembles through the per-seed scalar
-    /// loop, bypassing the engine's ensemble routing (which runs lane
-    /// groups of [`DEFAULT_LANE_WIDTH`] or more replicas on flat-kernel
-    /// circuits on the batched lockstep engine). The batched path is
-    /// bit-identical by contract; this switch exists so the determinism
-    /// gate can *prove* it by diffing the two executions.
+    /// Force `.options repeats=` stationary ensembles (`.dc` sweeps and
+    /// maps) through the per-seed scalar loop, bypassing the engine's
+    /// ensemble routing (which runs lane groups of [`DEFAULT_LANE_WIDTH`]
+    /// or more replicas on flat-kernel circuits on the batched lockstep
+    /// engine). The batched path is bit-identical by contract; this switch
+    /// exists so the determinism gate can *prove* it by diffing the two
+    /// executions. Transient ensembles always loop the scalar engine, so
+    /// the switch leaves them unchanged.
     pub scalar_ensemble: bool,
     /// Replicas per ensemble lane group (`None` = [`DEFAULT_LANE_WIDTH`]):
     /// each bias point's `repeats` replicas shard into
@@ -251,9 +253,9 @@ pub(crate) struct PreparedJob {
     /// Seed-ensemble size per bias point (`.options repeats=`); `None` =
     /// single-shot rows.
     repeats: Option<usize>,
-    /// Route ensembles through the per-seed scalar loop (the determinism
-    /// gate's reference execution) instead of the engine's own ensemble
-    /// face.
+    /// Route stationary ensembles through the per-seed scalar loop (the
+    /// determinism gate's reference execution) instead of the engine's own
+    /// ensemble face.
     scalar_ensemble: bool,
     /// Output points (bias points for sweeps/maps, 1 for transients). For
     /// ensembles the job fans out further: `spec.items()` is
@@ -494,16 +496,9 @@ impl PreparedJob {
         group: usize,
     ) -> Result<Vec<Vec<f64>>, SimError> {
         let seeds = self.group_seeds(point_seed, group);
-        let traces = if self.scalar_ensemble {
-            seeds
-                .iter()
-                .map(|&s| backend.transient_currents(drives, observables, times, s))
-                .collect::<Result<Vec<_>, _>>()?
-        } else {
-            backend.transient_currents_ensemble(drives, observables, times, &seeds)?
-        };
-        let mut rows = Vec::with_capacity(traces.len() * times.len());
-        for trace in &traces {
+        let mut rows = Vec::with_capacity(seeds.len() * times.len());
+        for &seed in &seeds {
+            let trace = backend.transient_currents(drives, observables, times, seed)?;
             for i in 0..times.len() {
                 rows.push(trace.row(i).to_vec());
             }

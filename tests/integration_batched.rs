@@ -8,7 +8,7 @@
 //! every waiting time, every chosen event, every cached potential. These
 //! tests pin that contract over random circuits, replica counts, event
 //! budgets and temperatures — including `T = 0`, where whole batches
-//! freeze — plus a dedicated test that frozen replicas retire without
+//! freeze — plus a dedicated test that frozen replicas are masked without
 //! stalling or corrupting the lanes still running.
 
 use proptest::prelude::*;
@@ -226,30 +226,40 @@ proptest! {
     }
 }
 
-/// A `repeats=` ensemble staircase deck over the reference SET.
-fn ensemble_deck(seed: u64, temperature: f64, repeats: usize) -> String {
+/// A `repeats=` ensemble deck over the reference SET: a `.dc` staircase,
+/// or (`transient`) a `.tran` run under a drain pulse with the gate at
+/// the conductance peak.
+fn ensemble_deck(seed: u64, temperature: f64, repeats: usize, transient: bool) -> String {
+    let (drain, gate, analysis) = if transient {
+        (
+            "PULSE(0 1m 10n 20n 40n)",
+            "0.08",
+            ".tran 5n 50n\n.print tran i(J1)",
+        )
+    } else {
+        ("0", "0", ".dc VD 0 0.06 0.02\n.print dc i(J1)")
+    };
     format!(
         "lane-width identity\n\
-         VD drain 0 0\n\
-         VG gate 0 0\n\
+         VD drain 0 {drain}\n\
+         VG gate 0 {gate}\n\
          J1 drain island C=0.5a R=100k\n\
          J2 island 0 C=0.5a R=100k\n\
          CG gate island 1a\n\
          .options temp={temperature:?} seed={seed} engine=kmc events=600 repeats={repeats}\n\
-         .dc VD 0 0.06 0.02\n\
-         .print dc i(J1)\n"
+         {analysis}\n"
     )
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// The published ensemble tables are byte-identical across lane
-    /// widths, worker counts and the per-seed scalar fallback: replica
-    /// `k` of a point is always the same walk, however the replicas are
-    /// grouped into work items. Up to 19 repeats, so groups of 8 or more
-    /// replicas take the batched engine while narrower ones loop the
-    /// scalar engine.
+    /// The published ensemble tables — stationary and transient — are
+    /// byte-identical across lane widths, worker counts and the per-seed
+    /// scalar fallback: replica `k` of a point is always the same walk,
+    /// however the replicas are grouped into work items. Up to 19
+    /// repeats, so stationary groups of 8 or more replicas take the
+    /// batched engine while narrower ones loop the scalar engine.
     #[test]
     fn prop_ensemble_tables_are_identical_across_lane_widths(
         seed in 0_u64..1_000_000,
@@ -257,31 +267,34 @@ proptest! {
         repeats in 1_usize..20,
         widths in proptest::collection::vec(1_usize..12, 2),
     ) {
-        let deck = parse_full_deck(&ensemble_deck(seed, temperature, repeats)).unwrap();
-        let plan = compile(&deck).unwrap();
-        let run = |lane_width: Option<usize>, scalar: bool| {
-            execute_with_options(&deck, &plan, &ExecOptions {
-                lane_width,
-                scalar_ensemble: scalar,
-                ..ExecOptions::default()
-            })
-            .expect("ensemble deck runs")
-        };
-        let baseline = run(None, false);
-        for &width in &widths {
-            prop_assert_eq!(&run(Some(width), false), &baseline, "width {}", width);
+        for transient in [false, true] {
+            let text = ensemble_deck(seed, temperature, repeats, transient);
+            let deck = parse_full_deck(&text).unwrap();
+            let plan = compile(&deck).unwrap();
+            let run = |lane_width: Option<usize>, scalar: bool| {
+                execute_with_options(&deck, &plan, &ExecOptions {
+                    lane_width,
+                    scalar_ensemble: scalar,
+                    ..ExecOptions::default()
+                })
+                .expect("ensemble deck runs")
+            };
+            let baseline = run(None, false);
+            for &width in &widths {
+                prop_assert_eq!(&run(Some(width), false), &baseline, "width {}", width);
+            }
+            // The scalar fallback (under an arbitrary grouping) matches too.
+            prop_assert_eq!(&run(Some(widths[0]), true), &baseline);
         }
-        // The scalar fallback (under an arbitrary grouping) matches too.
-        prop_assert_eq!(&run(Some(widths[0]), true), &baseline);
     }
 }
 
 /// Builds a relaxation-only circuit: zero bias, zero temperature, but
 /// gated islands whose ground state holds electrons. Starting from the
 /// neutral state, each replica fires a few downhill tunnel events in a
-/// seed-dependent order and then freezes — lanes retire at different
-/// steps, which is exactly the partial-retirement regime the batch front
-/// must survive.
+/// seed-dependent order and then freezes — lanes freeze at different
+/// rounds, which is exactly the partial-freeze regime the lockstep loop
+/// must mask.
 fn relaxing_system() -> TunnelSystem {
     let mut b = TunnelSystemBuilder::new();
     let drain = b.external("drain", 0.0);
@@ -297,22 +310,24 @@ fn relaxing_system() -> TunnelSystem {
     b.build().expect("valid relaxation fixture")
 }
 
-/// Frozen replicas retire from the lockstep front without stalling the
-/// batch or perturbing the still-running lanes, and every retired lane
-/// still matches its standalone walk bit for bit.
+/// Frozen replicas are masked in the lockstep loop without stalling the
+/// batch or perturbing the still-running lanes, and every frozen lane
+/// still matches its standalone walk bit for bit — whether the lanes
+/// freeze during the measurement or inside `equilibrate_all`.
 #[test]
 fn frozen_replicas_retire_without_stalling_the_batch() {
     let system = relaxing_system();
     let replicas = 8;
     let budget = 500;
+    let base_seed = 11;
     let options = SimulationOptions::new(0.0).with_equilibration(0);
-    let mut batch = BatchedKmcEngine::from_base_seed(system.clone(), options, replicas, 11)
+    let mut batch = BatchedKmcEngine::from_base_seed(system.clone(), options, replicas, base_seed)
         .expect("valid batch");
     let results = batch.run_events_all(budget).expect("run completes");
 
     // At T = 0 the relaxation cascade is finite: every lane must have
     // frozen well short of the budget (the run returned instead of
-    // spinning on retired lanes), after at least one downhill event.
+    // spinning on frozen lanes), after at least one downhill event.
     for (k, result) in results.iter().enumerate() {
         assert!(batch.is_frozen(k), "replica {k} should have frozen");
         assert!(
@@ -321,14 +336,25 @@ fn frozen_replicas_retire_without_stalling_the_batch() {
             result.events()
         );
     }
+    // The cascades differ in length, so the lanes froze at different
+    // rounds.
+    let first = results[0].events();
+    assert!(
+        results.iter().any(|result| result.events() != first),
+        "the fixture should freeze its lanes at different rounds"
+    );
+    assert_batch_matches_standalone(&system, 0.0, base_seed, replicas, 0, budget);
 
-    // A frozen batch is quiescent: stepping it again advances nothing.
-    let advanced = batch
-        .step_all()
-        .expect("stepping a frozen batch is a no-op");
-    assert_eq!(advanced, 0, "no lane should advance after retirement");
-
-    // Retirement must not have corrupted any lane: each one, replayed
-    // standalone with the same derived seed, lands on the same state.
-    assert_batch_matches_standalone(&system, 0.0, 11, replicas, 0, budget);
+    // An equilibration longer than every cascade freezes the same lanes
+    // at the same different rounds inside `equilibrate_all`; the
+    // measurement then finds every lane frozen after 0 events.
+    let equilibration = 64;
+    let options = options.with_equilibration(equilibration);
+    let mut batch = BatchedKmcEngine::from_base_seed(system.clone(), options, replicas, base_seed)
+        .expect("valid batch");
+    for (k, result) in batch.run_events_all(budget).unwrap().iter().enumerate() {
+        assert!(result.is_frozen(), "replica {k} should stay frozen");
+        assert_eq!(result.events(), 0, "replica {k} froze while equilibrating");
+    }
+    assert_batch_matches_standalone(&system, 0.0, base_seed, replicas, equilibration, budget);
 }
