@@ -1,9 +1,8 @@
 //! Shared kinetic Monte-Carlo bench harness.
 //!
 //! One place that builds, runs and times the scalar incremental engine and
-//! the batched lockstep engine, so `benches/kmc_throughput.rs` and
-//! `benches/kmc_hotpath.rs` measure the *same* loops instead of each
-//! reconstructing its own copy.
+//! the batched lockstep engine for `benches/kmc_hotpath.rs` and its
+//! `BENCH_kmc.json` record.
 
 use se_engine::derive_seed;
 use se_exec::{lane_group_count, lane_group_range, run_collect, JobSpec};

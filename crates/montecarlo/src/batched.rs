@@ -81,11 +81,6 @@ pub struct BatchedKmcEngine {
     net_transfers: Vec<i64>,
     events_executed: Vec<u64>,
     frozen: Vec<bool>,
-    /// Per-event decode table for the branchless apply phase:
-    /// `[from_slot, to_slot]` per canonical event index (slots per
-    /// [`BatchedLiveState::endpoint_slot`] — island index or the spill
-    /// slot).
-    event_slots: Vec<[usize; 2]>,
     /// Scratch: per-replica selection targets drawn in the RNG phase.
     targets: Vec<f64>,
     /// Scratch: per-replica waiting-time uniforms of the current round —
@@ -147,12 +142,6 @@ impl BatchedKmcEngine {
         let junctions = system.junctions().len();
         let rate_ctx = BatchedRateContext::new(&system, options.temperature, replicas)?;
         let live = BatchedLiveState::new(&system, ChargeState::neutral(islands), replicas)?;
-        let event_slots = (0..system.event_count())
-            .map(|e| {
-                let (from, to) = system.event_endpoints(system.event(e));
-                [live.endpoint_slot(from), live.endpoint_slot(to)]
-            })
-            .collect();
         Ok(BatchedKmcEngine {
             system,
             options,
@@ -165,7 +154,6 @@ impl BatchedKmcEngine {
             net_transfers: vec![0; junctions * replicas],
             events_executed: vec![0; replicas],
             frozen: vec![false; replicas],
-            event_slots,
             targets: vec![0.0; replicas],
             wait_u: vec![0.0; replicas],
             sel_u: vec![0.0; replicas],
@@ -456,7 +444,7 @@ impl BatchedKmcEngine {
                 occupation,
                 segments,
                 r * (islands + 1),
-                self.event_slots[chosen],
+                self.live.event_slots(chosen),
                 &self.live,
                 r,
                 self.times[r],

@@ -275,6 +275,18 @@ impl BatchedLiveState {
         );
     }
 
+    /// The `[from_slot, to_slot]` pair of canonical event `event` (see
+    /// [`Self::endpoint_slot`]), from the table the batched applies decode.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `event` is out of range.
+    #[inline]
+    #[must_use]
+    pub fn event_slots(&self, event: usize) -> [usize; 2] {
+        self.event_slots[event]
+    }
+
     /// The slot (electron-plane index) an endpoint maps to: the island
     /// index for an island, the spill slot `islands()` for an external —
     /// the addressing scheme of [`Self::apply_slotted`].

@@ -59,10 +59,8 @@
 //! (see `docs/DETERMINISM.md` §10).
 
 use crate::live::{LiveState, RateContext};
-use crate::rates::{rate_from_parts, rate_from_parts_branchfree};
 use crate::system::{Direction, TunnelEvent, TunnelSystem};
 use se_numeric::partial_sum::PartialSumTree;
-use se_units::constants::E;
 
 /// Below this many candidate events, the KMC engine's `KmcKernel::Auto`
 /// stays on the reference full-recompute path: a handful-of-junctions
@@ -70,73 +68,6 @@ use se_units::constants::E;
 /// small-circuit traces keep their committed bits. From this count up, the
 /// O(strong + log E) incremental kernel wins and Auto routes through it.
 pub const AUTO_TREE_THRESHOLD: usize = 64;
-
-/// Everything a ΔF/rate evaluation needs, gathered once per entry point so
-/// the per-junction routines take one borrow instead of seven.
-struct EvalParams<'a> {
-    endpoints: &'a [(usize, usize)],
-    self_energies: &'a [f64],
-    prefactors: &'a [f64],
-    kt: f64,
-    inv_kt: f64,
-    /// The `fill_rates` frozen cutoff: above it the rate is exactly zero.
-    cutoff: f64,
-    /// The live state's flat endpoint-potential buffer.
-    phi: &'a [f64],
-}
-
-impl<'a> EvalParams<'a> {
-    fn new(ctx: &'a RateContext, phi: &'a [f64]) -> Self {
-        EvalParams {
-            endpoints: ctx.endpoints(),
-            self_energies: ctx.self_energies(),
-            prefactors: ctx.prefactors(),
-            kt: ctx.kt(),
-            inv_kt: ctx.inv_kt(),
-            cutoff: ctx.frozen_cutoff(),
-            phi,
-        }
-    }
-
-    /// Both directed ΔF values of junction `j` from the live potentials —
-    /// operation for operation the `fill_rates` expression.
-    #[inline]
-    fn deltas(&self, j: usize) -> (f64, f64) {
-        let (ia, ib) = self.endpoints[j];
-        let phi_gap = E * (self.phi[ia] - self.phi[ib]);
-        let self_energy = self.self_energies[j];
-        (phi_gap + self_energy, self_energy - phi_gap)
-    }
-
-    /// The `fill_rates` cutoff-then-kernel expression over junction pairs:
-    /// `rates[k]` holds both directed rates for the ΔFs `df[k]` and the
-    /// prefactor `prefactor[k]`, every slot evaluated. For `kt > 0` the
-    /// kernel is [`rate_from_parts_branchfree`] behind the cutoff select,
-    /// so the loop auto-vectorizes; its bits equal `rate_from_parts`'
-    /// (pinned in `rates.rs`).
-    fn rates_into(&self, df: &[[f64; 2]], prefactor: &[f64], rates: &mut [[f64; 2]]) {
-        let (kt, inv_kt, cutoff) = (self.kt, self.inv_kt, self.cutoff);
-        let slots = rates.iter_mut().zip(df).zip(prefactor);
-        if kt == 0.0 {
-            for ((rate, df), &pf) in slots {
-                for (rate, &df) in rate.iter_mut().zip(df) {
-                    *rate = if df > cutoff {
-                        0.0
-                    } else {
-                        rate_from_parts(df, pf, kt, inv_kt)
-                    };
-                }
-            }
-        } else {
-            for ((rate, df), &pf) in slots {
-                for (rate, &df) in rate.iter_mut().zip(df) {
-                    let thermal = rate_from_parts_branchfree(df, pf, kt, inv_kt);
-                    *rate = if df > cutoff { 0.0 } else { thermal };
-                }
-            }
-        }
-    }
-}
 
 /// Incrementally maintained event rates for a scalar [`LiveState`] walk.
 ///
@@ -212,14 +143,10 @@ impl EventRateTable {
     /// Full refill: recompute every ΔF and rate from the live potentials
     /// and rebuild the tree — the table twin of an exact potential refresh.
     fn refill(&mut self, ctx: &RateContext, live: &LiveState) {
-        let p = EvalParams::new(ctx, live.endpoint_potentials());
-        let (df_pairs, _) = self.df.as_chunks_mut::<2>();
-        for (j, pair) in df_pairs.iter_mut().enumerate() {
-            let (df_ab, df_ba) = p.deltas(j);
-            *pair = [df_ab, df_ba];
-        }
+        ctx.fill_delta_f(live, &mut self.df);
+        let (df_pairs, _) = self.df.as_chunks::<2>();
         let (leaf_pairs, _) = self.tree.leaves_mut().as_chunks_mut::<2>();
-        p.rates_into(df_pairs, p.prefactors, leaf_pairs);
+        ctx.rates_into(df_pairs, ctx.prefactors(), leaf_pairs);
         self.tree.rebuild();
         self.seen_generation = live.generation();
     }
@@ -253,7 +180,6 @@ impl EventRateTable {
         let (Some(&(first, _)), Some(&(last, last_len))) = (runs.first(), runs.last()) else {
             return;
         };
-        let p = EvalParams::new(ctx, live.endpoint_potentials());
         // +1 for a→b, −1 for b→a — the convention [`LiveState::apply`]
         // uses for its potential axpy.
         let sign = match event.direction {
@@ -272,7 +198,7 @@ impl EventRateTable {
                 let shift = sign * g;
                 *pair = [pair[0] + shift, pair[1] - shift];
             }
-            p.rates_into(df, &p.prefactors[run.clone()], &mut leaf_pairs[run]);
+            ctx.rates_into(df, &ctx.prefactors()[run.clone()], &mut leaf_pairs[run]);
         }
         let end = (last + last_len) as usize;
         self.tree.rebuild_span(2 * first as usize, 2 * end - 1);
@@ -325,25 +251,6 @@ impl EventRateTable {
             .rev()
             .find(|&e| self.tree.leaf(e) > 0.0)
             .expect("the total rate was positive")
-    }
-}
-
-impl RateContext {
-    /// The incremental sibling of [`RateContext::fill_rates`]: folds a
-    /// just-applied event into `table` instead of refilling every rate.
-    /// Every strongly-coupled ΔF shifts by its build-time coupling constant
-    /// (one axpy), the Boltzmann kernel is recomputed only for those
-    /// events, sub-threshold couplings skip entirely, and the partial-sum
-    /// tree is brought up to date. Delegates to
-    /// [`EventRateTable::apply_event`].
-    pub fn apply_event_rates(
-        &self,
-        system: &TunnelSystem,
-        live: &LiveState,
-        table: &mut EventRateTable,
-        event: TunnelEvent,
-    ) {
-        table.apply_event(system, self, live, event);
     }
 }
 

@@ -430,32 +430,58 @@ impl RateContext {
     /// The rate half of [`Self::fill_rates`]: replaces each ΔF in `values`
     /// — consecutive states, each a full set of events in canonical order,
     /// as [`Self::fill_delta_f`] writes them — by its event's rate, bitwise
-    /// the rate `fill_rates` returns. Above zero temperature every slot goes
-    /// through [`crate::rates`]' branch-free kernel behind the frozen-cutoff
-    /// select, so the pass vectorizes.
+    /// the rate `fill_rates` returns, through the event table's kernel
+    /// (`rates_into`).
     ///
     /// # Panics
     ///
     /// Panics if the length of `values` is not a multiple of the event
     /// count.
     pub fn rates_from_delta_f(&self, values: &mut [f64]) {
+        // The kernel reads its ΔFs from a copy. Copying a block of states
+        // at a time keeps the copy off the kernel's path: a copy per state
+        // made the pass ≈ 1.4× slower on a 14 641-state, 10-event buffer.
+        const BLOCK_STATES: usize = 64;
+        let junctions = self.endpoints.len();
+        assert_eq!(values.len() % (2 * junctions), 0, "whole states only");
+        let (pairs, _) = values.as_chunks_mut::<2>();
+        let mut scratch = vec![[0.0; 2]; BLOCK_STATES * junctions];
+        for block in pairs.chunks_mut(BLOCK_STATES * junctions) {
+            let df = &mut scratch[..block.len()];
+            df.copy_from_slice(block);
+            for (rates, df) in block
+                .chunks_exact_mut(junctions)
+                .zip(df.chunks_exact(junctions))
+            {
+                self.rates_into(df, &self.prefactors, rates);
+            }
+        }
+    }
+
+    /// The `fill_rates` cutoff-then-kernel expression over junction pairs:
+    /// `rates[k]` receives both directed rates for the ΔF pair `df[k]` and
+    /// the prefactor `prefactors[k]`, every slot evaluated. Above zero
+    /// temperature the kernel is [`crate::rates`]' branch-free one behind
+    /// the frozen-cutoff select, so the loop auto-vectorizes; its bits
+    /// equal `rate_from_parts`' (pinned in `rates.rs`).
+    pub(crate) fn rates_into(&self, df: &[[f64; 2]], prefactors: &[f64], rates: &mut [[f64; 2]]) {
         let (kt, inv_kt, cutoff) = (self.kt, self.inv_kt, self.frozen_cutoff);
-        let prefactors: Vec<f64> = self.prefactors.iter().flat_map(|&pf| [pf, pf]).collect();
-        assert_eq!(values.len() % prefactors.len(), 0, "whole states only");
-        for state in values.chunks_exact_mut(prefactors.len()) {
-            let slots = state.iter_mut().zip(&prefactors);
-            if kt == 0.0 {
-                for (df, &pf) in slots {
-                    *df = if *df > cutoff {
+        let slots = rates.iter_mut().zip(df).zip(prefactors);
+        if kt == 0.0 {
+            for ((rate, df), &pf) in slots {
+                for (rate, &df) in rate.iter_mut().zip(df) {
+                    *rate = if df > cutoff {
                         0.0
                     } else {
-                        rate_from_parts(*df, pf, kt, inv_kt)
+                        rate_from_parts(df, pf, kt, inv_kt)
                     };
                 }
-            } else {
-                for (df, &pf) in slots {
-                    let thermal = rate_from_parts_branchfree(*df, pf, kt, inv_kt);
-                    *df = if *df > cutoff { 0.0 } else { thermal };
+            }
+        } else {
+            for ((rate, df), &pf) in slots {
+                for (rate, &df) in rate.iter_mut().zip(df) {
+                    let thermal = rate_from_parts_branchfree(df, pf, kt, inv_kt);
+                    *rate = if df > cutoff { 0.0 } else { thermal };
                 }
             }
         }

@@ -7,13 +7,13 @@
 //! [`MASTER_WARM_BLOCK`]-point blocks on the master-equation backend —
 //! one whole trace for `.tran`); all of a deck's
 //! jobs — and, in batch mode, all decks' jobs — share **one** chunked
-//! worker pool ([`se_exec::run_batch`]). Per-item seeds follow the shared
-//! SplitMix64 discipline through [`se_exec::JobSpec::item_seed`], so
-//! serial, parallel, chunked and checkpoint-resumed executions are all
-//! bit-identical. [`ExecOptions`] adds the substrate features on top of
-//! the plain [`execute`] API: worker/chunk control, streamed CSV export,
-//! throttled progress reporting, cooperative cancellation and
-//! checkpoint/resume.
+//! worker pool ([`se_exec::run_batch`]). Every item seeds from its bias
+//! point through the shared SplitMix64 discipline
+//! ([`derive_seed`]`(seed, point)`), so serial, parallel, chunked and
+//! checkpoint-resumed executions are all bit-identical. [`ExecOptions`]
+//! adds the substrate features on top of the plain [`execute`] API:
+//! worker/chunk control, streamed CSV export, throttled progress
+//! reporting, cooperative cancellation and checkpoint/resume.
 
 use crate::backend::{build_stationary, build_transient, StationaryBackend, TransientBackend};
 use crate::error::SimError;
@@ -219,19 +219,15 @@ fn metadata(
 /// The backend-bound form of one planned analysis: resolved handles plus
 /// the owned grids the solve closure walks.
 enum PreparedKind {
-    Sweep {
+    /// A `.dc` sweep or map: one stationary solve per bias point.
+    Stationary {
         backend: StationaryBackend,
-        control: ControlId,
+        /// The swept controls in application order (a map's outer first).
+        controls: Vec<ControlId>,
         observables: Vec<ObservableId>,
-        values: Vec<f64>,
-    },
-    Map {
-        backend: StationaryBackend,
-        outer: ControlId,
-        inner: ControlId,
-        observables: Vec<ObservableId>,
-        outer_values: Vec<f64>,
-        inner_values: Vec<f64>,
+        /// `points[p]` holds point `p`'s control values, one per entry of
+        /// `controls`; they double as the point's row prefix.
+        points: Vec<Vec<f64>>,
     },
     Transient {
         backend: TransientBackend,
@@ -257,10 +253,6 @@ pub(crate) struct PreparedJob {
     /// determinism gate's reference execution) instead of the engine's own
     /// ensemble face.
     scalar_ensemble: bool,
-    /// Output points (bias points for sweeps/maps, 1 for transients). For
-    /// ensembles the job fans out further: `spec.items()` is
-    /// `points * groups_per_point`.
-    points: usize,
     /// Lane groups per point: `ceil(repeats / lane_width)`, 1 when not an
     /// ensemble.
     groups_per_point: usize,
@@ -273,8 +265,8 @@ pub(crate) struct PreparedJob {
     /// Runtime solver-effort aggregation of warm-blocked master runs
     /// (`None` for every other kind of run).
     solver_stats: Option<Mutex<SolverAgg>>,
-    /// The plan seed: grouped items re-derive their *point* seed from it so
-    /// replica seeding is independent of the lane width.
+    /// The plan seed: every item seeds from `derive_seed(base_seed, point)`,
+    /// so replica seeding is independent of the lane width.
     base_seed: u64,
     pub(crate) spec: JobSpec,
     /// Streamed CSV target, if exporting.
@@ -287,10 +279,17 @@ pub(crate) struct PreparedJob {
 impl PreparedKind {
     fn engine_name(&self) -> &'static str {
         match self {
-            PreparedKind::Sweep { backend, .. } | PreparedKind::Map { backend, .. } => {
-                backend.engine_name()
-            }
+            PreparedKind::Stationary { backend, .. } => backend.engine_name(),
             PreparedKind::Transient { backend, .. } => backend.engine_name(),
+        }
+    }
+
+    /// Output points: bias points for `.dc`, 1 for a transient (its whole
+    /// trace is one work item: time marches serially).
+    fn point_count(&self) -> usize {
+        match self {
+            PreparedKind::Stationary { points, .. } => points.len(),
+            PreparedKind::Transient { .. } => 1,
         }
     }
 }
@@ -310,56 +309,31 @@ impl PreparedJob {
     /// [`derive_seed`]`(point_seed, k)`, whatever the lane width, and
     /// recombination into published rows happens downstream (the sink's
     /// [`PointCombiner`] and [`Self::assemble`]).
-    pub(crate) fn solve_item(&self, index: usize, seed: u64) -> Result<Vec<Vec<f64>>, SimError> {
+    ///
+    /// Every item seeds from its *point*: `point_seed` is
+    /// [`derive_seed`]`(base_seed, point)`, which is
+    /// [`JobSpec::item_seed`]`(index)` wherever an item is one point.
+    pub(crate) fn solve_item(&self, index: usize) -> Result<Vec<Vec<f64>>, SimError> {
         if self.points_per_item > 1 {
             return self.master_block_rows(index);
         }
         let point = index / self.groups_per_point;
         let group = index % self.groups_per_point;
-        // Grouped items derive their seeds from the *point*, not the item,
-        // so the replica streams do not depend on the lane width. With one
-        // group per point the two coincide: `seed` already is
-        // `derive_seed(base_seed, point)`.
-        let point_seed = if self.groups_per_point == 1 {
-            seed
-        } else {
-            derive_seed(self.base_seed, point as u64)
-        };
+        let point_seed = derive_seed(self.base_seed, point as u64);
         match &self.kind {
-            PreparedKind::Sweep {
+            PreparedKind::Stationary {
                 backend,
-                control,
+                controls,
                 observables,
-                values,
+                points,
             } => {
-                let value = values[point];
-                let controls = [(*control, value)];
+                let prefix = &points[point];
+                let bias = bias(controls, prefix);
                 if self.repeats.is_some() {
-                    self.stationary_group_rows(backend, &controls, observables, point_seed, group)
+                    self.stationary_group_rows(backend, &bias, observables, point_seed, group)
                 } else {
-                    let currents =
-                        backend.stationary_currents(&controls, observables, point_seed)?;
-                    Ok(vec![single_row(&[value], currents)])
-                }
-            }
-            PreparedKind::Map {
-                backend,
-                outer,
-                inner,
-                observables,
-                outer_values,
-                inner_values,
-            } => {
-                let n_inner = inner_values.len();
-                let outer_value = outer_values[point / n_inner];
-                let inner_value = inner_values[point % n_inner];
-                let controls = [(*outer, outer_value), (*inner, inner_value)];
-                if self.repeats.is_some() {
-                    self.stationary_group_rows(backend, &controls, observables, point_seed, group)
-                } else {
-                    let currents =
-                        backend.stationary_currents(&controls, observables, point_seed)?;
-                    Ok(vec![single_row(&[outer_value, inner_value], currents)])
+                    let currents = backend.stationary_currents(&bias, observables, point_seed)?;
+                    Ok(vec![single_row(prefix, currents)])
                 }
             }
             PreparedKind::Transient {
@@ -388,63 +362,36 @@ impl PreparedJob {
     /// published rows depend only on the point grid — not on chunking,
     /// worker count or resume.
     fn master_block_rows(&self, index: usize) -> Result<Vec<Vec<f64>>, SimError> {
+        let PreparedKind::Stationary {
+            backend: StationaryBackend::Master(engine),
+            controls,
+            observables,
+            points,
+        } = &self.kind
+        else {
+            return Err(SimError::Exec(
+                "internal error: a warm-block work item was scheduled for a run that is not \
+                 a master-equation sweep or map"
+                    .into(),
+            ));
+        };
         let start = index * self.points_per_item;
-        let end = self.points.min(start + self.points_per_item);
+        let end = points.len().min(start + self.points_per_item);
         let mut rows = Vec::with_capacity(end - start);
         let mut warm: Option<MasterSolution> = None;
-        for point in start..end {
-            let ((currents, solution), prefix) = match &self.kind {
-                PreparedKind::Sweep {
-                    backend: StationaryBackend::Master(engine),
-                    control,
-                    observables,
-                    values,
-                } => {
-                    let value = values[point];
-                    (
-                        engine.inner().stationary_currents_warm(
-                            &[(*control, value)],
-                            observables,
-                            warm.as_ref(),
-                        )?,
-                        vec![value],
-                    )
-                }
-                PreparedKind::Map {
-                    backend: StationaryBackend::Master(engine),
-                    outer,
-                    inner,
-                    observables,
-                    outer_values,
-                    inner_values,
-                } => {
-                    let n_inner = inner_values.len();
-                    let outer_value = outer_values[point / n_inner];
-                    let inner_value = inner_values[point % n_inner];
-                    (
-                        engine.inner().stationary_currents_warm(
-                            &[(*outer, outer_value), (*inner, inner_value)],
-                            observables,
-                            warm.as_ref(),
-                        )?,
-                        vec![outer_value, inner_value],
-                    )
-                }
-                _ => {
-                    return Err(SimError::Exec(
-                        "internal error: a warm-block work item was scheduled for a run that \
-                         is not a master-equation sweep or map"
-                            .into(),
-                    ))
-                }
-            };
+        for prefix in &points[start..end] {
+            let (currents, solution) = engine.inner().stationary_currents_warm(
+                &bias(controls, prefix),
+                observables,
+                warm.as_ref(),
+            )?;
             if let Some(stats) = &self.solver_stats {
                 stats
                     .lock()
                     .expect("solver stats mutex poisoned")
                     .record(solution.stats());
             }
-            rows.push(single_row(&prefix, currents));
+            rows.push(single_row(prefix, currents));
             warm = Some(solution);
         }
         Ok(rows)
@@ -511,21 +458,9 @@ impl PreparedJob {
     fn combiner(&self) -> Option<PointCombiner> {
         self.repeats?;
         Some(match &self.kind {
-            PreparedKind::Sweep { values, .. } => PointCombiner::Stationary {
-                prefixes: values.iter().map(|&v| vec![v]).collect(),
+            PreparedKind::Stationary { points, .. } => PointCombiner::Stationary {
+                prefixes: points.clone(),
             },
-            PreparedKind::Map {
-                outer_values,
-                inner_values,
-                ..
-            } => {
-                let n_inner = inner_values.len();
-                PointCombiner::Stationary {
-                    prefixes: (0..self.points)
-                        .map(|p| vec![outer_values[p / n_inner], inner_values[p % n_inner]])
-                        .collect(),
-                }
-            }
             PreparedKind::Transient { times, .. } => PointCombiner::Transient {
                 times: times.clone(),
             },
@@ -561,6 +496,15 @@ impl PreparedJob {
             None => result,
         }
     }
+}
+
+/// One point's bias: each swept control paired with its value.
+fn bias(controls: &[ControlId], values: &[f64]) -> Vec<(ControlId, f64)> {
+    controls
+        .iter()
+        .copied()
+        .zip(values.iter().copied())
+        .collect()
 }
 
 /// Prefix + currents, one published single-shot row.
@@ -643,52 +587,29 @@ fn prepare_run(
     fingerprint: u64,
     options: &ExecOptions,
 ) -> Result<PreparedJob, SimError> {
-    let ensemble = plan.repeats.is_some();
-    let (kind, columns, items) = match &run.analysis {
-        PlannedAnalysis::Sweep { control, values } => {
-            let backend = build_stationary(&deck.netlist, &deck.options, run.engine)?;
-            let control_id = backend.resolve_control(control)?;
-            let observables = resolve_stationary_observables(&backend, &run.observables)?;
-            let mut columns = vec![control.clone()];
-            columns.extend(current_columns(&run.observables, ensemble));
-            let items = values.len();
-            (
-                PreparedKind::Sweep {
-                    backend,
-                    control: control_id,
-                    observables,
-                    values: values.clone(),
-                },
-                columns,
-                items,
-            )
-        }
+    // A sweep gives 1-value points; a map, the outer-major
+    // `outer × inner` product.
+    let (kind, mut columns) = match &run.analysis {
+        PlannedAnalysis::Sweep { control, values } => prepare_stationary(
+            deck,
+            run,
+            &[control],
+            values.iter().map(|&value| vec![value]).collect(),
+        )?,
         PlannedAnalysis::Map {
             outer_control,
             outer_values,
             inner_control,
             inner_values,
-        } => {
-            let backend = build_stationary(&deck.netlist, &deck.options, run.engine)?;
-            let outer = backend.resolve_control(outer_control)?;
-            let inner = backend.resolve_control(inner_control)?;
-            let observables = resolve_stationary_observables(&backend, &run.observables)?;
-            let mut columns = vec![outer_control.clone(), inner_control.clone()];
-            columns.extend(current_columns(&run.observables, ensemble));
-            let items = outer_values.len() * inner_values.len();
-            (
-                PreparedKind::Map {
-                    backend,
-                    outer,
-                    inner,
-                    observables,
-                    outer_values: outer_values.clone(),
-                    inner_values: inner_values.clone(),
-                },
-                columns,
-                items,
-            )
-        }
+        } => prepare_stationary(
+            deck,
+            run,
+            &[outer_control, inner_control],
+            outer_values
+                .iter()
+                .flat_map(|&outer| inner_values.iter().map(move |&inner| vec![outer, inner]))
+                .collect(),
+        )?,
         PlannedAnalysis::Transient { step, times } => {
             let backend = build_transient(&deck.netlist, &deck.options, run.engine, *step)?;
             let drives: Vec<(ControlId, Waveform)> = deck
@@ -701,8 +622,6 @@ fn prepare_run(
                 .iter()
                 .map(|name| backend.resolve_observable(name))
                 .collect::<Result<_, _>>()?;
-            let mut columns = vec!["t".to_string()];
-            columns.extend(current_columns(&run.observables, ensemble));
             (
                 PreparedKind::Transient {
                     backend,
@@ -710,49 +629,36 @@ fn prepare_run(
                     observables,
                     times: times.clone(),
                 },
-                columns,
-                1, // the whole trace is one work item (time marches serially)
+                vec!["t".to_string()],
             )
         }
     };
+    columns.extend(current_columns(&run.observables, plan.repeats.is_some()));
+    let points = kind.point_count();
     let lane_width = options.lane_width.unwrap_or(DEFAULT_LANE_WIDTH).max(1);
     // An ensemble fans every point out into lane groups; the substrate
     // geometry (and thus checkpoints and traces) is lane-width-bound.
     let groups_per_point = plan
         .repeats
         .map_or(1, |repeats| lane_group_count(repeats, lane_width).max(1));
+    let solver = match &kind {
+        PreparedKind::Stationary {
+            backend: StationaryBackend::Master(engine),
+            ..
+        } => Some(engine.inner().solver().solver_name()),
+        _ => None,
+    };
     // Master-equation sweeps and maps without an ensemble run as
     // warm-started blocks: the *item* is a fixed-size block of points, so
     // the warm-chain layout is chunking- and scheduling-independent.
     // (The planner rejects `repeats=` for deterministic engines, so the
     // two fan-out schemes never meet.)
-    let warm_block = plan.repeats.is_none()
-        && matches!(
-            &kind,
-            PreparedKind::Sweep {
-                backend: StationaryBackend::Master(_),
-                ..
-            } | PreparedKind::Map {
-                backend: StationaryBackend::Master(_),
-                ..
-            }
-        );
+    let warm_block = plan.repeats.is_none() && solver.is_some();
     let points_per_item = if warm_block { MASTER_WARM_BLOCK } else { 1 };
     let item_count = if warm_block {
-        items.div_ceil(MASTER_WARM_BLOCK)
+        points.div_ceil(MASTER_WARM_BLOCK)
     } else {
-        items * groups_per_point
-    };
-    let solver = match &kind {
-        PreparedKind::Sweep {
-            backend: StationaryBackend::Master(engine),
-            ..
-        }
-        | PreparedKind::Map {
-            backend: StationaryBackend::Master(engine),
-            ..
-        } => Some(engine.inner().solver().solver_name()),
-        _ => None,
+        points * groups_per_point
     };
     let mut spec = JobSpec::new(item_count).with_seed(plan.seed);
     if let Some(chunk) = options.chunk {
@@ -765,7 +671,6 @@ fn prepare_run(
         columns,
         repeats: plan.repeats,
         scalar_ensemble: options.scalar_ensemble,
-        points: items,
         groups_per_point,
         points_per_item,
         lane_width,
@@ -781,22 +686,63 @@ fn prepare_run(
     })
 }
 
-/// A CSV export sink that creates (and truncates) its file only when the
-/// first item is emitted — i.e. after every checkpoint of the batch has
-/// been opened and validated and this job has actually produced data — so
-/// a run that fails before emitting (a checkpoint geometry mismatch, a
-/// sibling analysis failing to bind) never destroys a previous successful
-/// export.
-struct LazyCsvSink {
-    path: String,
-    columns: Vec<String>,
-    inner: Option<CsvSink<BufWriter<File>>>,
+/// Binds a `.dc` analysis to its stationary backend: resolves the swept
+/// controls (`names`, in application order) and the observables, and
+/// returns the prepared kind with the table's prefix columns.
+fn prepare_stationary(
+    deck: &Deck,
+    run: &PlannedRun,
+    names: &[&String],
+    points: Vec<Vec<f64>>,
+) -> Result<(PreparedKind, Vec<String>), SimError> {
+    let backend = build_stationary(&deck.netlist, &deck.options, run.engine)?;
+    let controls = names
+        .iter()
+        .map(|name| backend.resolve_control(name))
+        .collect::<Result<_, _>>()?;
+    let observables = run
+        .observables
+        .iter()
+        .map(|name| backend.resolve_observable(name))
+        .collect::<Result<_, _>>()?;
+    let kind = PreparedKind::Stationary {
+        backend,
+        controls,
+        observables,
+        points,
+    };
+    Ok((kind, names.iter().map(|&name| name.clone()).collect()))
 }
 
-impl LazyCsvSink {
+/// The streamed CSV export of one job.
+///
+/// The file is created (and truncated) only when the first row is emitted
+/// — i.e. after every checkpoint of the batch has been opened and
+/// validated and this job has actually produced data — so a run that fails
+/// before emitting (a checkpoint geometry mismatch, a sibling analysis
+/// failing to bind) never destroys a previous successful export.
+///
+/// Ensemble items are recombined into published rows on the way. Items
+/// arrive in strict index order (the substrate's sink contract), so a
+/// point's lane groups are consecutive: buffer the raw replica rows, and on
+/// the point's last group emit one combined item under the *point* index.
+/// Only the CSV stream recombines — progress counts and replay traces stay
+/// at raw sharded-item granularity.
+struct CsvExportSink {
+    path: String,
+    columns: Vec<String>,
+    writer: Option<CsvSink<BufWriter<File>>>,
+    groups_per_point: usize,
+    /// `None` for single-shot runs: items pass through untouched.
+    combiner: Option<PointCombiner>,
+    /// Raw replica rows of the point currently being assembled.
+    buffer: Vec<Vec<f64>>,
+}
+
+impl CsvExportSink {
     /// Opens the file and writes the header on first use.
     fn open(&mut self) -> std::io::Result<&mut CsvSink<BufWriter<File>>> {
-        if self.inner.is_none() {
+        if self.writer.is_none() {
             let file = File::create(&self.path).map_err(|e| {
                 std::io::Error::new(
                     e.kind(),
@@ -805,79 +751,47 @@ impl LazyCsvSink {
             })?;
             let mut sink = CsvSink::new(BufWriter::new(file), self.columns.clone());
             se_exec::ResultSink::<Vec<Vec<f64>>>::start(&mut sink, &JobSpec::new(0))?;
-            self.inner = Some(sink);
+            self.writer = Some(sink);
         }
-        Ok(self.inner.as_mut().expect("just opened"))
+        Ok(self.writer.as_mut().expect("just opened"))
     }
 }
 
-impl se_exec::ResultSink<Vec<Vec<f64>>> for LazyCsvSink {
+impl se_exec::ResultSink<Vec<Vec<f64>>> for CsvExportSink {
     fn item(&mut self, index: usize, item: &Vec<Vec<f64>>) -> std::io::Result<()> {
-        self.open()?.item(index, item)
+        let Some(combiner) = &self.combiner else {
+            return self.open()?.item(index, item);
+        };
+        self.buffer.extend(item.iter().cloned());
+        if !(index + 1).is_multiple_of(self.groups_per_point) {
+            return Ok(());
+        }
+        let point = index / self.groups_per_point;
+        let combined = combiner.combine(point, &self.buffer);
+        self.buffer.clear();
+        self.open()?.item(point, &combined)
     }
 
     fn flush(&mut self) -> std::io::Result<()> {
-        se_exec::ResultSink::<Vec<Vec<f64>>>::flush(&mut self.inner)
+        se_exec::ResultSink::<Vec<Vec<f64>>>::flush(&mut self.writer)
     }
 
     fn finish(&mut self, report: &se_exec::Report) -> std::io::Result<()> {
         // Zero-item jobs still deliver a header-only CSV.
         self.open()?;
-        se_exec::ResultSink::<Vec<Vec<f64>>>::finish(&mut self.inner, report)
-    }
-}
-
-/// Recombines grouped ensemble items into published rows on the way to the
-/// CSV export. Items arrive in strict index order (the substrate's sink
-/// contract), so a point's lane groups are consecutive: buffer the raw
-/// replica rows, and on the point's last group emit one combined item
-/// under the *point* index. Only the CSV stream recombines — progress
-/// counts and replay traces stay at raw sharded-item granularity.
-struct GroupedCsvSink {
-    inner: LazyCsvSink,
-    groups_per_point: usize,
-    /// `None` for single-shot runs: items pass through untouched.
-    combiner: Option<PointCombiner>,
-    /// Raw replica rows of the point currently being assembled.
-    buffer: Vec<Vec<f64>>,
-}
-
-impl se_exec::ResultSink<Vec<Vec<f64>>> for GroupedCsvSink {
-    fn item(&mut self, index: usize, item: &Vec<Vec<f64>>) -> std::io::Result<()> {
-        let Some(combiner) = &self.combiner else {
-            return self.inner.item(index, item);
-        };
-        self.buffer.extend(item.iter().cloned());
-        if (index + 1).is_multiple_of(self.groups_per_point) {
-            let point = index / self.groups_per_point;
-            let combined = combiner.combine(point, &self.buffer);
-            self.buffer.clear();
-            self.inner.item(point, &combined)
-        } else {
-            Ok(())
-        }
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        se_exec::ResultSink::<Vec<Vec<f64>>>::flush(&mut self.inner)
-    }
-
-    fn finish(&mut self, report: &se_exec::Report) -> std::io::Result<()> {
-        se_exec::ResultSink::<Vec<Vec<f64>>>::finish(&mut self.inner, report)
+        se_exec::ResultSink::<Vec<Vec<f64>>>::finish(&mut self.writer, report)
     }
 }
 
 /// The per-job sink stack: optional streamed CSV (recombined to published
 /// rows) plus optional progress (raw item counts).
-type RunSink = Tee<Option<GroupedCsvSink>, Option<ProgressSink<Stderr>>>;
+type RunSink = Tee<Option<CsvExportSink>, Option<ProgressSink<Stderr>>>;
 
 fn make_sink(prep: &PreparedJob, options: &ExecOptions) -> RunSink {
-    let csv = prep.csv_path.as_ref().map(|path| GroupedCsvSink {
-        inner: LazyCsvSink {
-            path: path.clone(),
-            columns: prep.columns.clone(),
-            inner: None,
-        },
+    let csv = prep.csv_path.as_ref().map(|path| CsvExportSink {
+        path: path.clone(),
+        columns: prep.columns.clone(),
+        writer: None,
         groups_per_point: prep.groups_per_point,
         combiner: prep.combiner(),
         buffer: Vec::new(),
@@ -969,7 +883,7 @@ pub(crate) fn run_prepared(
                     .checkpoint(store, &prep.job_label, options.resume)
                     .fingerprint(prep.fingerprint);
             }
-            match builder.build(sink, |index, seed| prep.solve_item(index, seed)) {
+            match builder.build(sink, |index, _| prep.solve_item(index)) {
                 Ok(job) => jobs.push((group_index, job)),
                 Err(e) => {
                     outcomes[group_index] = Some(SimError::from(e));
@@ -1012,16 +926,6 @@ pub(crate) fn run_prepared(
             Some(e) => Err(e),
             None => Ok(tables),
         })
-        .collect()
-}
-
-fn resolve_stationary_observables(
-    backend: &StationaryBackend,
-    names: &[String],
-) -> Result<Vec<ObservableId>, SimError> {
-    names
-        .iter()
-        .map(|name| backend.resolve_observable(name))
         .collect()
 }
 

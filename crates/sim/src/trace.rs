@@ -125,7 +125,7 @@ pub fn record_deck(
         let job = JobBuilder::new(prep.spec)
             .label(prep.job_label.clone())
             .collect()
-            .build(sink, |index, seed| prep.solve_item(index, seed))
+            .build(sink, |index, _| prep.solve_item(index))
             .map_err(SimError::from)?;
         jobs.push(job);
     }
@@ -348,7 +348,7 @@ pub fn verify_trace_dir(dir: &Path, options: &ExecOptions) -> Result<VerifyRepor
     for (prep, sink) in prepared.iter().zip(sinks.iter_mut()) {
         let job = JobBuilder::new(prep.spec)
             .label(prep.job_label.clone())
-            .build(sink, |index, seed| prep.solve_item(index, seed))
+            .build(sink, |index, _| prep.solve_item(index))
             .map_err(SimError::from)?;
         jobs.push(job);
     }

@@ -226,18 +226,32 @@ proptest! {
     }
 }
 
-/// A `repeats=` ensemble deck over the reference SET: a `.dc` staircase,
-/// or (`transient`) a `.tran` run under a drain pulse with the gate at
-/// the conductance peak.
-fn ensemble_deck(seed: u64, temperature: f64, repeats: usize, transient: bool) -> String {
-    let (drain, gate, analysis) = if transient {
-        (
+/// The analysis shapes an ensemble deck can take.
+#[derive(Debug, Clone, Copy)]
+enum EnsembleShape {
+    /// A `.dc` drain sweep: the Coulomb staircase.
+    Sweep,
+    /// A two-source `.dc` drain × gate map: a patch of the stability
+    /// diagram.
+    Map,
+    /// A `.tran` run under a drain pulse, the gate at the conductance peak.
+    Transient,
+}
+
+/// A `repeats=` ensemble deck over the reference SET in the given shape.
+fn ensemble_deck(seed: u64, temperature: f64, repeats: usize, shape: EnsembleShape) -> String {
+    let (drain, gate, analysis) = match shape {
+        EnsembleShape::Sweep => ("0", "0", ".dc VD 0 0.06 0.02\n.print dc i(J1)"),
+        EnsembleShape::Map => (
+            "0",
+            "0",
+            ".dc VD 0 0.06 0.03 VG 0 0.08 0.04\n.print dc i(J1)",
+        ),
+        EnsembleShape::Transient => (
             "PULSE(0 1m 10n 20n 40n)",
             "0.08",
             ".tran 5n 50n\n.print tran i(J1)",
-        )
-    } else {
-        ("0", "0", ".dc VD 0 0.06 0.02\n.print dc i(J1)")
+        ),
     };
     format!(
         "lane-width identity\n\
@@ -254,7 +268,7 @@ fn ensemble_deck(seed: u64, temperature: f64, repeats: usize, transient: bool) -
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// The published ensemble tables — stationary and transient — are
+    /// The published ensemble tables — sweep, map and transient — are
     /// byte-identical across lane widths, worker counts and the per-seed
     /// scalar fallback: replica `k` of a point is always the same walk,
     /// however the replicas are grouped into work items. Up to 19
@@ -267,8 +281,8 @@ proptest! {
         repeats in 1_usize..20,
         widths in proptest::collection::vec(1_usize..12, 2),
     ) {
-        for transient in [false, true] {
-            let text = ensemble_deck(seed, temperature, repeats, transient);
+        for shape in [EnsembleShape::Sweep, EnsembleShape::Map, EnsembleShape::Transient] {
+            let text = ensemble_deck(seed, temperature, repeats, shape);
             let deck = parse_full_deck(&text).unwrap();
             let plan = compile(&deck).unwrap();
             let run = |lane_width: Option<usize>, scalar: bool| {
@@ -281,10 +295,10 @@ proptest! {
             };
             let baseline = run(None, false);
             for &width in &widths {
-                prop_assert_eq!(&run(Some(width), false), &baseline, "width {}", width);
+                prop_assert_eq!(&run(Some(width), false), &baseline, "{:?} width {}", shape, width);
             }
             // The scalar fallback (under an arbitrary grouping) matches too.
-            prop_assert_eq!(&run(Some(widths[0]), true), &baseline);
+            prop_assert_eq!(&run(Some(widths[0]), true), &baseline, "{:?} scalar", shape);
         }
     }
 }
