@@ -54,34 +54,6 @@ pub fn run_scalar(
     (result.events(), result.total_time())
 }
 
-/// [`run_scalar`] with an explicit event-rate maintenance kernel — the
-/// kernel-scaling sweep measures [`KmcKernel::Incremental`] against
-/// [`KmcKernel::FullRecompute`] on the same circuits and seeds.
-///
-/// # Panics
-///
-/// Panics if the engine rejects the system or the run fails.
-#[must_use]
-pub fn run_scalar_with_kernel(
-    system: &TunnelSystem,
-    temperature: f64,
-    seed: u64,
-    equilibration: usize,
-    events: usize,
-    kernel: KmcKernel,
-) -> (u64, f64) {
-    let mut sim = MonteCarloSimulator::new(
-        system.clone(),
-        SimulationOptions::new(temperature)
-            .with_seed(seed)
-            .with_equilibration(equilibration)
-            .with_kernel(kernel),
-    )
-    .expect("valid bench system");
-    let result = sim.run_events(events).expect("run succeeds");
-    (result.events(), result.total_time())
-}
-
 /// Runs `events` measured events on each of `replicas` sequential scalar
 /// simulators with the batched engine's per-replica seed contract
 /// (replica `k` gets [`derive_seed`]`(base_seed, k)`) and returns the
@@ -204,9 +176,9 @@ pub fn run_lane_groups(
 /// Best-of-`samples` wall-clock throughput of the scalar measurement
 /// loop under an explicit event-rate kernel, in events/second.
 ///
-/// Unlike [`best_events_per_sec`] over [`run_scalar_with_kernel`], the
-/// simulator is constructed *outside* the timed region, so the number is
-/// the per-event cost of the kernel itself. That is the honest basis for
+/// Unlike [`best_events_per_sec`] over [`run_scalar`], the simulator is
+/// constructed *outside* the timed region, so the number is the per-event
+/// cost of the kernel itself. That is the honest basis for
 /// the N ∈ {8, 64, 256} scaling sweep: at 256 islands the capacitance
 /// solve and coupling-table build would otherwise dominate a sample and
 /// mask the per-event comparison the speedup gate is about.

@@ -121,37 +121,147 @@ pub fn chain_system(islands: usize, vds: f64, vg: f64) -> TunnelSystem {
 /// Panics if `n == 0`.
 #[must_use]
 pub fn array_system(n: usize, seed: u64) -> TunnelSystem {
-    assert!(n > 0, "the array needs at least one island");
-    let mut rng = StdRng::seed_from_u64(seed);
     let mut builder = TunnelSystemBuilder::new();
-    let drain = builder.external("drain", 0.05 * n as f64);
+    let drain = builder.external("drain", array_drain_voltage(n));
     let ground = builder.external("ground", 0.0);
-    let bg = builder.external("bg", 0.5);
+    let bg = builder.external("bg", ARRAY_BG_VOLTAGE);
+    let branches = array_branches(n, seed);
     let islands: Vec<_> = (0..n * n)
-        .map(|k| builder.island(format!("n{}_{}", k / n, k % n), 0.0))
+        .map(|k| builder.island(array_node_name(n, k), 0.0))
         .collect();
+    let endpoint = |node: ArrayNode| match node {
+        ArrayNode::Drain => drain,
+        ArrayNode::Ground => ground,
+        ArrayNode::Bg => bg,
+        ArrayNode::Island(k) => islands[k],
+    };
+    for branch in branches {
+        let (a, b) = (endpoint(branch.a), endpoint(branch.b));
+        match branch.resistance {
+            Some(r) => builder.junction(branch.name, a, b, branch.capacitance, r),
+            None => builder.capacitor(branch.name, a, b, branch.capacitance),
+        };
+    }
+    builder.build().expect("array parameters are valid")
+}
+
+/// The deck text of [`array_system`]: the same islands, element names,
+/// values and seeded strays (written so they parse back to the same
+/// bits), with the drain driven by source `VD`, the ground rail on node
+/// `0` and `bg` driven by `VB`, run as a one-point KMC `.dc` at 4.2 K.
+/// It feeds the deck front end and the netlist → `TunnelSystem`
+/// conversion decks of any size without committing them.
+///
+/// # Panics
+///
+/// Panics if `n == 0`.
+#[must_use]
+pub fn array_deck(n: usize, seed: u64) -> String {
+    let branches = array_branches(n, seed);
+    let vd = array_drain_voltage(n);
+    let mut deck = format!(
+        "{n}x{n} island array with seeded background charge (KMC)\n\
+         VD drain 0 {vd}\nVB bg 0 {ARRAY_BG_VOLTAGE}\n"
+    );
+    let node = |node: ArrayNode| match node {
+        ArrayNode::Drain => "drain".to_string(),
+        ArrayNode::Ground => "0".to_string(),
+        ArrayNode::Bg => "bg".to_string(),
+        ArrayNode::Island(k) => array_node_name(n, k),
+    };
+    for branch in branches {
+        let (a, b, c) = (node(branch.a), node(branch.b), branch.capacitance);
+        let name = branch.name;
+        deck.push_str(&match branch.resistance {
+            Some(r) => format!("{name} {a} {b} C={c:e} R={r:e}\n"),
+            None => format!("{name} {a} {b} {c:e}\n"),
+        });
+    }
+    deck.push_str(&format!(
+        ".options temp=4.2 seed={seed} engine=kmc events=1000\n\
+         .dc VD {vd} {vd} 1\n.print dc i(J0_0)\n.end\n"
+    ));
+    deck
+}
+
+/// The `bg` electrode voltage of [`array_system`], volt.
+const ARRAY_BG_VOLTAGE: f64 = 0.5;
+
+fn array_drain_voltage(n: usize) -> f64 {
+    0.05 * n as f64
+}
+
+fn array_node_name(n: usize, k: usize) -> String {
+    format!("n{}_{}", k / n, k % n)
+}
+
+/// A terminal of [`array_branches`]: a rail electrode or island `k`
+/// (row-major).
+#[derive(Clone, Copy)]
+enum ArrayNode {
+    Drain,
+    Ground,
+    Bg,
+    Island(usize),
+}
+
+/// A junction (with its resistance) or a stray capacitor of the array.
+struct ArrayBranch {
+    name: String,
+    a: ArrayNode,
+    b: ArrayNode,
+    capacitance: f64,
+    resistance: Option<f64>,
+}
+
+/// The array's branches in build order, shared by [`array_system`] and
+/// [`array_deck`]: horizontal junctions row by row, vertical junctions,
+/// then the seeded stray capacitors.
+fn array_branches(n: usize, seed: u64) -> Vec<ArrayBranch> {
+    assert!(n > 0, "the array needs at least one island");
+    let junction = |name: String, a, b, capacitance, resistance| ArrayBranch {
+        name,
+        a,
+        b,
+        capacitance,
+        resistance: Some(resistance),
+    };
+    let mut branches = Vec::with_capacity(n * (3 * n + 1));
     for r in 0..n {
         for c in 0..=n {
             let a = if c == 0 {
-                drain
+                ArrayNode::Drain
             } else {
-                islands[r * n + c - 1]
+                ArrayNode::Island(r * n + c - 1)
             };
-            let b = if c == n { ground } else { islands[r * n + c] };
-            builder.junction(format!("J{r}_{c}"), a, b, 0.5e-18, 100e3);
+            let b = if c == n {
+                ArrayNode::Ground
+            } else {
+                ArrayNode::Island(r * n + c)
+            };
+            branches.push(junction(format!("J{r}_{c}"), a, b, 0.5e-18, 100e3));
         }
     }
     for r in 0..n - 1 {
         for c in 0..n {
-            let (a, b) = (islands[r * n + c], islands[(r + 1) * n + c]);
-            builder.junction(format!("JV{r}_{c}"), a, b, 0.3e-18, 150e3);
+            let (a, b) = (
+                ArrayNode::Island(r * n + c),
+                ArrayNode::Island((r + 1) * n + c),
+            );
+            branches.push(junction(format!("JV{r}_{c}"), a, b, 0.3e-18, 150e3));
         }
     }
-    for (k, &island) in islands.iter().enumerate() {
-        let stray = 0.03e-18 + 0.17e-18 * rng.gen::<f64>();
-        builder.capacitor(format!("CB{k}"), bg, island, stray);
+    let mut rng = StdRng::seed_from_u64(seed);
+    for k in 0..n * n {
+        branches.push(ArrayBranch {
+            name: format!("CB{k}"),
+            a: ArrayNode::Bg,
+            b: ArrayNode::Island(k),
+            capacitance: 0.03e-18 + 0.17e-18 * rng.gen::<f64>(),
+            resistance: None,
+        });
     }
-    builder.build().expect("array parameters are valid")
+    branches
 }
 
 #[cfg(test)]
@@ -189,6 +299,52 @@ mod tests {
         assert!(strays(&array)
             .iter()
             .all(|&c| (0.03e-18..0.2e-18).contains(&c)));
+    }
+
+    #[test]
+    fn array_deck_is_the_text_twin_of_the_array_system() {
+        let deck = se_netlist::parse_full_deck(&array_deck(5, 11)).unwrap();
+        let plan = se_sim::compile(&deck).unwrap();
+        assert_eq!(plan.runs.len(), 1);
+        let from_deck = se_montecarlo::tunnel_system_from_netlist(&deck.netlist).unwrap();
+        let built = array_system(5, 11);
+        assert_eq!(from_deck.island_count(), built.island_count());
+        assert_eq!(from_deck.external_count(), built.external_count());
+        let junctions = |system: &TunnelSystem| -> Vec<(String, u64, u64)> {
+            system
+                .junctions()
+                .iter()
+                .map(|j| {
+                    (
+                        j.name.clone(),
+                        j.capacitance.to_bits(),
+                        j.resistance.to_bits(),
+                    )
+                })
+                .collect()
+        };
+        let capacitors = |system: &TunnelSystem| -> Vec<(String, u64)> {
+            system
+                .capacitors()
+                .iter()
+                .map(|c| (c.name.clone(), c.capacitance.to_bits()))
+                .collect()
+        };
+        assert_eq!(junctions(&from_deck), junctions(&built));
+        assert_eq!(capacitors(&from_deck), capacitors(&built));
+        let vd = deck.netlist.element("VD").unwrap();
+        assert_eq!(
+            vd.kind(),
+            &se_netlist::ElementKind::VoltageSource {
+                voltage: array_drain_voltage(5)
+            }
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one island")]
+    fn empty_array_panics() {
+        let _ = array_deck(0, 1);
     }
 
     #[test]

@@ -4,7 +4,9 @@ use crate::element::{Element, ElementKind};
 use crate::error::NetlistError;
 use crate::node::{Node, NodeMap};
 use crate::partition::{self, Island};
-use std::collections::HashSet;
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Conversion accepted by [`Netlist::add`]: either a ready-made [`Element`]
 /// or the `Result` returned by the element convenience constructors.
@@ -36,11 +38,47 @@ impl IntoElement for Result<Element, NetlistError> {
 /// and [`Netlist::add`] to append elements. Structural checks are performed
 /// by [`Netlist::validate`], and Monte-Carlo island extraction by
 /// [`Netlist::find_islands`].
+///
+/// Element names are registered in one case-insensitive index, so adding
+/// or looking up an element costs O(1) whatever the size of the deck.
 #[derive(Debug, Clone, Default)]
 pub struct Netlist {
     title: String,
     nodes: NodeMap,
     elements: Vec<Element>,
+    /// Case-folded name hash → position in `elements` of the first
+    /// element with that hash. An element whose hash is already taken by
+    /// a different name is left out; lookups that meet such a collision
+    /// fall back to a scan.
+    element_index: HashMap<u64, usize, BuildHasherDefault<FoldedHash>>,
+}
+
+/// FNV-1a over the ASCII-lowercased bytes of an element name. As the
+/// index's map hasher it passes the precomputed hash through, so neither
+/// adding nor looking up a name allocates.
+#[derive(Default)]
+struct FoldedHash(u64);
+
+impl FoldedHash {
+    fn of(name: &str) -> u64 {
+        name.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b.to_ascii_lowercase())).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+}
+
+impl Hasher for FoldedHash {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("the element index hashes only precomputed u64 keys")
+    }
+
+    fn write_u64(&mut self, hash: u64) {
+        self.0 = hash;
+    }
 }
 
 impl Netlist {
@@ -51,6 +89,7 @@ impl Netlist {
             title: title.into(),
             nodes: NodeMap::new(),
             elements: Vec::new(),
+            element_index: HashMap::default(),
         }
     }
 
@@ -102,13 +141,20 @@ impl Netlist {
     /// (case-insensitive) name already exists.
     pub fn add(&mut self, element: impl IntoElement) -> Result<&mut Self, NetlistError> {
         let element = element.into_element()?;
-        if self
-            .elements
-            .iter()
-            .any(|e| e.name().eq_ignore_ascii_case(element.name()))
-        {
+        let name = element.name();
+        let duplicate = match self.element_index.entry(FoldedHash::of(name)) {
+            Entry::Vacant(slot) => {
+                slot.insert(self.elements.len());
+                false
+            }
+            Entry::Occupied(first) => {
+                let first = *first.get();
+                self.elements[first].name().eq_ignore_ascii_case(name) || self.scan(name).is_some()
+            }
+        };
+        if duplicate {
             return Err(NetlistError::DuplicateElement {
-                name: element.name().to_string(),
+                name: name.to_string(),
             });
         }
         self.elements.push(element);
@@ -136,9 +182,25 @@ impl Netlist {
     /// Finds an element by (case-insensitive) name.
     #[must_use]
     pub fn element(&self, name: &str) -> Option<&Element> {
+        self.position(name).map(|i| &self.elements[i])
+    }
+
+    /// Position in [`Netlist::elements`] of the element named `name`
+    /// (case-insensitive), through the index.
+    fn position(&self, name: &str) -> Option<usize> {
+        let first = *self.element_index.get(&FoldedHash::of(name))?;
+        if self.elements[first].name().eq_ignore_ascii_case(name) {
+            Some(first)
+        } else {
+            self.scan(name)
+        }
+    }
+
+    /// [`Netlist::position`] by a scan, for names whose hash collides.
+    fn scan(&self, name: &str) -> Option<usize> {
         self.elements
             .iter()
-            .find(|e| e.name().eq_ignore_ascii_case(name))
+            .position(|e| e.name().eq_ignore_ascii_case(name))
     }
 
     /// Returns the elements of a given kind predicate, e.g. all tunnel
@@ -184,18 +246,17 @@ impl Netlist {
     /// Returns [`NetlistError::Validation`] if there is no voltage source
     /// with that name.
     pub fn set_source_voltage(&mut self, name: &str, voltage: f64) -> Result<(), NetlistError> {
-        for element in &mut self.elements {
-            if element.name().eq_ignore_ascii_case(name) {
-                if let ElementKind::VoltageSource { .. } = element.kind() {
-                    let nodes = element.nodes().to_vec();
-                    *element = Element::voltage_source(
-                        element.name().to_string(),
-                        nodes[0],
-                        nodes[1],
-                        voltage,
-                    )?;
-                    return Ok(());
-                }
+        if let Some(i) = self.position(name) {
+            let element = &mut self.elements[i];
+            if let ElementKind::VoltageSource { .. } = element.kind() {
+                let nodes = element.nodes().to_vec();
+                *element = Element::voltage_source(
+                    element.name().to_string(),
+                    nodes[0],
+                    nodes[1],
+                    voltage,
+                )?;
+                return Ok(());
             }
         }
         Err(NetlistError::Validation {
@@ -261,6 +322,69 @@ mod tests {
             .add(Element::resistor("j1", d, Node::GROUND, 1e3))
             .unwrap_err();
         assert!(matches!(err, NetlistError::DuplicateElement { .. }));
+    }
+
+    #[test]
+    fn names_differing_only_in_case_are_duplicates() {
+        let mut n = single_set();
+        let (d, g) = (n.node("d"), n.node("g"));
+        for name in ["vd", "Vd", "cg", "cG", "J2"] {
+            let err = n.add(Element::capacitor(name, d, g, 1e-18)).unwrap_err();
+            assert_eq!(
+                err,
+                NetlistError::DuplicateElement { name: name.into() },
+                "the error names the rejected spelling"
+            );
+        }
+        assert_eq!(n.len(), 5, "a rejected element is not appended");
+        assert_eq!(n.element("cg").unwrap().name(), "CG", "first spelling kept");
+
+        let mut copy = n.clone();
+        assert!(matches!(
+            copy.add(Element::resistor("j1", d, g, 1e3)),
+            Err(NetlistError::DuplicateElement { .. })
+        ));
+        copy.add(Element::resistor("R1", d, g, 1e3)).unwrap();
+        assert!(copy.element("r1").is_some());
+        assert!(n.element("r1").is_none(), "clones keep separate indexes");
+    }
+
+    #[test]
+    fn names_colliding_in_the_index_stay_distinct() {
+        let mut n = Netlist::new("collide");
+        let (a, b) = (n.node("a"), n.node("b"));
+        n.add(Element::capacitor("CA", a, b, 1e-18)).unwrap();
+        // Pretend "CB" folds to the same hash as "CA": its slot is taken.
+        n.element_index.insert(FoldedHash::of("cb"), 0);
+        n.add(Element::capacitor("CB", a, b, 2e-18)).unwrap();
+        assert_eq!(n.element("cb").unwrap().name(), "CB");
+        assert_eq!(n.element("ca").unwrap().name(), "CA");
+        assert!(matches!(
+            n.add(Element::capacitor("cb", a, b, 3e-18)),
+            Err(NetlistError::DuplicateElement { .. })
+        ));
+        assert_eq!(n.len(), 2);
+    }
+
+    #[test]
+    fn lookups_find_mixed_case_names_through_the_index() {
+        let mut n = Netlist::new("mixed");
+        let (a, b) = (n.node("a"), n.node("b"));
+        n.add(Element::voltage_source("VdRain", a, Node::GROUND, 0.0))
+            .unwrap();
+        n.add(Element::capacitor("cGate", a, b, 1e-18)).unwrap();
+        for name in ["VdRain", "vdrain", "VDRAIN"] {
+            assert_eq!(n.element(name).unwrap().name(), "VdRain");
+        }
+        assert_eq!(n.element("CGATE").unwrap().name(), "cGate");
+        n.set_source_voltage("VDRAIN", 0.125).unwrap();
+        match n.element("vdrain").unwrap().kind() {
+            ElementKind::VoltageSource { voltage } => assert_eq!(*voltage, 0.125),
+            other => panic!("unexpected kind {other:?}"),
+        }
+        assert_eq!(n.element("vdrain").unwrap().name(), "VdRain");
+        assert!(n.set_source_voltage("CGATE", 1.0).is_err());
+        assert!(n.element("vdrain2").is_none());
     }
 
     #[test]

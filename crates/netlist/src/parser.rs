@@ -735,6 +735,17 @@ CG gate island 0.5a
 ";
 
     #[test]
+    fn duplicate_names_differing_in_case_are_rejected_at_the_second_card() {
+        let deck = "dup\nVD drain 0 1m\nJ1 drain island C=1a R=100k\n\
+                    j1 island 0 C=1a R=100k\n.end\n";
+        let err = parse_full_deck(deck).unwrap_err();
+        assert_eq!(err, NetlistError::DuplicateElement { name: "j1".into() });
+        assert!(err.to_string().contains("`j1`"), "{err}");
+        assert!(parse_deck(deck).is_err());
+        // The same card under a distinct name parses.
+        assert!(parse_full_deck(&deck.replace("j1 ", "J2 ")).is_ok());
+    }
+    #[test]
     fn parses_the_single_set_deck() {
         let netlist = parse_deck(SINGLE_SET_DECK).unwrap();
         assert_eq!(netlist.title(), "single SET with gate bias");

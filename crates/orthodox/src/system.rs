@@ -361,8 +361,10 @@ impl TunnelSystemBuilder {
         // Per-junction potential response of one a→b tunnel event:
         // Δφ = e·K[:,a] − e·K[:,b] (island endpoints only). Applying an
         // event to cached potentials is then a single ±axpy of this column.
-        // The columns are read as rows of one transposed copy of K.
-        let event_response: Vec<Vec<f64>> = {
+        // The columns are read as rows of one transposed copy of K. Each
+        // row carries one trailing zero slot through the coupling pass
+        // below, where every electrode endpoint reads it.
+        let mut event_response: Vec<Vec<f64>> = {
             let k_columns = inverse.transpose();
             let zeros = vec![0.0; n_islands];
             let column = |e: Endpoint| match e {
@@ -373,7 +375,10 @@ impl TunnelSystemBuilder {
                 .iter()
                 .map(|j| {
                     let (a, b) = (column(j.a), column(j.b));
-                    a.iter().zip(b).map(|(x, y)| E * (x - y)).collect()
+                    let mut row = Vec::with_capacity(n_islands + 1);
+                    row.extend(a.iter().zip(b).map(|(x, y)| E * (x - y)));
+                    row.push(0.0);
+                    row
                 })
                 .collect()
         };
@@ -392,37 +397,39 @@ impl TunnelSystemBuilder {
         // REFRESH_INTERVAL·θ between two exact refreshes, which is what the
         // `coupling_margin` stability guard accounts for.
         //
-        // One pass finds the strongest coupling, a second fills each fired
-        // junction's values and runs of consecutive junction indices from
-        // one evaluation of its row.
-        let n_junctions = self.junctions.len();
-        let mut row = vec![0.0; n_junctions];
-        let mut g_max = 0.0_f64;
-        for resp in &event_response {
-            coupling_row(&self.junctions, resp, &mut row);
-            for g in &row {
-                g_max = g_max.max(g.abs());
-            }
+        // Each row is evaluated once, through each junction's two endpoint
+        // slots (the zero slot for an electrode). The strongest coupling is
+        // only known after the last row, so the pass lists every coupling
+        // above a provisional threshold seeded from the diagonal couplings
+        // g[f][f]. With K symmetric positive definite these bound every |g|
+        // in exact arithmetic; being entries of the table, they never exceed
+        // its maximum, so the provisional threshold never exceeds the final
+        // one and the strongest coupling is listed. Only rounding can lift
+        // an off-diagonal coupling above every diagonal one; the lists are
+        // then rebuilt at the final threshold.
+        let zero_slot = n_islands as u32;
+        let slot = |e: Endpoint| match e {
+            Endpoint::Island(i) => i as u32,
+            Endpoint::External(_) => zero_slot,
+        };
+        let slots: Vec<[u32; 2]> = self
+            .junctions
+            .iter()
+            .map(|j| [slot(j.a), slot(j.b)])
+            .collect();
+        let diagonal_max = event_response
+            .iter()
+            .zip(&slots)
+            .map(|(resp, &ends)| coupling_entry(resp, ends).abs())
+            .fold(0.0_f64, f64::max);
+        let provisional = COUPLING_THRESHOLD_REL * diagonal_max;
+        let mut strong = StrongLists::build(&event_response, &slots, provisional);
+        let threshold = COUPLING_THRESHOLD_REL * diagonal_max.max(strong.listed_max);
+        if threshold > provisional {
+            strong = StrongLists::build(&event_response, &slots, threshold);
         }
-        let threshold = COUPLING_THRESHOLD_REL * g_max;
-        let mut coupling_strong_runs = Vec::with_capacity(n_junctions);
-        let mut coupling_strong_values = Vec::with_capacity(n_junctions);
-        for resp in &event_response {
-            coupling_row(&self.junctions, resp, &mut row);
-            let strong = row.iter().filter(|g| g.abs() > threshold).count();
-            let mut runs: Vec<(u32, u32)> = Vec::new();
-            let mut values = Vec::with_capacity(strong);
-            for (idx, &g) in (0_u32..).zip(&row) {
-                if g.abs() > threshold {
-                    match runs.last_mut() {
-                        Some((start, len)) if *start + *len == idx => *len += 1,
-                        _ => runs.push((idx, 1)),
-                    }
-                    values.push(g);
-                }
-            }
-            coupling_strong_runs.push(runs);
-            coupling_strong_values.push(values);
+        for row in &mut event_response {
+            row.pop();
         }
         let coupling_margin = 2.0 * f64::from(crate::live::REFRESH_INTERVAL) * threshold;
 
@@ -456,8 +463,8 @@ impl TunnelSystemBuilder {
                 coupling,
                 self_charging,
                 event_response,
-                coupling_strong_runs,
-                coupling_strong_values,
+                coupling_strong_runs: strong.runs,
+                coupling_strong_values: strong.values,
                 coupling_margin,
                 drive_response,
             }),
@@ -467,15 +474,66 @@ impl TunnelSystemBuilder {
     }
 }
 
-/// Row `f` of the event-coupling table from junction `f`'s response column:
-/// `row[j] = e·(resp_f[a_j] − resp_f[b_j])`, external endpoints reading zero.
-fn coupling_row(junctions: &[Junction], response: &[f64], row: &mut [f64]) {
-    let at = |e: Endpoint| match e {
-        Endpoint::Island(i) => response[i],
-        Endpoint::External(_) => 0.0,
-    };
-    for (g, j) in row.iter_mut().zip(junctions) {
-        *g = E * (at(j.a) - at(j.b));
+/// Coupling `g[f][j] = e·(resp_f[a_j] − resp_f[b_j])` from fired junction
+/// `f`'s response row (trailing zero slot included) and junction `j`'s
+/// endpoint slots.
+fn coupling_entry(response: &[f64], [a, b]: [u32; 2]) -> f64 {
+    E * (response[a as usize] - response[b as usize])
+}
+
+/// The event-coupling strong lists at one cut: per fired junction, the
+/// junctions whose coupling `|g|` exceeds the cut as maximal runs
+/// `(start, len)`, and those couplings in run order.
+struct StrongLists {
+    runs: Vec<Vec<(u32, u32)>>,
+    values: Vec<Vec<f64>>,
+    /// The largest listed `|g|` (zero when nothing is listed).
+    listed_max: f64,
+}
+
+impl StrongLists {
+    /// Evaluates each fired junction's coupling row once, from its response
+    /// row (trailing zero slot included) and every junction's endpoint
+    /// slots.
+    fn build(responses: &[Vec<f64>], slots: &[[u32; 2]], cut: f64) -> Self {
+        let n = slots.len();
+        let mut lists = StrongLists {
+            runs: Vec::with_capacity(n),
+            values: Vec::with_capacity(n),
+            listed_max: 0.0,
+        };
+        // Branch-free compaction: every coupling is written and its cursor
+        // advances past the strong ones; every index where the row enters
+        // or leaves a run is written and its cursor advances past the
+        // change.
+        let mut kept_values = vec![0.0; n];
+        let mut edges = vec![0_u32; n + 1];
+        for response in responses {
+            let (mut kept, mut n_edges, mut inside) = (0, 0, false);
+            for (idx, &ends) in (0_u32..).zip(slots) {
+                let g = coupling_entry(response, ends);
+                let strong = g.abs() > cut;
+                kept_values[kept] = g;
+                kept += usize::from(strong);
+                edges[n_edges] = idx;
+                n_edges += usize::from(strong != inside);
+                inside = strong;
+            }
+            edges[n_edges] = n as u32;
+            n_edges += usize::from(inside);
+            let values = &kept_values[..kept];
+            lists.runs.push(
+                edges[..n_edges]
+                    .chunks_exact(2)
+                    .map(|run| (run[0], run[1] - run[0]))
+                    .collect(),
+            );
+            lists.listed_max = values
+                .iter()
+                .fold(lists.listed_max, |max, g| max.max(g.abs()));
+            lists.values.push(values.to_vec());
+        }
+        lists
     }
 }
 

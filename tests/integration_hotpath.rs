@@ -396,6 +396,93 @@ fn leaky_set(vd: f64) -> TunnelSystem {
     b.build().expect("the leaky SET is non-singular")
 }
 
+/// Two islands joined by two parallel junctions, each island also tied to
+/// one lead and one gate: the parallel pair's couplings to each other are
+/// `±` their own diagonal coupling, the case where an off-diagonal entry
+/// meets the table's strongest value.
+fn parallel_pair(c_a: f64, c_b: f64, c_lead: f64) -> TunnelSystem {
+    let mut b = TunnelSystemBuilder::new();
+    let left = b.island("left", 0.0);
+    let right = b.island("right", 0.2);
+    let drain = b.external("drain", 0.01);
+    let source = b.external("source", 0.0);
+    let gate = b.external("gate", 0.05);
+    b.junction("JD", drain, left, c_lead, 100e3);
+    b.junction("JA", left, right, c_a, 120e3);
+    b.junction("JB", right, left, c_b, 80e3);
+    b.junction("JS", right, source, c_lead, 100e3);
+    b.capacitor("CgL", gate, left, 0.2e-18);
+    b.capacitor("CgR", gate, right, 0.3e-18);
+    b.build().expect("the parallel pair is non-singular")
+}
+
+/// Every strong list is the definition, bit for bit: the junctions `j`
+/// with `|junction_coupling(f, j)| > 1e-7 · max |junction_coupling|`, as
+/// maximal ascending runs, each value the dense coupling's bits.
+fn assert_strong_lists_are_the_definition(system: &TunnelSystem, context: &str) {
+    let junctions = system.junctions().len();
+    let g_max = (0..junctions)
+        .flat_map(|f| (0..junctions).map(move |j| system.junction_coupling(f, j).abs()))
+        .fold(0.0_f64, f64::max);
+    for f in 0..junctions {
+        let mut runs: Vec<(u32, u32)> = Vec::new();
+        let mut values = Vec::new();
+        for (j, idx) in (0..junctions).zip(0_u32..) {
+            let g = system.junction_coupling(f, j);
+            if g.abs() > 1e-7 * g_max {
+                match runs.last_mut() {
+                    Some((start, len)) if *start + *len == idx => *len += 1,
+                    _ => runs.push((idx, 1)),
+                }
+                values.push(g.to_bits());
+            }
+        }
+        let strong = system.junction_strong_couplings(f);
+        assert_eq!(strong.runs(), &runs[..], "{context}: runs of junction {f}");
+        assert_eq!(
+            strong.len(),
+            values.len(),
+            "{context}: length of junction {f}"
+        );
+        let stored: Vec<u64> = system
+            .junction_strong_coupling_values(f)
+            .iter()
+            .map(|g| g.to_bits())
+            .collect();
+        assert_eq!(stored, values, "{context}: values of junction {f}");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The build's one-pass strong lists equal the threshold definition
+    /// over stray-capacitance arrays of 2×2 to 6×6 islands, random chains,
+    /// a SET with a junction between its two electrodes (an empty list)
+    /// and two parallel junctions on one island pair.
+    #[test]
+    fn prop_strong_lists_equal_the_threshold_definition(
+        n in 2_usize..=6,
+        seed in 0_u64..1_000_000,
+        chain in ArbCircuit,
+        vd in 0.0_f64..0.4,
+        c_a in 0.1e-18_f64..2.0e-18,
+        c_b in 0.1e-18_f64..2.0e-18,
+        c_lead in 0.1e-18_f64..2.0e-18,
+    ) {
+        assert_strong_lists_are_the_definition(
+            &se_bench::array_system(n, seed),
+            &format!("{n}x{n} array, seed {seed}"),
+        );
+        assert_strong_lists_are_the_definition(&chain.build(), &format!("{chain:?}"));
+        assert_strong_lists_are_the_definition(&leaky_set(vd), "leaky SET");
+        assert_strong_lists_are_the_definition(
+            &parallel_pair(c_a, c_b, c_lead),
+            &format!("parallel pair {c_a:e} {c_b:e} {c_lead:e}"),
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
