@@ -9,9 +9,10 @@
 //! orthodox physics:
 //!
 //! * [`kmc::MonteCarloSimulator`] — a kinetic Monte-Carlo (Gillespie) engine
-//!   that samples individual tunnel events; handles any island count, gives
-//!   time-domain traces and noise, optionally includes cotunneling events.
-//!   Its step loop runs on the incremental hot path of
+//!   that samples individual (sequential) tunnel events; handles any island
+//!   count and gives time-domain traces and noise. Cotunneling is not
+//!   simulated: [`se_orthodox::cotunneling`] only estimates how much it
+//!   would add. Its step loop runs on the incremental hot path of
 //!   [`se_orthodox::live`]: cached island potentials, O(1) per-event ΔF, a
 //!   persistent rate table, no per-step allocation;
 //! * [`master::MasterEquation`] — a deterministic master-equation solver

@@ -23,18 +23,39 @@
 //!
 //! Rust performs no floating-point contraction, so a vectorised axpy rounds
 //! exactly like the scalar loop. The one liberty the kernels take is to skip
-//! products with exact zeros: zero multipliers, which the substitution finds
-//! through each row's span of non-zeros. `d − 0·s` equals `d` bit for bit unless `s` is
+//! work on exact zeros. `d − 0·s` equals `d` bit for bit unless `s` is
 //! non-finite (`0·∞` is NaN) or `d` is `−0` (`−0 − (−0) = +0`), and a
-//! subtraction yields `−0` only from a `−0` operand. So the kernels skip
-//! only when their targets start free of `−0`. The elimination also checks
-//! each pivot row for non-finite values before it skips. The substitution
-//! checks its result instead: a non-finite value never turns finite again,
-//! so a skip that met one leaves a non-finite result, and such a block is
-//! redone from its right-hand sides without skips. The skips are what let a
-//! banded matrix — the island capacitance matrix of a row-major 2-D array
-//! has bandwidth ≈ its row length `N` — factor in ≈ `N·n²/2` and invert in
-//! ≈ `2·N·n²` operations instead of `n³/3` and `n³`.
+//! subtraction yields `−0` only from a `−0` operand. So every skip needs
+//! targets free of `−0`, and each has one more guard:
+//!
+//! * **Zero multipliers** (elimination) and **zero factor entries**
+//!   (substitution, through each row's span of non-zeros). The elimination
+//!   checks each pivot row for non-finite values before it skips. The
+//!   substitution checks its result instead: a non-finite value never
+//!   turns finite again, so a skip that met one leaves a non-finite result,
+//!   and such a block is redone from its right-hand sides without skips.
+//! * **The envelope** (elimination). Each row's first possibly non-zero
+//!   column travels with the row; fill-in never moves it left. A row whose
+//!   envelope starts right of the pivot column holds `+0` there: the pivot
+//!   search passes it over, and so does the multiplier loop while the
+//!   pivot is positive (`+0/p` is `+0` only for `p > 0`). The envelope
+//!   holds only while every earlier column ran with the zero-multiplier
+//!   skip; otherwise a zero multiplier against a non-finite pivot row may
+//!   have written NaN left of it, and it is off for the rest of the
+//!   factorisation.
+//! * **Trailing zeros** (elimination). A row update stops at the pivot
+//!   row's last non-zero, when the multiplier is finite (`NaN·0` is NaN)
+//!   and the pivot row is.
+//! * **Leading zero rows** (substitution). A block of right-hand sides that
+//!   is `+0` above its first non-zero row stays so through forward
+//!   substitution, which starts there and starts each row's L span there
+//!   too — when every L entry is finite, which the factorisation records.
+//!
+//! The skips are what let a banded matrix — the island capacitance matrix
+//! of a row-major 2-D array has bandwidth ≈ its row length `N` — factor in
+//! ≈ `N²·n` operations plus `O(n²)` contiguous scans, and invert (64 unit
+//! columns at a time) in ≈ `1.5·N·n²` operations, instead of `n³/3` and
+//! `n³`.
 
 use crate::error::NumericError;
 use crate::matrix::Matrix;
@@ -51,6 +72,10 @@ pub struct LuDecomposition {
     /// Per row `i`, the columns `first..end` outside which the row of the
     /// factors holds only zeros (`first ≤ i < end`).
     row_span: Vec<(usize, usize)>,
+    /// Whether every entry of L is finite, so that `L[i][j]·(+0)` is a
+    /// zero and the substitution may skip the rows of a block above its
+    /// first non-zero row.
+    lower_finite: bool,
 }
 
 /// Relative pivot threshold below which a matrix is declared singular.
@@ -84,13 +109,26 @@ impl LuDecomposition {
         // The multipliers stored below the diagonal are never updated again,
         // so the active rows hold a −0 only if the input did.
         let targets_clean = !has_negative_zero(a.as_slice());
+        // Per row, the first column that may hold a non-zero; the row moves
+        // with its entry. While `envelope` holds, every active entry left of
+        // it is still the input's +0.
+        let mut first_nz: Vec<usize> = a
+            .as_slice()
+            .chunks_exact(n)
+            .map(|row| row.iter().position(|&v| v != 0.0).unwrap_or(n))
+            .collect();
+        let mut envelope = targets_clean;
 
         for col in 0..n {
-            // Find pivot.
+            // Find pivot; rows whose envelope starts right of `col` hold a
+            // zero there and can never win.
             let data = lu.as_slice();
             let mut pivot_row = col;
             let mut pivot_val = data[col * n + col].abs();
-            for row in (col + 1)..n {
+            for (row, &first) in first_nz.iter().enumerate().skip(col + 1) {
+                if envelope && first > col {
+                    continue;
+                }
                 let v = data[row * n + col].abs();
                 if v > pivot_val {
                     pivot_val = v;
@@ -103,21 +141,45 @@ impl LuDecomposition {
             if pivot_row != col {
                 lu.swap_rows(pivot_row, col);
                 perm.swap(pivot_row, col);
+                first_nz.swap(pivot_row, col);
                 perm_sign = -perm_sign;
             }
             let (done, active) = lu.as_mut_slice().split_at_mut((col + 1) * n);
             let pivot = done[col * n + col];
             let upper = &done[col * n + col + 1..];
-            let skip_zeros = targets_clean && upper.iter().all(|u| u.is_finite());
-            for row in active.chunks_exact_mut(n) {
+            let skip_zeros = targets_clean && all_finite(upper);
+            // A finite multiplier leaves the entries past the pivot row's
+            // last non-zero untouched.
+            let band = if skip_zeros {
+                upper.iter().rposition(|&u| u != 0.0).map_or(0, |k| k + 1)
+            } else {
+                upper.len()
+            };
+            // `+0 / pivot` is `+0` only for a positive pivot.
+            let skip_rows = envelope && skip_zeros && pivot > 0.0;
+            for (row, &first) in active.chunks_exact_mut(n).zip(&first_nz[col + 1..]) {
+                if skip_rows && first > col {
+                    continue;
+                }
                 let factor = row[col] / pivot;
                 row[col] = factor;
-                if !(skip_zeros && factor == 0.0) {
-                    subtract_scaled(&mut row[col + 1..], factor, upper);
+                if skip_zeros && factor == 0.0 {
+                    continue;
                 }
+                let len = if skip_zeros && factor.is_finite() {
+                    band
+                } else {
+                    upper.len()
+                };
+                subtract_scaled(&mut row[col + 1..col + 1 + len], factor, &upper[..len]);
             }
+            // Rows outside their envelope met a zero multiplier: without the
+            // skip, `0·∞` may have written NaN left of the envelope. (A NaN
+            // pivot turns every later row, and so every later pivot, NaN.)
+            envelope &= skip_zeros;
         }
 
+        let mut lower_finite = true;
         let row_span = lu
             .as_slice()
             .chunks_exact(n)
@@ -125,6 +187,7 @@ impl LuDecomposition {
             .map(|(i, row)| {
                 let first = row[..i].iter().position(|&l| l != 0.0).unwrap_or(i);
                 let last = row[i + 1..].iter().rposition(|&u| u != 0.0);
+                lower_finite &= all_finite(&row[first..i]);
                 (first, last.map_or(i + 1, |k| i + 2 + k))
             })
             .collect();
@@ -133,6 +196,7 @@ impl LuDecomposition {
             perm,
             perm_sign,
             row_span,
+            lower_finite,
         })
     }
 
@@ -208,7 +272,7 @@ impl LuDecomposition {
         fill(x);
         let skip_zeros = !has_negative_zero(x);
         self.substitute_rows(x, width, skip_zeros);
-        if skip_zeros && x.iter().any(|v| !v.is_finite()) {
+        if skip_zeros && !all_finite(x) {
             fill(x);
             self.substitute_rows(x, width, false);
         }
@@ -217,9 +281,22 @@ impl LuDecomposition {
     fn substitute_rows(&self, x: &mut [f64], width: usize, skip_zeros: bool) {
         let n = self.dim();
         let lu = self.lu.as_slice();
+        // Rows above the block's first non-zero row stay +0 through forward
+        // substitution, and their products with finite L entries are zeros.
+        let start = if skip_zeros && self.lower_finite {
+            x.chunks_exact(width)
+                .position(|row| row.iter().any(|&v| v != 0.0))
+                .unwrap_or(n)
+        } else {
+            0
+        };
         // Forward substitution (L is unit lower triangular).
-        for i in 0..n {
-            let first = if skip_zeros { self.row_span[i].0 } else { 0 };
+        for i in start..n {
+            let first = if skip_zeros {
+                self.row_span[i].0.max(start)
+            } else {
+                0
+            };
             let (solved, rest) = x.split_at_mut(i * width);
             let target = &mut rest[..width];
             for (j, &l) in (first..i).zip(&lu[i * n + first..i * n + i]) {
@@ -264,8 +341,16 @@ fn subtract_scaled(dst: &mut [f64], factor: f64, src: &[f64]) {
     }
 }
 
+// Both scans run branch-free so that they vectorise.
 fn has_negative_zero(values: &[f64]) -> bool {
-    values.iter().any(|&v| v == 0.0 && v.is_sign_negative())
+    let negative_zero = (-0.0_f64).to_bits();
+    values
+        .iter()
+        .fold(false, |found, v| found | (v.to_bits() == negative_zero))
+}
+
+fn all_finite(values: &[f64]) -> bool {
+    values.iter().fold(true, |finite, v| finite & v.is_finite())
 }
 
 /// Convenience function: solves `A·x = b` in one call.
@@ -337,6 +422,7 @@ mod tests {
                 perm,
                 perm_sign,
                 row_span: Vec::new(),
+                lower_finite: false,
             })
         }
 
@@ -487,9 +573,10 @@ mod tests {
     /// `−0 − (−0)` is `+0`, and `0·∞` and `NaN·0` are NaN. A `−0` on the
     /// right-hand side must switch the substitution's skips off; an infinite
     /// pivot row the elimination's; a NaN multiplier must not be skipped;
-    /// and an infinite source row in the substitution
-    /// leaves a non-finite result, which makes the block run again from its
-    /// right-hand side without skips.
+    /// an infinite source row in the substitution leaves a non-finite
+    /// result, which makes the block run again from its right-hand side
+    /// without skips; and a non-finite pivot row must switch the envelope
+    /// off for the rest of the factorisation.
     #[test]
     fn signed_zeros_and_non_finite_values_match_the_reference() {
         let inf = f64::INFINITY;
@@ -511,19 +598,29 @@ mod tests {
             .solve(&[1.0, inf])
             .unwrap();
         assert!(x[0].is_nan() && x[1] == -inf);
+        // Column 0 overflows row 1 to −∞ at column 2, so column 1's pivot
+        // row is non-finite and its zero multiplier writes NaN into row 3
+        // left of row 3's envelope. Column 2's pivot is then +∞ with a
+        // finite row: the envelope must be off for row 3 to take its NaN
+        // multiplier there.
+        let huge = 1e308;
+        let overflow = Matrix::from_rows(&[
+            &[1e300, 0.0, huge, 0.0],
+            &[1e300, 1e300, -huge, 0.0],
+            &[0.0, 1e300, 0.0, 0.0],
+            &[0.0, 0.0, 0.0, 1e300],
+        ])
+        .unwrap();
+        assert_bit_identical(&overflow, &[vec![1.0, 0.0, 0.0, 1.0]]);
     }
 
     /// The island capacitance matrix of a 2-D array built like the array
-    /// decks: rows of 32 islands (the band width of a 32×32 array), 0.5 aF
+    /// decks: rows of `side` islands (the band width of the matrix), 0.5 aF
     /// horizontal and 0.3 aF vertical junctions, leads at both row ends and
-    /// a seeded 0.03–0.2 aF stray capacitor per island. Six rows make 192
-    /// islands, three inverse blocks; the full 32×32 array would take the
-    /// per-column reference most of a minute in an unoptimised build.
-    #[test]
-    fn grid_capacitance_matrix_inverts_bit_identically() {
-        let (side, rows) = (32, 6);
+    /// a seeded 0.03–0.2 aF stray capacitor per island.
+    fn grid_capacitance_matrix(side: usize, rows: usize, seed: u64) -> Matrix {
         let n = side * rows;
-        let mut rng = StdRng::seed_from_u64(7);
+        let mut rng = StdRng::seed_from_u64(seed);
         let mut c = Matrix::zeros(n, n);
         let mut couple = |i: usize, j: Option<usize>, cap: f64| {
             c.add_at(i, i, cap);
@@ -547,8 +644,48 @@ mod tests {
                 couple(i, None, (0.03 + 0.17 * rng.gen::<f64>()) * 1e-18);
             }
         }
-        let b: Vec<f64> = (0..n).map(|i| (i % 7) as f64 * 1e-19).collect();
+        c
+    }
+
+    /// Six rows of 32 islands make 192 islands, three inverse blocks; the
+    /// full 32×32 array would take the per-column reference inverse most
+    /// of a minute in an unoptimised build.
+    #[test]
+    fn grid_capacitance_matrix_inverts_bit_identically() {
+        let c = grid_capacitance_matrix(32, 6, 7);
+        let b: Vec<f64> = (0..c.rows()).map(|i| (i % 7) as f64 * 1e-19).collect();
         assert_bit_identical(&c, &[b]);
+    }
+
+    /// The full 32×32 array, where the envelope skips do most of their
+    /// work: the factors, a solve and the determinant against the
+    /// reference, and the inverse columns at the block edges and in the
+    /// last block against reference solves of their unit vectors.
+    #[test]
+    fn full_grid_capacitance_matrix_factors_bit_identically() {
+        let c = grid_capacitance_matrix(32, 32, 11);
+        let n = c.rows();
+        let fast = LuDecomposition::new(&c).unwrap();
+        let slow = reference::factor(&c).unwrap();
+        assert_eq!(bits(fast.lu.as_slice()), bits(slow.lu.as_slice()));
+        assert_eq!(fast.perm, slow.perm);
+        let b: Vec<f64> = (0..n).map(|i| (i % 5) as f64 * 1e-19).collect();
+        assert_eq!(
+            bits(&fast.solve(&b).unwrap()),
+            bits(&reference::solve(&slow, &b))
+        );
+        assert_eq!(fast.determinant().to_bits(), slow.determinant().to_bits());
+        let inverse = fast.inverse().unwrap();
+        for col in [0, 1, 63, 64, 65, 511, 960, n - 2, n - 1] {
+            let mut e = vec![0.0; n];
+            e[col] = 1.0;
+            let column: Vec<f64> = (0..n).map(|row| inverse[(row, col)]).collect();
+            assert_eq!(
+                bits(&column),
+                bits(&reference::solve(&slow, &e)),
+                "column {col}"
+            );
+        }
     }
 
     proptest! {
@@ -633,6 +770,59 @@ mod tests {
                 .map(|_| sparse_value(&mut rng, 0.3, rhs_negative_zero))
                 .collect();
             assert_bit_identical(&a, &[b]);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(60))]
+
+        /// The envelope and trailing-zero skips against the reference on
+        /// profile matrices: each row holds values only in its own band
+        /// `[i − left, i + right]`, drawn per row so the envelope is not
+        /// monotone, with exact zeros inside it. Diagonals of random sign
+        /// give negative pivots, and a dominant entry at a row's left edge
+        /// forces row swaps inside the envelope. Some cases place a NaN or
+        /// an infinity inside one row's band, where it reaches multipliers
+        /// and pivot rows, and some seed `−0` into the matrix or the
+        /// right-hand side.
+        #[test]
+        fn prop_envelope_skips_are_bit_identical_to_the_reference(
+            size in 0_usize..5,
+            seed in 0_u64..u64::MAX,
+            band in 1_usize..12,
+            zero in 0.0_f64..0.6,
+            special in 0_u8..8,
+        ) {
+            let n = [1, INVERSE_BLOCK - 1, INVERSE_BLOCK, INVERSE_BLOCK + 1, 2 * INVERSE_BLOCK + 3][size];
+            let mut rng = StdRng::seed_from_u64(seed);
+            let matrix_negative_zero = if special & 1 == 1 { 0.05 } else { 0.0 };
+            let rhs_negative_zero = if special & 2 == 2 { 0.2 } else { 0.0 };
+            let mut a = Matrix::zeros(n, n);
+            let mut bands = Vec::with_capacity(n);
+            for i in 0..n {
+                let left = i.saturating_sub(rng.gen::<u64>() as usize % (band + 1));
+                let right = (i + rng.gen::<u64>() as usize % (band + 1)).min(n - 1);
+                for j in left..=right {
+                    a[(i, j)] = sparse_value(&mut rng, zero, matrix_negative_zero);
+                }
+                let sign = if rng.gen_bool(0.5) { -1.0 } else { 1.0 };
+                a[(i, i)] = sign * (1.0 + 3.0 * rng.gen::<f64>());
+                if left < i && rng.gen_bool(0.2) {
+                    a[(i, left)] = -sign * (8.0 + rng.gen::<f64>());
+                }
+                bands.push((left, right));
+            }
+            if special & 4 == 4 {
+                let i = rng.gen::<u64>() as usize % n;
+                let (left, right) = bands[i];
+                let j = left + rng.gen::<u64>() as usize % (right - left + 1);
+                a[(i, j)] = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][rng.gen::<u64>() as usize % 3];
+            }
+            let b: Vec<f64> = (0..n)
+                .map(|_| sparse_value(&mut rng, 0.3, rhs_negative_zero))
+                .collect();
+            let unit: Vec<f64> = (0..n).map(|i| if i + 1 == n { 1.0 } else { 0.0 }).collect();
+            assert_bit_identical(&a, &[b, unit]);
         }
     }
 }

@@ -361,27 +361,19 @@ impl TunnelSystemBuilder {
         // Per-junction potential response of one a→b tunnel event:
         // Δφ = e·K[:,a] − e·K[:,b] (island endpoints only). Applying an
         // event to cached potentials is then a single ±axpy of this column.
-        // The columns are read as rows of one transposed copy of K. Each
-        // row carries one trailing zero slot through the coupling pass
+        // Each row carries one trailing zero slot through the coupling pass
         // below, where every electrode endpoint reads it.
-        let mut event_response: Vec<Vec<f64>> = {
-            let k_columns = inverse.transpose();
-            let zeros = vec![0.0; n_islands];
-            let column = |e: Endpoint| match e {
-                Endpoint::Island(i) => k_columns.row(i),
-                Endpoint::External(_) => &zeros,
-            };
-            self.junctions
-                .iter()
-                .map(|j| {
-                    let (a, b) = (column(j.a), column(j.b));
-                    let mut row = Vec::with_capacity(n_islands + 1);
-                    row.extend(a.iter().zip(b).map(|(x, y)| E * (x - y)));
-                    row.push(0.0);
-                    row
-                })
-                .collect()
+        let zero_slot = n_islands as u32;
+        let slot = |e: Endpoint| match e {
+            Endpoint::Island(i) => i as u32,
+            Endpoint::External(_) => zero_slot,
         };
+        let slots: Vec<[u32; 2]> = self
+            .junctions
+            .iter()
+            .map(|j| [slot(j.a), slot(j.b)])
+            .collect();
+        let mut event_response = response_rows(&inverse, &slots);
 
         // Event-coupling table: orthodox ΔF is linear in the island
         // occupation, so firing an a→b event on junction `f` shifts every
@@ -407,16 +399,6 @@ impl TunnelSystemBuilder {
         // one and the strongest coupling is listed. Only rounding can lift
         // an off-diagonal coupling above every diagonal one; the lists are
         // then rebuilt at the final threshold.
-        let zero_slot = n_islands as u32;
-        let slot = |e: Endpoint| match e {
-            Endpoint::Island(i) => i as u32,
-            Endpoint::External(_) => zero_slot,
-        };
-        let slots: Vec<[u32; 2]> = self
-            .junctions
-            .iter()
-            .map(|j| [slot(j.a), slot(j.b)])
-            .collect();
         let diagonal_max = event_response
             .iter()
             .zip(&slots)
@@ -437,9 +419,9 @@ impl TunnelSystemBuilder {
         // step on electrode k moves every island potential by one axpy of
         // this column, which is what keeps drive changes O(islands) on the
         // incremental hot path.
-        let drive_response = (0..n_externals)
+        let drive_rhs: Vec<Vec<f64>> = (0..n_externals)
             .map(|k| {
-                let rhs: Vec<f64> = (0..n_islands)
+                (0..n_islands)
                     .map(|i| {
                         coupling[i]
                             .iter()
@@ -447,10 +429,10 @@ impl TunnelSystemBuilder {
                             .map(|&(_, c)| c)
                             .sum()
                     })
-                    .collect();
-                inverse.mul_vec(&rhs)
+                    .collect()
             })
             .collect();
+        let drive_response = mul_vecs(&inverse, &drive_rhs);
 
         Ok(TunnelSystem {
             tables: Arc::new(SystemTables {
@@ -472,6 +454,80 @@ impl TunnelSystemBuilder {
             external_voltages: self.external_voltages.clone(),
         })
     }
+}
+
+/// Per junction with endpoint slots `[a, b]`, the response row
+/// `E·(K[i][a] − K[i][b])` over islands `i` plus one trailing zero slot,
+/// where slot `K.rows()` (an electrode) reads zero. K is read in tiles of a
+/// few rows, each copied column-major next to a zero pad column, so that
+/// every junction gathers its two columns as contiguous runs and no
+/// transposed copy of K is made.
+fn response_rows(k: &Matrix, slots: &[[u32; 2]]) -> Vec<Vec<f64>> {
+    const TILE: usize = 32;
+    let n = k.rows();
+    let mut rows: Vec<Vec<f64>> = slots.iter().map(|_| Vec::with_capacity(n + 1)).collect();
+    let mut tile = vec![0.0; (n + 1) * TILE];
+    for block in k.as_slice().chunks(TILE * n) {
+        let height = block.len() / n;
+        for (t, k_row) in block.chunks_exact(n).enumerate() {
+            for (column, &v) in tile.chunks_exact_mut(TILE).zip(k_row) {
+                column[t] = v;
+            }
+        }
+        for (row, &[a, b]) in rows.iter_mut().zip(slots) {
+            let a = &tile[a as usize * TILE..][..height];
+            let b = &tile[b as usize * TILE..][..height];
+            row.extend(a.iter().zip(b).map(|(x, y)| E * (x - y)));
+        }
+    }
+    for row in &mut rows {
+        row.push(0.0);
+    }
+    rows
+}
+
+/// Per right-hand side `r`, the product `k · r`, bit for bit as
+/// [`Matrix::mul_vec`], reading `k` once, row by row.
+///
+/// A right-hand side that is mostly zeros visits only its non-zero entries
+/// on each finite row of `k`: a finite entry times a zero is a zero, and
+/// adding a zero to a sum changes at most the sign of a zero sum, so the
+/// sparse dot equals the dense one unless it is zero. A zero dot, a row
+/// with a non-finite entry and a dense right-hand side take the dense dot.
+fn mul_vecs(k: &Matrix, rhs: &[Vec<f64>]) -> Vec<Vec<f64>> {
+    let sparse: Vec<Vec<(usize, f64)>> = rhs
+        .iter()
+        .map(|r| {
+            let entries: Vec<_> = r
+                .iter()
+                .copied()
+                .enumerate()
+                .filter(|&(_, c)| c != 0.0)
+                .collect();
+            if 2 * entries.len() < r.len() {
+                entries
+            } else {
+                Vec::new()
+            }
+        })
+        .collect();
+    let mut out: Vec<Vec<f64>> = rhs.iter().map(|_| Vec::with_capacity(k.rows())).collect();
+    for row in k.as_slice().chunks_exact(k.cols()) {
+        let finite = row.iter().fold(true, |finite, v| finite & v.is_finite());
+        for ((out, rhs), sparse) in out.iter_mut().zip(rhs).zip(&sparse) {
+            let dot: f64 = if finite {
+                sparse.iter().map(|&(j, c)| row[j] * c).sum()
+            } else {
+                0.0
+            };
+            out.push(if dot == 0.0 {
+                row.iter().zip(rhs).map(|(a, b)| a * b).sum()
+            } else {
+                dot
+            });
+        }
+    }
+    out
 }
 
 /// Coupling `g[f][j] = e·(resp_f[a_j] − resp_f[b_j])` from fired junction
@@ -1371,6 +1427,102 @@ mod tests {
         let sum =
             system.delta_free_energy(&neutral, ev_ab) + system.delta_free_energy(&neutral, ev_ba);
         assert!((sum - E * E * c).abs() < 1e-9 * sum.abs().max(1e-30));
+    }
+
+    /// An `n`×`n` island array shaped like the benchmark arrays: rows of
+    /// drain → ground junction chains, vertical junctions between rows and
+    /// a seeded stray capacitor from every island to a `bg` electrode.
+    /// An `idle` electrode couples to no island.
+    fn stray_array(n: usize, seed: u64) -> TunnelSystem {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut b = TunnelSystem::builder();
+        let drain = b.external("drain", 0.05 * n as f64);
+        let ground = b.external("ground", 0.0);
+        let bg = b.external("bg", 0.5);
+        let idle = b.external("idle", 0.2);
+        let islands: Vec<_> = (0..n * n).map(|k| b.island(format!("x{k}"), 0.0)).collect();
+        for r in 0..n {
+            for c in 0..=n {
+                let a = if c == 0 {
+                    drain
+                } else {
+                    islands[r * n + c - 1]
+                };
+                let z = if c == n { ground } else { islands[r * n + c] };
+                b.junction(format!("J{r}_{c}"), a, z, 0.5e-18, 100e3);
+            }
+        }
+        for k in 0..n * (n - 1) {
+            b.junction(format!("JV{k}"), islands[k], islands[k + n], 0.3e-18, 150e3);
+        }
+        let mut rng = StdRng::seed_from_u64(seed);
+        for (k, &island) in islands.iter().enumerate() {
+            b.capacitor(
+                format!("CB{k}"),
+                bg,
+                island,
+                (0.03 + 0.17 * rng.gen::<f64>()) * 1e-18,
+            );
+        }
+        b.capacitor("CI", idle, drain, 1e-18);
+        b.build().unwrap()
+    }
+
+    /// Every electrode's drive response is the dense product
+    /// `K · C(:,k)` bit for bit — on arrays, where the drain and ground
+    /// couple to one island column each and `bg` to every island; on a
+    /// chain; on the reference SET; on two SETs whose islands do not
+    /// couple (exact zeros in K); and for an electrode that couples to no
+    /// island (an all-zero right-hand side).
+    #[test]
+    fn drive_response_is_the_dense_product() {
+        let mut systems: Vec<TunnelSystem> = (2..=6).map(|n| stray_array(n, n as u64)).collect();
+        let mut chain = TunnelSystem::builder();
+        let drain = chain.external("drain", 0.1);
+        let source = chain.external("source", 0.0);
+        let gate = chain.external("gate", 0.05);
+        let mut previous = drain;
+        for i in 0..12 {
+            let island = chain.island(format!("c{i}"), 0.0);
+            chain.junction(format!("J{i}"), previous, island, 1e-18, 1e5);
+            chain.capacitor(format!("C{i}"), gate, island, 0.2e-18);
+            previous = island;
+        }
+        chain.junction("Jout", previous, source, 1e-18, 1e5);
+        systems.push(chain.build().unwrap());
+        systems.push(symmetric_set(0.02, 0.01, 0.1).0);
+        let mut pair = TunnelSystem::builder();
+        let drain = pair.external("drain", 0.1);
+        let gate = pair.external("gate", 0.05);
+        for name in ["left", "right"] {
+            let island = pair.island(name, 0.0);
+            pair.junction(format!("J{name}"), drain, island, 1e-18, 1e5);
+            pair.capacitor(format!("C{name}"), gate, island, 0.3e-18);
+        }
+        systems.push(pair.build().unwrap());
+        for system in &systems {
+            let tables = &system.tables;
+            for k in 0..system.external_count() {
+                let rhs: Vec<f64> = tables
+                    .coupling
+                    .iter()
+                    .map(|list| list.iter().filter(|&&(e, _)| e == k).map(|&(_, c)| c).sum())
+                    .collect();
+                let dense: Vec<u64> = tables
+                    .c_ii_inverse
+                    .mul_vec(&rhs)
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .collect();
+                let stored: Vec<u64> = system
+                    .drive_response(k)
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .collect();
+                assert_eq!(stored, dense, "electrode `{}`", system.external_name(k));
+            }
+        }
     }
 
     proptest! {

@@ -673,3 +673,80 @@ const GOLDEN_100: f64 = 5.352991434652985e-8;
 const GOLDEN_150: f64 = 9.668731531978366e-8;
 const GOLDEN_200: f64 = 1.4122215866572211e-7;
 const GOLDEN_300: f64 = 2.3120211081667966e-7;
+
+/// FNV-1a over the bits of every public table the `TunnelSystem` build
+/// produces: the coupling of every junction pair, the strong runs and
+/// values, the self-charging constants and the coupling margin, the island
+/// potentials of a fixed charge state, and the cached potentials after one
+/// drive step on every electrode (which applies the drive responses).
+fn build_fingerprint(system: &TunnelSystem) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325_u64;
+    let mut mix = |word: u64| {
+        for byte in word.to_le_bytes() {
+            hash ^= u64::from(byte);
+            hash = hash.wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    let junctions = system.junctions().len();
+    for f in 0..junctions {
+        for j in 0..junctions {
+            mix(system.junction_coupling(f, j).to_bits());
+        }
+        for &(start, len) in system.junction_strong_couplings(f).runs() {
+            mix(u64::from(start) << 32 | u64::from(len));
+        }
+        for g in system.junction_strong_coupling_values(f) {
+            mix(g.to_bits());
+        }
+        mix(system.junction_self_charging(f).to_bits());
+    }
+    mix(system.coupling_margin().to_bits());
+    let islands = system.island_count();
+    let state = ChargeState((0..islands).map(|i| i as i64 % 3 - 1).collect());
+    for phi in system.island_potentials(&state) {
+        mix(phi.to_bits());
+    }
+    let mut driven = system.clone();
+    let mut live = LiveState::new(&driven, state);
+    for k in 0..driven.external_count() {
+        let v = driven.external_voltage(k) + 0.013 * (k + 1) as f64;
+        driven.set_external_voltage(k, v).unwrap();
+    }
+    live.sync(&driven);
+    for phi in live.potentials() {
+        mix(phi.to_bits());
+    }
+    hash
+}
+
+/// The build tables are pinned to the bit: a refactor of the
+/// `TunnelSystem` build that moves any coupling, strong list, potential or
+/// drive response fails here, at the table itself, before any golden
+/// trace does.
+#[test]
+fn build_tables_match_their_recorded_fingerprints() {
+    let cases = [
+        (
+            "16x16 array, seed 3",
+            se_bench::array_system(16, 3),
+            0x705b_4344_50b3_4c9d_u64,
+        ),
+        (
+            "7x7 array, seed 1",
+            se_bench::array_system(7, 1),
+            0x37d1_a51b_161c_e044,
+        ),
+        (
+            "64-island chain",
+            se_bench::chain_system(64, 0.1, 0.05),
+            0xa269_a1bb_e11a_c38a,
+        ),
+    ];
+    for (name, system, recorded) in cases {
+        assert_eq!(
+            build_fingerprint(&system),
+            recorded,
+            "{name}: build tables moved"
+        );
+    }
+}
