@@ -18,8 +18,8 @@
 //!   one bounded worker pool, which is how a multi-deck batch saturates a
 //!   machine.
 //! * [`ResultSink`] — streaming consumption in strict index order:
-//!   in-memory tables ([`TableSink`]), incremental CSV/JSONL writers
-//!   ([`CsvSink`], [`JsonlSink`]), a throttled progress reporter
+//!   in-memory tables ([`TableSink`]), an incremental CSV writer
+//!   ([`CsvSink`]), a throttled progress reporter
 //!   ([`ProgressSink`]), all composable with [`Tee`].
 //! * [`CancelToken`] — cooperative cancellation, polled between items.
 //! * [`CheckpointStore`] — a completed-chunk manifest plus bit-exact
@@ -65,7 +65,7 @@ pub use job::{
     Workers,
 };
 pub use seed::{derive_seed, split_mix64};
-pub use sink::{CsvSink, JsonlSink, ProgressSink, ResultSink, TableSink, Tee, ToRows};
+pub use sink::{CsvSink, ProgressSink, ResultSink, TableSink, Tee, ToRows};
 pub use trace::{Divergence, JobTrace, TraceSink, TraceValue, VerifySink};
 
 /// Runs one job, streaming results into `sink`.

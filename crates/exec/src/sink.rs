@@ -1,5 +1,5 @@
 //! Streaming result consumption: the [`ResultSink`] trait and the stock
-//! sinks (in-memory table, incremental CSV/JSONL writers, throttled
+//! sinks (in-memory table, incremental CSV writer, throttled
 //! progress reporter, tee combinator).
 //!
 //! The scheduler feeds a sink its items **in index order**, whatever the
@@ -132,8 +132,7 @@ impl<T, A: ResultSink<T>, B: ResultSink<T>> ResultSink<T> for Tee<A, B> {
 }
 
 /// An item that renders as zero or more rows of named-column `f64` data —
-/// the shape the tabular sinks ([`TableSink`], [`CsvSink`], [`JsonlSink`])
-/// consume.
+/// the shape the tabular sinks ([`TableSink`], [`CsvSink`]) consume.
 ///
 /// A bias-point result is one row; a whole transient trace is one row per
 /// sample time.
@@ -235,52 +234,6 @@ impl<T: ToRows, W: Write> ResultSink<T> for CsvSink<W> {
         item.rows(&mut |row| {
             let cells: Vec<String> = row.iter().map(|&v| csv_cell(v)).collect();
             writeln!(out, "{}", cells.join(","))
-        })
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        self.out.flush()
-    }
-
-    fn finish(&mut self, _report: &Report) -> io::Result<()> {
-        self.out.flush()
-    }
-}
-
-/// The incremental JSONL writer: one JSON array of numbers per data row
-/// (non-finite values become `null`, as JSON requires).
-#[derive(Debug)]
-pub struct JsonlSink<W: Write> {
-    out: W,
-}
-
-impl<W: Write> JsonlSink<W> {
-    /// A JSONL sink over the writer.
-    pub fn new(out: W) -> Self {
-        JsonlSink { out }
-    }
-
-    /// Consumes the sink, returning the writer.
-    pub fn into_inner(self) -> W {
-        self.out
-    }
-}
-
-impl<T: ToRows, W: Write> ResultSink<T> for JsonlSink<W> {
-    fn item(&mut self, _index: usize, item: &T) -> io::Result<()> {
-        let out = &mut self.out;
-        item.rows(&mut |row| {
-            let cells: Vec<String> = row
-                .iter()
-                .map(|&v| {
-                    if v.is_finite() {
-                        format!("{v:?}")
-                    } else {
-                        "null".to_string()
-                    }
-                })
-                .collect();
-            writeln!(out, "[{}]", cells.join(", "))
         })
     }
 
@@ -413,14 +366,6 @@ mod tests {
             .map(|cell| cell.parse().unwrap())
             .collect();
         assert_eq!(row, vec![0.0, 1e-12]);
-    }
-
-    #[test]
-    fn jsonl_sink_nulls_non_finite_values() {
-        let mut sink = JsonlSink::new(Vec::new());
-        feed(&mut sink, &[vec![1.5e-9, f64::NAN]]);
-        let text = String::from_utf8(sink.into_inner()).unwrap();
-        assert_eq!(text.trim(), "[1.5e-9, null]");
     }
 
     #[test]

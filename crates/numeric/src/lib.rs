@@ -5,9 +5,8 @@
 //! modified nodal analysis, sparse (CSR) matrices and an iterative
 //! stationary solver for the master-equation state space, root finding for
 //! Newton iterations, statistics
-//! and histograms for Monte-Carlo observables and randomness analysis, a
-//! discrete Fourier transform for the FM-coded logic demodulation, and simple
-//! interpolation for tabulated device characteristics.
+//! and histograms for Monte-Carlo observables and randomness analysis, and a
+//! discrete Fourier transform for the FM-coded logic demodulation.
 //!
 //! Rather than pulling in a large linear-algebra dependency, this crate
 //! implements exactly what is needed with a bias towards clarity and
@@ -40,7 +39,6 @@
 pub mod dft;
 pub mod error;
 pub mod histogram;
-pub mod interp;
 pub mod krylov;
 pub mod lu;
 pub mod matrix;

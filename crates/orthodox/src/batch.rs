@@ -21,11 +21,18 @@
 //! [`BatchedRateContext::fill_rates_batch`] walks the junctions once; for
 //! each junction it loads the endpoint pair, prefactor and self-charging
 //! energy a single time and evaluates the two directed rates for all N
-//! replicas over the two contiguous potential planes. The frozen-event
-//! cutoff and the strongly-favourable linear branch — which together cover
-//! every event of a cold circuit — reduce to two compares and one multiply
-//! per rate; only mid-regime (thermal-window) events fall back to the exact
-//! shared kernel (`rate_from_parts` in [`crate::rates`]).
+//! replicas over the two contiguous potential planes, in one of three lane
+//! loops. At `kT = 0` every lane takes the 0 K select. Above it a cold fast
+//! pass covers the frozen cutoff and the strongly favourable linear rate
+//! (two compares and one multiply per rate, every event of a cold circuit)
+//! and flags a junction whose ΔFs reach the thermal window; a flagged
+//! junction's lanes then run through the branch-free thermal kernel of
+//! [`crate::rates`], the one the scalar event table uses. A junction whose
+//! lane 0 already sits in the window skips the fast pass. On a warm
+//! circuit most junctions need the kernel: running the fast pass first on
+//! every junction made the 2 K `small_ensemble` deck ≈ 10 % slower in
+//! `run_s` than a fill that predicted warm junctions from the previous
+//! fill, and the stateless probe takes back about half of that.
 //!
 //! The batch serves stationary ensembles: every lane shares the system's
 //! drive voltages and background charges, which stay fixed for the batch's
@@ -43,7 +50,7 @@
 
 use crate::error::OrthodoxError;
 use crate::live::{RateContext, REFRESH_INTERVAL};
-use crate::rates::{rate_from_parts, rate_from_parts_branchfree, MAX_EXPONENT};
+use crate::rates::{rate_zero_kelvin, MAX_EXPONENT};
 use crate::system::{ChargeState, Direction, Endpoint, TunnelEvent, TunnelSystem};
 use se_units::constants::E;
 
@@ -413,16 +420,6 @@ impl BatchedLiveState {
 pub struct BatchedRateContext {
     ctx: RateContext,
     replicas: usize,
-    /// Per-junction prediction: did this junction need the exact thermal
-    /// kernel on the previous [`Self::fill_rates_batch`]? Junctions whose
-    /// ΔF sits inside the thermal window tend to stay there for many
-    /// events, so a warm junction skips the fast linear pass and runs the
-    /// (bitwise-equivalent) branch-free exact kernel directly — one lane
-    /// loop per junction instead of two. Purely a performance hint: both
-    /// code paths produce identical bits, so a stale prediction costs a
-    /// few cycles, never correctness. Interior mutability keeps the fill
-    /// entry points `&self` for the engine's borrow patterns.
-    warm: std::cell::RefCell<Vec<bool>>,
 }
 
 impl BatchedRateContext {
@@ -445,7 +442,6 @@ impl BatchedRateContext {
         Ok(BatchedRateContext {
             ctx: RateContext::new(system, temperature)?,
             replicas,
-            warm: std::cell::RefCell::new(vec![false; system.junctions().len()]),
         })
     }
 
@@ -481,21 +477,11 @@ impl BatchedRateContext {
         rates.resize(2 * endpoints.len() * replicas, 0.0);
         totals.clear();
         totals.resize(replicas, 0.0);
-        let kt = self.ctx.kt();
-        let inv_kt = self.ctx.inv_kt();
-        let cutoff = self.ctx.frozen_cutoff();
-        // A ΔF needs the exact thermal kernel when `ΔF · inv_kt` stays
-        // above `-MAX_EXPONENT` — i.e. `ΔF ≥ -MAX_EXPONENT · kt` for
-        // positive kt, and *always* at kt = 0 (where `inv_kt` is zero and
-        // the product degenerates to 0). Folding that into a precomputed
-        // lower bound trades the per-rate multiply for one compare.
-        let patch_floor = if inv_kt > 0.0 {
-            -MAX_EXPONENT * kt
-        } else {
-            f64::NEG_INFINITY
-        };
-        let mut warm = self.warm.borrow_mut();
-        warm.resize(endpoints.len(), false);
+        let (kt, cutoff) = (self.ctx.kt(), self.ctx.frozen_cutoff());
+        // Below `linear_floor` (`ΔF/kT < −MAX_EXPONENT`) a rate is the
+        // strongly favourable linear one; between it and the frozen cutoff
+        // lies the thermal window.
+        let linear_floor = -MAX_EXPONENT * kt;
         for (j, &(ia, ib)) in endpoints.iter().enumerate() {
             let prefactor = self.ctx.prefactors()[j];
             let self_energy = self.ctx.self_energies()[j];
@@ -503,40 +489,65 @@ impl BatchedRateContext {
             let plane_b = &phi[ib * replicas..(ib + 1) * replicas];
             let (out_ab, rest) = rates[2 * j * replicas..].split_at_mut(replicas);
             let out_ba = &mut rest[..replicas];
-            if warm[j] && inv_kt > 0.0 {
-                // Predicted warm: this junction needed the exact thermal
-                // kernel last fill, and ΔF drifts slowly, so skip the fast
-                // linear pass entirely — one branch-free exact loop per
-                // junction instead of two. The exact kernel is bitwise
-                // equal to the fast pass outside the window, so running it
-                // unconditionally cannot change any value; while here,
-                // recompute the window flag to steer the next fill.
-                let mut still_warm = false;
+            if kt == 0.0 {
                 let lanes = plane_a
                     .iter()
-                    .zip(plane_b.iter())
+                    .zip(plane_b)
                     .zip(out_ab.iter_mut())
                     .zip(out_ba.iter_mut());
                 for (((&pa, &pb), ab), ba) in lanes {
                     let phi_gap = E * (pa - pb);
-                    let df_ab = phi_gap + self_energy;
-                    let df_ba = self_energy - phi_gap;
-                    *ab = rate_from_parts_branchfree(df_ab, prefactor, kt, inv_kt);
-                    *ba = rate_from_parts_branchfree(df_ba, prefactor, kt, inv_kt);
-                    still_warm |= (df_ab <= cutoff) & (df_ab >= patch_floor);
-                    still_warm |= (df_ba <= cutoff) & (df_ba >= patch_floor);
+                    *ab = rate_zero_kelvin(phi_gap + self_energy, prefactor);
+                    *ba = rate_zero_kelvin(self_energy - phi_gap, prefactor);
                 }
-                warm[j] = still_warm;
             } else {
-                self.fill_junction_cold(
-                    j,
-                    &mut warm,
-                    plane_a,
-                    plane_b,
-                    out_ab,
-                    out_ba,
-                    patch_floor,
-                );
+                // Cold fast pass, branch-free so it vectorizes across
+                // lanes: frozen events pin to zero and everything else
+                // takes the linear rate, which is the kernel's value
+                // outside the thermal window. A flag records whether any
+                // directed ΔF lands inside the window; only then do this
+                // junction's lanes run through the thermal kernel, which is
+                // exact for every lane. When lane 0 already lands inside
+                // the window, the fast pass would be overwritten and is
+                // skipped.
+                let in_window = |df: f64| (df <= cutoff) & (df >= linear_floor);
+                let gap = E * (plane_a[0] - plane_b[0]);
+                let mut thermal = in_window(gap + self_energy) | in_window(self_energy - gap);
+                if !thermal {
+                    let lanes = plane_a
+                        .iter()
+                        .zip(plane_b)
+                        .zip(out_ab.iter_mut())
+                        .zip(out_ba.iter_mut());
+                    for (((&pa, &pb), ab), ba) in lanes {
+                        let phi_gap = E * (pa - pb);
+                        let df_ab = phi_gap + self_energy;
+                        let df_ba = self_energy - phi_gap;
+                        *ab = if df_ab > cutoff {
+                            0.0
+                        } else {
+                            -df_ab * prefactor
+                        };
+                        *ba = if df_ba > cutoff {
+                            0.0
+                        } else {
+                            -df_ba * prefactor
+                        };
+                        thermal |= in_window(df_ab) | in_window(df_ba);
+                    }
+                }
+                if thermal {
+                    let lanes = plane_a
+                        .iter()
+                        .zip(plane_b)
+                        .zip(out_ab.iter_mut())
+                        .zip(out_ba.iter_mut());
+                    for (((&pa, &pb), ab), ba) in lanes {
+                        let phi_gap = E * (pa - pb);
+                        *ab = self.ctx.thermal_rate(phi_gap + self_energy, prefactor);
+                        *ba = self.ctx.thermal_rate(self_energy - phi_gap, prefactor);
+                    }
+                }
             }
             // Totals fold in junction-by-junction — exactly the scalar
             // [`RateContext::fill_rates`] accumulation order, so each
@@ -548,143 +559,6 @@ impl BatchedRateContext {
             }
         }
     }
-
-    /// The cold-junction half of [`Self::fill_rates_batch`]: fast linear
-    /// pass plus (rare) exact patch pass for one junction's lanes, updating
-    /// the junction's warm prediction for the next fill.
-    #[allow(clippy::too_many_arguments)]
-    fn fill_junction_cold(
-        &self,
-        j: usize,
-        warm: &mut [bool],
-        plane_a: &[f64],
-        plane_b: &[f64],
-        out_ab: &mut [f64],
-        out_ba: &mut [f64],
-        patch_floor: f64,
-    ) {
-        let kt = self.ctx.kt();
-        let inv_kt = self.ctx.inv_kt();
-        let cutoff = self.ctx.frozen_cutoff();
-        let prefactor = self.ctx.prefactors()[j];
-        let self_energy = self.ctx.self_energies()[j];
-        {
-            // Fast pass, branch-free so it vectorizes across lanes: frozen
-            // events pin to zero, everything else takes the strongly-
-            // favourable linear rate — bitwise the values the exact kernel
-            // produces outside the thermal window. A lane-wide flag records
-            // whether any directed ΔF lands *inside* the window; only then
-            // does the (rare on a cold circuit) exact pass overwrite this
-            // junction's lanes with the shared scalar kernel.
-            let mut needs_patch = false;
-            let lanes = plane_a
-                .iter()
-                .zip(plane_b.iter())
-                .zip(out_ab.iter_mut())
-                .zip(out_ba.iter_mut());
-            for (((&pa, &pb), ab), ba) in lanes {
-                let phi_gap = E * (pa - pb);
-                let df_ab = phi_gap + self_energy;
-                let df_ba = self_energy - phi_gap;
-                *ab = if df_ab > cutoff {
-                    0.0
-                } else {
-                    -df_ab * prefactor
-                };
-                *ba = if df_ba > cutoff {
-                    0.0
-                } else {
-                    -df_ba * prefactor
-                };
-                needs_patch |= (df_ab <= cutoff) & (df_ab >= patch_floor);
-                needs_patch |= (df_ba <= cutoff) & (df_ba >= patch_floor);
-            }
-            warm[j] = needs_patch;
-            if needs_patch {
-                let lanes = plane_a
-                    .iter()
-                    .zip(plane_b.iter())
-                    .zip(out_ab.iter_mut())
-                    .zip(out_ba.iter_mut());
-                if inv_kt > 0.0 {
-                    // Warm circuit: the full thermal kernel, in its
-                    // branch-free form so the exact pass vectorizes across
-                    // lanes just like the fast pass (this is where warm
-                    // workloads spend their fill time).
-                    for (((&pa, &pb), ab), ba) in lanes {
-                        let phi_gap = E * (pa - pb);
-                        *ab = rate_from_parts_branchfree(
-                            phi_gap + self_energy,
-                            prefactor,
-                            kt,
-                            inv_kt,
-                        );
-                        *ba = rate_from_parts_branchfree(
-                            self_energy - phi_gap,
-                            prefactor,
-                            kt,
-                            inv_kt,
-                        );
-                    }
-                } else {
-                    for (((&pa, &pb), ab), ba) in lanes {
-                        let (rate_ab, rate_ba) = directed_rates(
-                            E * (pa - pb),
-                            self_energy,
-                            prefactor,
-                            kt,
-                            inv_kt,
-                            cutoff,
-                        );
-                        *ab = rate_ab;
-                        *ba = rate_ba;
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Both directed rates of one junction given the potential gap — the
-/// branch-light core of the batched fill.
-///
-/// The fast path covers the two regimes that dominate a cold circuit with
-/// one compare and one multiply each: frozen events (`ΔF` above the
-/// Boltzmann-overflow cutoff → exact zero) and strongly-favourable events
-/// (`ΔF/kT < −MAX_EXPONENT` → the linear rate `−ΔF/(e²R)`). Only events in
-/// the thermal mid-regime — including the `ΔF → 0` series window, and
-/// everything at `kT = 0` where `inv_kt == 0` voids the regime test — are
-/// patched with the exact shared kernel [`rate_from_parts`], so every
-/// returned value is bit-identical to the scalar
-/// [`RateContext::fill_rates`] path.
-#[inline]
-fn directed_rates(
-    phi_gap: f64,
-    self_energy: f64,
-    prefactor: f64,
-    kt: f64,
-    inv_kt: f64,
-    cutoff: f64,
-) -> (f64, f64) {
-    let df_ab = phi_gap + self_energy;
-    let df_ba = self_energy - phi_gap;
-    let mut rate_ab = if df_ab > cutoff {
-        0.0
-    } else {
-        -df_ab * prefactor
-    };
-    let mut rate_ba = if df_ba > cutoff {
-        0.0
-    } else {
-        -df_ba * prefactor
-    };
-    if df_ab <= cutoff && df_ab * inv_kt >= -MAX_EXPONENT {
-        rate_ab = rate_from_parts(df_ab, prefactor, kt, inv_kt);
-    }
-    if df_ba <= cutoff && df_ba * inv_kt >= -MAX_EXPONENT {
-        rate_ba = rate_from_parts(df_ba, prefactor, kt, inv_kt);
-    }
-    (rate_ab, rate_ba)
 }
 
 #[cfg(test)]
@@ -768,10 +642,15 @@ mod tests {
 
     #[test]
     fn lanes_track_scalar_live_states_bit_for_bit() {
-        // Cold (fast-path), warm (mid-regime patch) and zero temperature.
+        // Cold (fast pass), warm (thermal patch) and zero temperature (the
+        // 0 K select), at odd widths and at the 16-lane width of the
+        // benchmark's ensembles.
         assert_lockstep_bit_identity(0.1, 200, 5);
         assert_lockstep_bit_identity(4.2, 200, 3);
         assert_lockstep_bit_identity(0.0, 50, 2);
+        for temperature in [0.0, 0.1, 2.0] {
+            assert_lockstep_bit_identity(temperature, 400, 16);
+        }
     }
 
     #[test]

@@ -30,9 +30,10 @@
 //! prefactors `1/(e²·R)`, self-charging energies, flat endpoint indices
 //! and the thermal energy are computed once, so a rate refresh after an
 //! event touches only the ΔF-dependent factors.
-//! [`RateContext::fill_rates`] is the one shared event-enumeration +
-//! rate-evaluation routine both the Gillespie loop and the master-equation
-//! assembly build on.
+//! [`RateContext::fill_rates`] enumerates the events of one state and rates
+//! them for the flat Gillespie loop; the master-equation walk splits the
+//! same evaluation into [`RateContext::fill_delta_f`] per state and one
+//! [`RateContext::rates_from_delta_f`] pass over many states.
 //!
 //! Floating-point discipline: incremental updates drift by one rounding
 //! step per axpy, so [`LiveState`] transparently recomputes its potentials
@@ -41,7 +42,7 @@
 //! thread scheduling — so runs remain bit-for-bit reproducible.
 
 use crate::error::OrthodoxError;
-use crate::rates::{rate_from_parts, rate_from_parts_branchfree};
+use crate::rates::{rate_from_parts, rate_from_parts_branchfree, rate_zero_kelvin};
 use crate::system::{ChargeState, Endpoint, TunnelEvent, TunnelSystem};
 use se_units::constants::{BOLTZMANN, E};
 
@@ -335,11 +336,6 @@ impl RateContext {
         self.kt
     }
 
-    /// The reciprocal thermal energy (0 at zero temperature).
-    pub(crate) fn inv_kt(&self) -> f64 {
-        self.inv_kt
-    }
-
     /// The frozen-event ΔF cutoff `MAX_EXPONENT · kT` in joule: every
     /// event whose ΔF exceeds it rates exactly zero in
     /// [`Self::fill_rates`].
@@ -369,9 +365,12 @@ impl RateContext {
     /// [`TunnelSystem::event_count`]; reusing one buffer across calls keeps
     /// the loop allocation-free.
     ///
-    /// This is the one shared event-enumeration + rate-evaluation routine
-    /// behind both the Gillespie loop (`se-montecarlo`'s `step`) and the
-    /// master-equation state-space assembly. The live state must be in sync
+    /// This is the flat Gillespie loop's rate pass (`se-montecarlo`'s
+    /// `step`); the master-equation walk reaches the same bits through
+    /// [`Self::fill_delta_f`] and [`Self::rates_from_delta_f`]. Each rate is
+    /// compare-first ([`crate::rates`]): a frozen or strongly favourable
+    /// event costs one compare, which keeps this per-event loop ahead of a
+    /// branch-free pass on cold circuits. The live state must be in sync
     /// with the system ([`LiveState::sync`]).
     pub fn fill_rates(&self, system: &TunnelSystem, live: &LiveState, rates: &mut Vec<f64>) -> f64 {
         debug_assert_eq!(self.endpoints.len(), system.junctions().len());
@@ -460,30 +459,40 @@ impl RateContext {
 
     /// The `fill_rates` cutoff-then-kernel expression over junction pairs:
     /// `rates[k]` receives both directed rates for the ΔF pair `df[k]` and
-    /// the prefactor `prefactors[k]`, every slot evaluated. Above zero
-    /// temperature the kernel is [`crate::rates`]' branch-free one behind
-    /// the frozen-cutoff select, so the loop auto-vectorizes; its bits
-    /// equal `rate_from_parts`' (pinned in `rates.rs`).
+    /// the prefactor `prefactors[k]`, every slot evaluated. At zero
+    /// temperature the frozen cutoff is 0, so cutoff-then-kernel is exactly
+    /// the 0 K select; above it the kernel is [`crate::rates`]' branch-free
+    /// one behind the frozen-cutoff select. Both loops auto-vectorize, and
+    /// their bits equal `rate_from_parts`' (pinned in `rates.rs`).
     pub(crate) fn rates_into(&self, df: &[[f64; 2]], prefactors: &[f64], rates: &mut [[f64; 2]]) {
-        let (kt, inv_kt, cutoff) = (self.kt, self.inv_kt, self.frozen_cutoff);
         let slots = rates.iter_mut().zip(df).zip(prefactors);
-        if kt == 0.0 {
+        if self.kt == 0.0 {
             for ((rate, df), &pf) in slots {
                 for (rate, &df) in rate.iter_mut().zip(df) {
-                    *rate = if df > cutoff {
-                        0.0
-                    } else {
-                        rate_from_parts(df, pf, kt, inv_kt)
-                    };
+                    *rate = rate_zero_kelvin(df, pf);
                 }
             }
         } else {
             for ((rate, df), &pf) in slots {
                 for (rate, &df) in rate.iter_mut().zip(df) {
-                    let thermal = rate_from_parts_branchfree(df, pf, kt, inv_kt);
-                    *rate = if df > cutoff { 0.0 } else { thermal };
+                    *rate = self.thermal_rate(df, pf);
                 }
             }
+        }
+    }
+
+    /// The rate above zero temperature as a lane loop evaluates it: the
+    /// branch-free kernel behind the frozen-cutoff select, bitwise
+    /// `fill_rates`' value. The select is not redundant: one ulp above the
+    /// cutoff, `ΔF/kT` can round to exactly `MAX_EXPONENT`, where the kernel
+    /// alone gives a tiny non-zero rate.
+    #[inline(always)]
+    pub(crate) fn thermal_rate(&self, delta_f: f64, prefactor: f64) -> f64 {
+        let rate = rate_from_parts_branchfree(delta_f, prefactor, self.kt, self.inv_kt);
+        if delta_f > self.frozen_cutoff {
+            0.0
+        } else {
+            rate
         }
     }
 }
