@@ -14,12 +14,17 @@
 //! the event-rate kernel sweep: the tree kernel against full recompute on
 //! chains of 8–256 islands and on a 16×16 background-charge array, whose
 //! dense strong lists span many runs of the table's branch-free run pass
-//! — so CI can track the hot path over time. The master-equation solver has its own record,
+//! — so CI can track the hot path over time. Each speedup ratio is the
+//! median of per-round ratios over shapes timed in interleaved rounds
+//! (`se_bench::kmc::interleaved_events_per_sec`), and each rate its best
+//! round, so a slow stretch of a shared machine cannot land on one side of
+//! a ratio only. The master-equation solver has its own record,
 //! `BENCH_master.json` (`benches/master_throughput.rs`).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use se_bench::kmc::{interleaved_events_per_sec, median};
 use se_bench::{array_system, chain_system, kmc};
 use se_montecarlo::{KmcKernel, BATCH_MIN_REPLICAS};
 use se_numeric::sampling::{exponential_waiting_time, select_weighted};
@@ -37,6 +42,14 @@ const REPLICAS: usize = 16;
 /// smaller than the scalar record's sample so one sample stays ~100 ms,
 /// but identical on both sides of the ratio.
 const BATCH_EVENTS: usize = 20_000;
+/// Interleaved rounds of the scalar incremental / full-recompute pair (a
+/// 50k-event sample each, ~5–25 ms). At 30 rounds the best incremental
+/// round still spread by 25 % over five reruns on a shared 2-vCPU
+/// container; 80 rounds brought that to 7 %.
+const SCALAR_ROUNDS: usize = 80;
+/// Interleaved rounds of the sequential / lane-group comparison (one
+/// sample of each of its three shapes per round, ~250 ms).
+const BATCH_ROUNDS: usize = 15;
 /// Replicas per lane group in the multi-core measurement: the deck
 /// executor's default width, [`BATCH_MIN_REPLICAS`] — the narrowest group
 /// the ensemble routing runs on the batched engine (4–7-lane batches ran
@@ -147,23 +160,43 @@ fn kmc_hotpath(c: &mut Criterion) {
     });
     group.finish();
 
-    // Structured record for CI tracking and the acceptance gate.
+    // Structured record for CI tracking and the acceptance gate. Shapes
+    // that a ratio compares run in interleaved rounds (one sample of each
+    // per round): a rate is its best round, a ratio the median of its
+    // per-round ratios, so a slow stretch of a shared machine moves both
+    // sides of a ratio together instead of one of them.
     let system = bench_chain();
-    let incremental = kmc::best_events_per_sec(EVENTS as u64, 5, |seed| {
-        run_incremental_loop(&system, EVENTS, seed)
-    });
-    let baseline = kmc::best_events_per_sec(EVENTS as u64, 5, |seed| {
-        run_full_recompute_loop(&system, EVENTS, seed)
-    });
+    let rounds = interleaved_events_per_sec(
+        SCALAR_ROUNDS,
+        &mut [
+            (EVENTS as u64, &mut |seed| {
+                run_incremental_loop(&system, EVENTS, seed)
+            }),
+            (EVENTS as u64, &mut |seed| {
+                run_full_recompute_loop(&system, EVENTS, seed)
+            }),
+        ],
+    );
+    let best = |rounds: &[Vec<f64>], shape: usize| {
+        rounds.iter().map(|round| round[shape]).fold(0.0, f64::max)
+    };
+    let ratio = |rounds: &[Vec<f64>], over: usize, under: usize| {
+        median(
+            rounds
+                .iter()
+                .map(|round| round[over] / round[under])
+                .collect(),
+        )
+    };
+    let incremental = best(&rounds, 0);
+    let baseline = best(&rounds, 1);
+    let speedup = ratio(&rounds, 0, 1);
     // Batched-ensemble record: the lockstep engine at N = 16 against the
     // same 16 replicas (same derived seeds, same event counts) run one at
     // a time on the scalar engine. Both sides go through the shared
     // `se_bench::kmc` harness so the ratio compares measurement-identical
     // loops.
     let batch_total = (REPLICAS * BATCH_EVENTS) as u64;
-    let sequential_aggregate = kmc::best_events_per_sec(batch_total, 3, |seed| {
-        kmc::run_sequential_replicas(&system, TEMPERATURE, seed, REPLICAS, 0, BATCH_EVENTS)
-    });
     let batched_aggregate = kmc::best_events_per_sec(batch_total, 3, |seed| {
         kmc::run_batched(&system, TEMPERATURE, seed, REPLICAS, 0, BATCH_EVENTS)
     });
@@ -176,8 +209,10 @@ fn kmc_hotpath(c: &mut Criterion) {
     // a 4-core measurement.
     let hardware_threads = std::thread::available_parallelism().map_or(1, usize::from);
     let bench_worker_threads = hardware_threads.min(4);
+    // The two lane-group numbers run interleaved with the sequential
+    // baseline their ratios divide by.
     let lane_total = (LANE_REPLICAS * BATCH_EVENTS) as u64;
-    let lane_groups_1 = kmc::best_events_per_sec(lane_total, 3, |seed| {
+    let lane_groups = |seed, workers| {
         kmc::run_lane_groups(
             &system,
             TEMPERATURE,
@@ -186,21 +221,26 @@ fn kmc_hotpath(c: &mut Criterion) {
             LANE_WIDTH,
             0,
             BATCH_EVENTS,
-            1,
+            workers,
         )
-    });
-    let lane_groups_multi = kmc::best_events_per_sec(lane_total, 3, |seed| {
-        kmc::run_lane_groups(
-            &system,
-            TEMPERATURE,
-            seed,
-            LANE_REPLICAS,
-            LANE_WIDTH,
-            0,
-            BATCH_EVENTS,
-            bench_worker_threads,
-        )
-    });
+    };
+    let rounds = interleaved_events_per_sec(
+        BATCH_ROUNDS,
+        &mut [
+            (batch_total, &mut |seed| {
+                kmc::run_sequential_replicas(&system, TEMPERATURE, seed, REPLICAS, 0, BATCH_EVENTS)
+            }),
+            (lane_total, &mut |seed| lane_groups(seed, 1)),
+            (lane_total, &mut |seed| {
+                lane_groups(seed, bench_worker_threads)
+            }),
+        ],
+    );
+    let sequential_aggregate = best(&rounds, 0);
+    let lane_groups_1 = best(&rounds, 1);
+    let lane_groups_multi = best(&rounds, 2);
+    let speedup_1_thread = ratio(&rounds, 1, 0);
+    let speedup_multi_thread = ratio(&rounds, 2, 0);
     // Kernel-scaling sweep: the tree/axpy kernel against full recompute on
     // chains of N ∈ {8, 64, 256} islands, same circuits and seeds on both
     // sides, construction excluded from the timed region
@@ -275,9 +315,9 @@ fn kmc_hotpath(c: &mut Criterion) {
          \"events_per_sec_array{ARRAY_SIDE}\": {array_tree:.1},\n  \
          \"events_per_sec_full_recompute_array{ARRAY_SIDE}\": {array_full:.1},\n  \
          \"dense_list_speedup\": {:.2}\n}}\n",
-        incremental / baseline,
-        lane_groups_1 / sequential_aggregate,
-        lane_groups_multi / sequential_aggregate,
+        speedup,
+        speedup_1_thread,
+        speedup_multi_thread,
         array_tree / array_full,
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_kmc.json");

@@ -22,7 +22,10 @@
 //!   window ±5, an 8×8 drain × gate map) solved cold at every point with
 //!   the Jacobi and the ILU(0) preconditioner, at 4.2 K and at 100 K —
 //!   seconds, Krylov iterations and Gauss–Seidel fallbacks of each, the
-//!   evidence for or against keeping `solver=krylov-jacobi`;
+//!   evidence for or against keeping `solver=krylov-jacobi`; plus the
+//!   hot map run the way a deck runs it (`map_100k_warm_block_seconds`:
+//!   the default solver, drain points in warm blocks of
+//!   `MASTER_WARM_BLOCK`, the first of each block cold);
 //! * **scaling**: one full solve per chain length (1–3 islands, window
 //!   ±2), the state-space scaling argument of experiment E10b.
 //!
@@ -39,6 +42,7 @@ use se_bench::chain_system;
 use se_montecarlo::MasterEquation;
 use se_numeric::sparse::{stationary_distribution_with, StationaryOptions, StationaryWorkspace};
 use se_numeric::{Preconditioner, StationarySolver};
+use se_sim::MASTER_WARM_BLOCK;
 use se_units::constants::E;
 use std::time::Instant;
 
@@ -167,6 +171,35 @@ fn run_map(preconditioner: Preconditioner, temperature: f64) -> (f64, usize, usi
     (start.elapsed().as_secs_f64(), iterations, fallbacks)
 }
 
+/// One pass over the map as a deck runs it: the default solver, the drain
+/// axis (fast) in warm blocks of [`MASTER_WARM_BLOCK`] points, each point
+/// but a block's first seeded with its predecessor's distribution.
+/// Returns (seconds, solver iterations).
+fn run_map_warm_blocks(temperature: f64) -> (f64, usize) {
+    let start = Instant::now();
+    let mut iterations = 0;
+    let at = |k: usize, lo: f64, hi: f64| lo + (hi - lo) * k as f64 / (MAP_SIDE - 1) as f64;
+    let mut previous = None;
+    for point in 0..MAP_SIDE * MAP_SIDE {
+        let (gate, drain) = (point / MAP_SIDE, point % MAP_SIDE);
+        let system = chain_system(MASTER_ISLANDS, at(drain, -0.2, 0.2), at(gate, 0.0, 0.16));
+        let warm = if point % MASTER_WARM_BLOCK == 0 {
+            None
+        } else {
+            previous.as_ref()
+        };
+        let solution = MasterEquation::new(system, temperature)
+            .expect("valid system")
+            .with_window(MAP_WINDOW)
+            .expect("valid window")
+            .solve_warm(warm)
+            .expect("map point solves");
+        iterations += solution.stats().iterations;
+        previous = Some(solution);
+    }
+    (start.elapsed().as_secs_f64(), iterations)
+}
+
 /// Best-of-two map passes (both do identical work) as JSON fields for one
 /// temperature and preconditioner.
 fn map_fields(
@@ -266,6 +299,18 @@ fn main() {
             ilu0 / jacobi
         ));
     }
+
+    // The hot map the way a deck runs it, best of three passes.
+    let (mut warm_block_seconds, warm_block_iterations) = run_map_warm_blocks(100.0);
+    for _ in 0..2 {
+        let (seconds, iterations) = run_map_warm_blocks(100.0);
+        assert_eq!(iterations, warm_block_iterations);
+        warm_block_seconds = warm_block_seconds.min(seconds);
+    }
+    map_json.push_str(&format!(
+        "  \"map_100k_warm_block_seconds\": {warm_block_seconds:.3},\n  \
+         \"map_100k_warm_block_iterations\": {warm_block_iterations},\n"
+    ));
 
     // Part 5: full-solve time against chain length, best of 20.
     let mut scaling_json = String::new();

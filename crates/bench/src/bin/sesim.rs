@@ -341,12 +341,14 @@ fn print_result(result: &SimulationResult) {
     println!("## {} — engine: {}", result.label(), result.engine());
     if let Some(effort) = result.solver_effort() {
         eprintln!(
-            "sesim: solver {}: {} solves ({} warm-started), {} iterations, max residual {:.3e}",
+            "sesim: solver {}: {} solves ({} warm-started), {} iterations, max residual {:.3e}, \
+             max boundary mass {:.3e}",
             effort.solver,
             effort.solves,
             effort.warm_solves,
             effort.iterations,
-            effort.residual_max
+            effort.residual_max,
+            effort.boundary_mass_max
         );
     }
     if result.len() > MAX_PRINTED_ROWS {

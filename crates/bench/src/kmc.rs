@@ -233,19 +233,67 @@ pub fn best_events_per_sec(
     samples: usize,
     mut run: impl FnMut(u64) -> (u64, f64),
 ) -> f64 {
-    let mut best = 0.0_f64;
-    for sample in 0..samples {
-        let start = Instant::now();
-        let (executed, time) = run(sample as u64 + 1);
-        let elapsed = start.elapsed().as_secs_f64();
-        assert!(
-            executed == expected,
-            "expected {expected} events, executed {executed} (the circuit froze)"
-        );
-        assert!(time > 0.0, "simulated time must advance");
-        best = best.max(expected as f64 / elapsed);
+    (0..samples)
+        .map(|sample| sample_events_per_sec(expected, sample as u64 + 1, &mut run))
+        .fold(0.0, f64::max)
+}
+
+/// One timed sample of `run` (handed `seed`), in events/second.
+fn sample_events_per_sec(expected: u64, seed: u64, run: &mut impl FnMut(u64) -> (u64, f64)) -> f64 {
+    let start = Instant::now();
+    let (executed, time) = run(seed);
+    let elapsed = start.elapsed().as_secs_f64();
+    assert!(
+        executed == expected,
+        "expected {expected} events, executed {executed} (the circuit froze)"
+    );
+    assert!(time > 0.0, "simulated time must advance");
+    expected as f64 / elapsed
+}
+
+/// A run shape of [`interleaved_events_per_sec`]: the events one sample
+/// must execute, and the sample itself (as for [`best_events_per_sec`]).
+pub type Shape<'a> = (u64, &'a mut dyn FnMut(u64) -> (u64, f64));
+
+/// Throughput of several run shapes measured in interleaved rounds: round
+/// `r` runs one sample of every shape back to back, starting from shape
+/// `r mod shapes`, so a slow stretch of the machine lands on all of them
+/// alike. Returns the events/second of every round, `[round][shape]`;
+/// a ratio between two shapes is best taken per round (and its median
+/// over rounds), a single shape's rate as its best round.
+///
+/// # Panics
+///
+/// As [`best_events_per_sec`].
+pub fn interleaved_events_per_sec(rounds: usize, shapes: &mut [Shape<'_>]) -> Vec<Vec<f64>> {
+    let count = shapes.len();
+    (0..rounds)
+        .map(|round| {
+            let mut rates = vec![0.0; count];
+            for k in 0..count {
+                let index = (round + k) % count;
+                let (expected, run) = &mut shapes[index];
+                rates[index] = sample_events_per_sec(*expected, round as u64 + 1, run);
+            }
+            rates
+        })
+        .collect()
+}
+
+/// The median of `values` (the mean of the middle two for an even count).
+///
+/// # Panics
+///
+/// Panics if `values` is empty or holds a NaN.
+#[must_use]
+pub fn median(mut values: Vec<f64>) -> f64 {
+    values.sort_by(|a, b| a.partial_cmp(b).expect("no NaN"));
+    let mid = values.len() / 2;
+    if values.len() % 2 == 1 {
+        values[mid]
+    } else {
+        0.5 * (values[mid - 1] + values[mid])
     }
-    best
 }
 
 #[cfg(test)]
@@ -290,5 +338,20 @@ mod tests {
         let system = chain_system(2, 0.15, crate::REFERENCE_C_GATE);
         let rate = best_events_per_sec(1000, 2, |seed| run_scalar(&system, 0.1, seed, 0, 1000));
         assert!(rate > 0.0);
+        let (mut seeds_a, mut seeds_b) = (Vec::new(), Vec::new());
+        let mut a = |seed| {
+            seeds_a.push(seed);
+            run_scalar(&system, 0.1, seed, 0, 1000)
+        };
+        let mut b = |seed| {
+            seeds_b.push(seed);
+            run_scalar(&system, 0.1, seed, 0, 500)
+        };
+        let rounds = interleaved_events_per_sec(3, &mut [(1000, &mut a), (500, &mut b)]);
+        assert_eq!(rounds.len(), 3);
+        assert!(rounds.iter().flatten().all(|&rate| rate > 0.0));
+        assert_eq!((seeds_a, seeds_b), (vec![1, 2, 3], vec![1, 2, 3]));
+        assert_eq!(median(vec![3.0, 1.0, 2.0]), 2.0);
+        assert_eq!(median(vec![4.0, 1.0, 2.0, 3.0]), 2.5);
     }
 }

@@ -10,12 +10,13 @@
 //! simulators.
 //!
 //! The state space is handled sparsely: each charge state couples to at
-//! most two neighbours per junction, so the generator is assembled row by
-//! row into CSR over the mixed-radix state lattice (per-event index
-//! offsets, no hash lookups) and the stationary distribution comes from the solver
-//! selection in [`se_numeric::sparse`] — preconditioned BiCGSTAB by
-//! default, with the anchored Gauss–Seidel sweep as selectable alternative
-//! and automatic fallback. Together with the incremental [`LiveState`]
+//! most two neighbours per junction, and on the mixed-radix state lattice
+//! every event moves a state by a constant index offset (no hash lookups).
+//! The stationary distribution comes from the solver selection in
+//! [`se_numeric::sparse`] — preconditioned BiCGSTAB by default, its
+//! anchored system stamped one lane per offset straight from the rate
+//! buffer, with the anchored Gauss–Seidel sweep (over an inflow CSR built
+//! only when it runs) as selectable alternative and automatic fallback. Together with the incremental [`LiveState`]
 //! walk of the enumeration (one axpy per lattice step instead of a dense
 //! solve per state), this lets the default enumeration window cover
 //! millions of states — the old dense-LU implementation capped out at
@@ -29,12 +30,15 @@
 //! deterministic for a given (system, warm seed) pair.
 
 use crate::error::MonteCarloError;
+use se_numeric::krylov::AnchoredStencil;
 use se_numeric::sparse::{
-    stationary_distribution_with, CsrMatrix, StationaryOptions, StationarySolver,
+    stationary_distribution_of, CsrMatrix, Generator, StationaryOptions, StationarySolver,
     StationaryWorkspace,
 };
+use se_numeric::NumericError;
 use se_orthodox::{ChargeState, Endpoint, LiveState, RateContext, TunnelEvent, TunnelSystem};
 use se_units::constants::E;
+use std::borrow::Cow;
 use std::cmp::Reverse;
 use std::collections::HashMap;
 
@@ -329,16 +333,16 @@ impl MasterEquation {
         &self,
         warm: Option<&MasterSolution>,
     ) -> Result<MasterSolution, MonteCarloError> {
+        let assembly = self.assemble()?;
         let Assembly {
-            center,
+            ref center,
             span,
-            place,
+            ref place,
             ground_index,
-            inflow,
-            out_rate,
-            rates,
-        } = self.assemble()?;
-        let state_count = out_rate.len();
+            ref rates,
+            ..
+        } = assembly;
+        let state_count = assembly.out_rate.len();
         let islands = self.system.island_count();
 
         // Re-index the warm seed onto this window. The state at counter
@@ -393,9 +397,8 @@ impl MasterEquation {
             ..StationaryOptions::default()
         };
         let mut workspace = StationaryWorkspace::new();
-        let (probabilities, solve_stats) = stationary_distribution_with(
-            &inflow,
-            &out_rate,
+        let (probabilities, solve_stats) = stationary_distribution_of(
+            &assembly,
             ground_index,
             &options,
             warm_p.as_deref(),
@@ -434,7 +437,7 @@ impl MasterEquation {
         Ok(MasterSolution {
             probabilities,
             junction_currents,
-            center,
+            center: assembly.center,
             window: self.window,
             stats: MasterSolveStats {
                 solver: solve_stats.solver,
@@ -565,53 +568,14 @@ impl MasterEquation {
                 *out += epsilon;
             }
         }
-
-        // The inflow rows, built in place from the rate buffer: row `i`
-        // pulls from source `i − offset_e` for every event `e` whose source
-        // lies in the window and whose rate is positive. Sources ascend
-        // (events by descending offset), events with one offset keep their
-        // canonical order, and the anchor row's ε entries come last.
-        let mut by_source: Vec<(usize, i64, u64)> = geometry
-            .iter()
-            .enumerate()
-            .map(|(e, geo)| (e, geo.offset, geo.arrives_from))
-            .collect();
-        by_source.sort_by_key(|&(_, offset, _)| Reverse(offset));
-        let mut row_ptr = Vec::with_capacity(state_count + 1);
-        let nnz = inflow_entries + state_count - 1;
-        let mut col_idx = Vec::with_capacity(nnz);
-        let mut values = Vec::with_capacity(nnz);
-        row_ptr.push(0);
-        digits.fill(0);
-        for target in 0..state_count {
-            let edges = edge_mask(&digits, span);
-            for &(e, offset, arrives_from) in &by_source {
-                if edges & arrives_from != 0 {
-                    continue;
-                }
-                let source = (target as i64 - offset) as usize;
-                let rate = rates[source * event_count + e];
-                if rate > 0.0 {
-                    col_idx.push(source);
-                    values.push(rate);
-                }
-            }
-            if target == ground_index {
-                for source in (0..state_count).filter(|&j| j != ground_index) {
-                    col_idx.push(source);
-                    values.push(epsilon);
-                }
-            }
-            row_ptr.push(col_idx.len());
-            advance(&mut digits, span, |_, _| {});
-        }
-        let inflow = CsrMatrix::from_parts(state_count, state_count, row_ptr, col_idx, values)?;
         Ok(Assembly {
             center,
             span,
             place,
             ground_index,
-            inflow,
+            geometry,
+            epsilon,
+            inflow_entries,
             out_rate,
             rates,
         })
@@ -629,7 +593,8 @@ impl MasterEquation {
     #[doc(hidden)]
     pub fn generator(&self) -> Result<(CsrMatrix, Vec<f64>, usize), MonteCarloError> {
         let assembly = self.assemble()?;
-        Ok((assembly.inflow, assembly.out_rate, assembly.ground_index))
+        let inflow = assembly.inflow()?.into_owned();
+        Ok((inflow, assembly.out_rate, assembly.ground_index))
     }
 }
 
@@ -674,24 +639,114 @@ fn advance(digits: &mut [usize], span: usize, mut shift: impl FnMut(usize, i64))
     }
 }
 
-/// The assembled generator of one enumeration window.
+/// The assembled generator of one enumeration window: the event rates of
+/// every state and the regularised out-rates. The stationary solvers read
+/// it through [`Generator`] — stamped straight into the anchored stencil
+/// on the Krylov path, as an inflow matrix for the Gauss–Seidel sweep.
 struct Assembly {
     center: ChargeState,
     span: usize,
     place: Vec<i64>,
     ground_index: usize,
-    inflow: CsrMatrix,
+    geometry: Vec<EventGeometry>,
+    /// The regularising escape rate of every state into the ground state.
+    epsilon: f64,
+    /// In-window inflow entries, the ε entries aside.
+    inflow_entries: usize,
     out_rate: Vec<f64>,
     /// Every event rate of every state, `states × events` in canonical
     /// event order.
     rates: Vec<f64>,
 }
 
+impl Assembly {
+    /// Calls `visit(target, event, source, rate)` for every in-window
+    /// inflow of positive rate: targets ascending, and within a target its
+    /// sources `target − offset_e` ascending (events by descending
+    /// offset), events with one offset in canonical order.
+    fn for_each_inflow(&self, mut visit: impl FnMut(usize, usize, usize, f64)) {
+        let event_count = self.geometry.len();
+        let mut by_source: Vec<(usize, i64, u64)> = self
+            .geometry
+            .iter()
+            .enumerate()
+            .map(|(e, geo)| (e, geo.offset, geo.arrives_from))
+            .collect();
+        by_source.sort_by_key(|&(_, offset, _)| Reverse(offset));
+        let mut digits = vec![0_usize; self.place.len()];
+        for target in 0..self.out_rate.len() {
+            let edges = edge_mask(&digits, self.span);
+            for &(e, offset, arrives_from) in &by_source {
+                if edges & arrives_from != 0 {
+                    continue;
+                }
+                let source = (target as i64 - offset) as usize;
+                let rate = self.rates[source * event_count + e];
+                if rate > 0.0 {
+                    visit(target, e, source, rate);
+                }
+            }
+            advance(&mut digits, self.span, |_, _| {});
+        }
+    }
+}
+
+impl Generator for Assembly {
+    fn out_rate(&self) -> &[f64] {
+        &self.out_rate
+    }
+
+    /// The inflow rows in [`Assembly::for_each_inflow`] order, the anchor
+    /// row's ε entries last in it.
+    fn inflow(&self) -> Result<Cow<'_, CsrMatrix>, NumericError> {
+        let (n, anchor) = (self.out_rate.len(), self.ground_index);
+        let mut row_ptr = Vec::with_capacity(n + 1);
+        let nnz = self.inflow_entries + n - 1;
+        let mut col_idx = Vec::with_capacity(nnz);
+        let mut values = Vec::with_capacity(nnz);
+        row_ptr.push(0);
+        // Ends every row before `row`.
+        let mut end_rows_before = |row: usize, col_idx: &mut Vec<usize>, values: &mut Vec<f64>| {
+            while row_ptr.len() <= row {
+                if row_ptr.len() - 1 == anchor {
+                    for source in (0..n).filter(|&j| j != anchor) {
+                        col_idx.push(source);
+                        values.push(self.epsilon);
+                    }
+                }
+                row_ptr.push(col_idx.len());
+            }
+        };
+        self.for_each_inflow(|target, _, source, rate| {
+            end_rows_before(target, &mut col_idx, &mut values);
+            col_idx.push(source);
+            values.push(rate);
+        });
+        end_rows_before(n, &mut col_idx, &mut values);
+        CsrMatrix::from_parts(n, n, row_ptr, col_idx, values).map(Cow::Owned)
+    }
+
+    /// Event `e` lands in the lane of column offset `−offset_e`; a slot's
+    /// events arrive in canonical order. The anchor row's ε entries belong
+    /// to an identity row and are never stamped.
+    fn stamp(&self, system: &mut AnchoredStencil) {
+        let lanes: Vec<_> = self
+            .geometry
+            .iter()
+            .map(|geo| system.lane(-geo.offset as isize))
+            .collect();
+        self.for_each_inflow(|target, e, _, rate| system.add_inflow(lanes[e], target, rate));
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use se_numeric::krylov::{reference, stationary_bicgstab, KrylovOptions, KrylovWorkspace};
+    use se_numeric::krylov::{
+        reference, stationary_bicgstab, stationary_bicgstab_of, KrylovOptions, KrylovWorkspace,
+    };
+    use se_numeric::sparse::SolveStats;
     use se_numeric::{NumericError, Preconditioner};
     use se_orthodox::TunnelSystemBuilder;
 
@@ -823,10 +878,31 @@ mod tests {
         (b.build().unwrap(), temperature)
     }
 
+    /// Asserts that a Krylov solve returned the reference's bits: the
+    /// distribution and its statistics, or the same error.
+    fn assert_same_solve(
+        got: &Result<(Vec<f64>, SolveStats), NumericError>,
+        expected: &Result<(Vec<f64>, SolveStats), NumericError>,
+    ) {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        match (got, expected) {
+            (Ok((p, stats)), Ok((q, want))) => {
+                assert_eq!(bits(p), bits(q));
+                assert_eq!(stats.solver, want.solver);
+                assert_eq!(stats.iterations, want.iterations);
+                assert_eq!(stats.residual.to_bits(), want.residual.to_bits());
+            }
+            (Err(a), Err(b)) => assert_eq!(format!("{a:?}"), format!("{b:?}")),
+            (a, b) => panic!("stencil {a:?} vs reference {b:?}"),
+        }
+    }
+
     /// Solves one circuit both ways and asserts every bit agrees: the
     /// generator rows, the out-rates, the anchored system and ILU(0)
-    /// factor, the Krylov result or error, the accepted distribution and
-    /// its provenance, the currents, the occupations and the state list.
+    /// factor — stamped straight from the rate buffer and from the inflow
+    /// matrix — with both preconditioners, cold and warm, the Krylov
+    /// result or error, the accepted distribution and its provenance, the
+    /// currents, the occupations and the state list.
     fn assert_matches_reference(system: TunnelSystem, temperature: f64, window: i64) {
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         let me = MasterEquation::new(system, temperature)
@@ -844,36 +920,47 @@ mod tests {
         }
 
         let defaults = StationaryOptions::default();
-        let options = KrylovOptions {
-            preconditioner: Preconditioner::Ilu0,
-            tolerance: defaults.tolerance,
-            max_iterations: (defaults.max_sweeps / 20).clamp(64, 1024),
-        };
-        let mut ws = KrylovWorkspace::new();
-        let krylov = stationary_bicgstab(&inflow, &out_rate, anchor, &options, None, &mut ws);
-        let (ref_krylov, ref_system) =
-            reference::stationary_bicgstab(&ref_inflow, &ref_out, anchor, &options, None);
-        assert_eq!(ws.anchored_system().bits(), ref_system.bits());
-        let expected: Result<(Vec<f64>, &str, usize, f64), NumericError> = match ref_krylov {
-            Ok((p, stats)) => Ok((p, stats.solver, stats.iterations, stats.residual)),
-            Err(_) => {
-                assert!(
-                    krylov.is_err(),
-                    "Krylov converged where the reference did not"
-                );
-                let gauss_seidel = StationaryOptions {
-                    solver: StationarySolver::GaussSeidel,
-                    ..defaults
+        let assembly = me.assemble().unwrap();
+        let seed: Vec<f64> = (0..out_rate.len()).map(|i| 1.0 + (i % 7) as f64).collect();
+        let mut ref_krylov = None;
+        for preconditioner in [Preconditioner::Ilu0, Preconditioner::Jacobi] {
+            for warm in [None, Some(&seed[..])] {
+                let options = KrylovOptions {
+                    preconditioner,
+                    tolerance: defaults.tolerance,
+                    max_iterations: (defaults.max_sweeps / 20).clamp(64, 1024),
                 };
-                se_numeric::sparse::stationary_distribution(
-                    &ref_inflow,
-                    &ref_out,
-                    anchor,
-                    &gauss_seidel,
-                )
-                .map(|p| (p, "gauss-seidel(fallback)", 0, 0.0))
+                let (expected, ref_system) =
+                    reference::stationary_bicgstab(&ref_inflow, &ref_out, anchor, &options, warm);
+                let mut ws = KrylovWorkspace::new();
+                let direct = stationary_bicgstab_of(&assembly, anchor, &options, warm, &mut ws);
+                assert_eq!(ws.anchored_system().bits(), ref_system.bits());
+                assert_same_solve(&direct, &expected);
+                let csr = stationary_bicgstab(&inflow, &out_rate, anchor, &options, warm, &mut ws);
+                assert_eq!(ws.anchored_system().bits(), ref_system.bits());
+                assert_same_solve(&csr, &expected);
+                if preconditioner == Preconditioner::Ilu0 && warm.is_none() {
+                    ref_krylov = Some(expected);
+                }
             }
-        };
+        }
+        let expected: Result<(Vec<f64>, &str, usize, f64), NumericError> =
+            match ref_krylov.expect("the cold ILU(0) solve ran") {
+                Ok((p, stats)) => Ok((p, stats.solver, stats.iterations, stats.residual)),
+                Err(_) => {
+                    let gauss_seidel = StationaryOptions {
+                        solver: StationarySolver::GaussSeidel,
+                        ..defaults
+                    };
+                    se_numeric::sparse::stationary_distribution(
+                        &ref_inflow,
+                        &ref_out,
+                        anchor,
+                        &gauss_seidel,
+                    )
+                    .map(|p| (p, "gauss-seidel(fallback)", 0, 0.0))
+                }
+            };
 
         match (me.solve(), expected) {
             (Ok(solution), Ok((p, solver, iterations, residual))) => {
@@ -909,8 +996,9 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// The single-walk assembly and the fused Krylov kernel reproduce
-        /// the triplet assembly, the unfused kernel and the two-walk
+        /// The single-walk assembly and the stencil Krylov kernel, stamped
+        /// from the rate buffer or from the inflow matrix, reproduce the
+        /// triplet assembly, the unfused CSR kernel and the two-walk
         /// currents bit for bit on random circuits and windows.
         #[test]
         fn prop_single_walk_solve_matches_the_triplet_reference(
@@ -927,11 +1015,90 @@ mod tests {
         let cg = 1e-18;
         // An SET: drain and source junctions on one island, so two events
         // share each index offset; hot, at 0 K and with frozen events.
+        // Then the same SET with a lead-to-lead junction, whose events move
+        // no island charge (offset 0: they merge into the diagonal), and a
+        // double dot fed by two parallel drain junctions (four events on
+        // two shared offsets).
         for temperature in [0.0, 0.05, 4.2, 100.0] {
             for window in 1..=3 {
                 assert_matches_reference(set_system(1e-3, 0.3 * E / cg, 0.1), temperature, window);
+                assert_matches_reference(lead_to_lead_system(), temperature, window);
+                assert_matches_reference(parallel_junction_system(), temperature, window);
             }
         }
+    }
+
+    /// An SET whose drain and source are also joined by a junction.
+    fn lead_to_lead_system() -> TunnelSystem {
+        let mut b = TunnelSystemBuilder::new();
+        let island = b.island("island", 0.05);
+        let drain = b.external("drain", 2e-3);
+        let source = b.external("source", 0.0);
+        let gate = b.external("gate", 0.04);
+        b.junction("JD", drain, island, 0.5e-18, 100e3);
+        b.junction("JS", island, source, 0.5e-18, 100e3);
+        b.junction("JL", drain, source, 0.2e-18, 300e3);
+        b.capacitor("CG", gate, island, 1e-18);
+        b.build().unwrap()
+    }
+
+    /// A double dot whose first island hangs on two parallel drain
+    /// junctions.
+    fn parallel_junction_system() -> TunnelSystem {
+        let mut b = TunnelSystemBuilder::new();
+        let i1 = b.island("i1", 0.0);
+        let i2 = b.island("i2", 0.2);
+        let drain = b.external("drain", 5e-3);
+        let source = b.external("source", 0.0);
+        let gate = b.external("gate", 0.06);
+        b.junction("JA", drain, i1, 0.4e-18, 100e3);
+        b.junction("JB", drain, i1, 0.3e-18, 250e3);
+        b.junction("JM", i1, i2, 0.5e-18, 120e3);
+        b.junction("JS", i2, source, 0.5e-18, 100e3);
+        b.capacitor("CG", gate, i2, 1e-18);
+        b.build().unwrap()
+    }
+
+    /// A point of the `master_map` deck's shape (4-island chain, window
+    /// ±5, 14 641 states) at 4.2 K where BiCGSTAB with ILU(0) breaks down
+    /// and the Gauss–Seidel fallback finishes the solve: it matches the
+    /// reference bit for bit and keeps the fingerprint of its distribution
+    /// and currents from before the stencil solver.
+    #[test]
+    fn master_map_fallback_point_keeps_its_bits() {
+        let at = |k: usize, lo: f64, hi: f64| lo + (hi - lo) * k as f64 / 7.0;
+        let mut b = TunnelSystemBuilder::new();
+        let drain = b.external("drain", at(4, -0.2, 0.2));
+        let source = b.external("source", 0.0);
+        let gate = b.external("gate", at(6, 0.0, 0.16));
+        let mut previous = drain;
+        for i in 0..4 {
+            let island = b.island(format!("island{i}"), 0.0);
+            b.junction(format!("J{i}"), previous, island, 0.5e-18, 100e3);
+            b.capacitor(format!("CG{i}"), gate, island, 1e-18);
+            previous = island;
+        }
+        b.junction("J4", previous, source, 0.5e-18, 100e3);
+        let system = b.build().unwrap();
+        assert_matches_reference(system.clone(), 4.2, 5);
+
+        let solution = MasterEquation::new(system, 4.2)
+            .unwrap()
+            .with_window(5)
+            .unwrap()
+            .solve()
+            .unwrap();
+        assert_eq!(solution.stats().solver, "gauss-seidel(fallback)");
+        assert_eq!(solution.stats().iterations, 42);
+        // FNV-1a over the probability bits, then the currents J0..J4.
+        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+        let currents = (0..5).map(|j| solution.junction_current(&format!("J{j}")).unwrap());
+        for value in solution.probabilities().iter().copied().chain(currents) {
+            for byte in value.to_bits().to_le_bytes() {
+                hash = (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        assert_eq!(hash, 0xec8a_6543_e549_7034);
     }
 
     fn set_system(vds: f64, vg: f64, q0: f64) -> TunnelSystem {

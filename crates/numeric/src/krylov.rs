@@ -20,12 +20,40 @@
 //!   of the scaled matrix, which typically cuts the iteration count by an
 //!   order of magnitude on the master-equation lattices.
 //!
-//! All inner loops run over [`KrylovWorkspace`] buffers with 32-bit column
-//! indices. Each BiCGSTAB pass fuses a vector update with the reductions
-//! that read it (the matrix–vector product with its dot product, the
-//! residual update with its norm), and every reduction still folds
-//! sequentially in index order — so the iterates are bit-identical to the
-//! one-reduction-per-pass form kept as the test reference.
+//! The anchored system is stored once, in offset-diagonal (stencil) form:
+//! [`AnchoredStencil`] keeps one `n`-long lane per column offset `o`
+//! (entry `A[i][i + o]` at row `i` of lane `o`), +0 in every slot the
+//! generator leaves empty, and one presence bit per slot. On the master
+//! equation's mixed-radix window every event moves a state by a constant
+//! index offset, so the generator is a handful of lanes (11 for a 4-island
+//! chain) that [`Generator::stamp`] writes straight from the rate buffer.
+//! A [`CsrMatrix`] input is stamped row by row into the same storage; it
+//! costs one lane per distinct offset, so `O(D·n)` memory and time for `D`
+//! distinct offsets.
+//!
+//! The kernels keep the bits of a row-by-row CSR solve over the present
+//! entries alone:
+//!
+//! * the matrix–vector product runs lane by lane over blocks of rows, and
+//!   each row still folds its terms in ascending column order from +0; a
+//!   padded term is `+0·x = ±0` for finite `x`, and a sum that starts at +0
+//!   is never −0, so adding it changes nothing;
+//! * ILU(0) eliminates in IKJ order over the present slots only — an entry
+//!   that underflowed to ±0 is present and still a fill target — finding
+//!   each update's target lane in a precomputed offset-pair table;
+//! * the triangular solves read the padded lanes: a padded term can flip
+//!   only the sign of a zero component of the preconditioned vector, which
+//!   reaches neither a non-zero iterate, a dot product nor the clamped
+//!   probabilities;
+//! * a non-finite operand makes the fused dot non-finite in both forms
+//!   (every row holds its own unit diagonal), so a breakdown — and with it
+//!   the Gauss–Seidel fallback — happens at the same iteration.
+//!
+//! Each BiCGSTAB pass fuses a vector update with the reductions that read
+//! it (the matrix–vector product with its dot product, the residual update
+//! with its norm), and every reduction still folds sequentially in index
+//! order — so the iterates are bit-identical to the one-reduction-per-pass
+//! CSR form kept as the test reference.
 //!
 //! The solver can fail (breakdown of the BiCGSTAB recurrence, stagnation
 //! short of the tolerance); callers fall back to the unconditionally
@@ -34,7 +62,7 @@
 //! routing.
 
 use crate::error::NumericError;
-use crate::sparse::{CsrMatrix, SolveStats};
+use crate::sparse::{CsrGenerator, CsrMatrix, Generator, SolveStats};
 
 #[cfg(any(test, feature = "reference"))]
 pub mod reference;
@@ -77,25 +105,223 @@ pub struct KrylovOptions {
     pub max_iterations: usize,
 }
 
-/// Reusable buffers of the BiCGSTAB solve: the assembled anchored system,
-/// the optional ILU(0) factor and the iteration vectors. The buffers grow to
+/// Handle of one lane of an [`AnchoredStencil`] under assembly, from
+/// [`AnchoredStencil::lane`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Lane(usize);
+
+/// The row-scaled anchored system `A = D⁻¹·(diag(out_rate) − Q)` in
+/// offset-diagonal form, written by a [`Generator`] through
+/// [`AnchoredStencil::lane`] and [`AnchoredStencil::add_inflow`].
+///
+/// Lanes are stored in creation order (the diagonal first); `order` lists
+/// them by ascending offset, which is ascending column order within every
+/// row.
+#[derive(Debug, Default)]
+pub struct AnchoredStencil {
+    n: usize,
+    /// Presence-bit words per row.
+    words: usize,
+    /// Column offset of each stored lane.
+    offsets: Vec<isize>,
+    /// Stored lanes by ascending offset.
+    order: Vec<usize>,
+    /// Position of the diagonal lane (stored lane 0) within `order`.
+    diag: usize,
+    /// Lane-major values: slot `(lane, i)` at `lane·n + i`.
+    values: Vec<f64>,
+    /// Row-major presence bits: slot `(lane, i)` is bit `lane % 64` of
+    /// word `i·words + lane / 64`.
+    present: Vec<u64>,
+    /// Rows assembled before an anchored-diagonal error (`n` on success).
+    rows_done: usize,
+}
+
+/// Whether row `i` is a balance row: neither the anchor nor a row with
+/// `out_rate ≤ 0`, both of which become identity rows.
+fn balance_row(out_rate: &[f64], anchor: usize, i: usize) -> bool {
+    i != anchor && !(out_rate[i] <= 0.0)
+}
+
+impl AnchoredStencil {
+    /// Starts an `n`-row system with the diagonal lane seeded by the
+    /// out-rates (so within the diagonal the out-rate adds up first).
+    fn begin(&mut self, out_rate: &[f64]) {
+        let n = out_rate.len();
+        self.n = n;
+        self.words = 1;
+        self.offsets.clear();
+        self.offsets.push(0);
+        self.order.clear();
+        self.order.push(0);
+        self.values.clear();
+        self.values.extend_from_slice(out_rate);
+        self.present.clear();
+        self.present.resize(n, 1);
+        self.rows_done = 0;
+    }
+
+    /// The lane of column offset `offset` (column `i + offset` of row `i`),
+    /// created empty on first use.
+    pub fn lane(&mut self, offset: isize) -> Lane {
+        let found = self
+            .order
+            .binary_search_by_key(&offset, |&lane| self.offsets[lane]);
+        match found {
+            Ok(pos) => Lane(self.order[pos]),
+            Err(pos) => {
+                let lane = self.offsets.len();
+                if lane == 64 * self.words {
+                    // One more presence word per row.
+                    let words = self.words;
+                    let mut present = vec![0; self.n * (words + 1)];
+                    for (grown, row) in present
+                        .chunks_exact_mut(words + 1)
+                        .zip(self.present.chunks_exact(words))
+                    {
+                        grown[..words].copy_from_slice(row);
+                    }
+                    self.present = present;
+                    self.words += 1;
+                }
+                self.offsets.push(offset);
+                self.order.insert(pos, lane);
+                self.values.resize(self.values.len() + self.n, 0.0);
+                Lane(lane)
+            }
+        }
+    }
+
+    /// Adds inflow rate `rate` into row `row` of `lane` as `−rate`. The
+    /// first entry of a slot is stored as is and later ones add up in call
+    /// order, so a generator that stamps each column's entries in row order
+    /// merges them exactly as a CSR row would. Entries of identity rows are
+    /// discarded when the system is finished.
+    #[inline]
+    pub fn add_inflow(&mut self, lane: Lane, row: usize, rate: f64) {
+        let word = &mut self.present[row * self.words + lane.0 / 64];
+        let bit = 1_u64 << (lane.0 % 64);
+        let value = &mut self.values[lane.0 * self.n + row];
+        if *word & bit == 0 {
+            *word |= bit;
+            *value = -rate;
+        } else {
+            *value += -rate;
+        }
+    }
+
+    /// Stamps the balance rows of an inflow matrix, each in storage order.
+    pub(crate) fn stamp_csr(&mut self, inflow: &CsrMatrix, out_rate: &[f64], anchor: usize) {
+        for i in (0..self.n).filter(|&i| balance_row(out_rate, anchor, i)) {
+            let (cols, vals) = inflow.row(i);
+            for (&c, &v) in cols.iter().zip(vals) {
+                let lane = self.lane(c as isize - i as isize);
+                self.add_inflow(lane, i, v);
+            }
+        }
+    }
+
+    fn is_present(&self, lane: usize, row: usize) -> bool {
+        (self.present[row * self.words + lane / 64] >> (lane % 64)) & 1 != 0
+    }
+
+    /// Turns identity rows into unit rows and divides every balance row by
+    /// its merged diagonal. The diagonal lane ends up all ones (`d/d` is
+    /// exactly 1), which the matrix–vector product relies on.
+    ///
+    /// # Errors
+    ///
+    /// [`NumericError::InvalidArgument`] at the first balance row whose
+    /// diagonal is not positive and finite; the rows before it are scaled,
+    /// the ones after it are left as stamped.
+    fn finish(&mut self, out_rate: &[f64], anchor: usize) -> Result<(), NumericError> {
+        let (n, words) = (self.n, self.words);
+        let mut failure = None;
+        for i in 0..n {
+            if !balance_row(out_rate, anchor, i) {
+                for lane in 1..self.offsets.len() {
+                    self.values[lane * n + i] = 0.0;
+                }
+                self.values[i] = 1.0;
+                self.present[i * words..(i + 1) * words].fill(0);
+                self.present[i * words] = 1;
+                continue;
+            }
+            let d = self.values[i];
+            if !(d > 0.0) || !d.is_finite() {
+                failure = Some(NumericError::InvalidArgument(format!(
+                    "state {i}: anchored diagonal must be positive and finite, got {d}"
+                )));
+                self.rows_done = i;
+                break;
+            }
+        }
+        if failure.is_none() {
+            self.rows_done = n;
+        }
+        let (diagonal, lanes) = self.values.split_at_mut(n);
+        let scaled = ..self.rows_done;
+        for lane in lanes.chunks_exact_mut(n) {
+            for (value, &d) in lane[scaled].iter_mut().zip(&diagonal[scaled]) {
+                *value /= d;
+            }
+        }
+        diagonal[scaled].fill(1.0);
+        self.diag = self
+            .order
+            .iter()
+            .position(|&lane| lane == 0)
+            .expect("the diagonal lane exists from the start");
+        failure.map_or(Ok(()), Err)
+    }
+
+    /// The lanes by ascending offset, as `(offset, start of the lane)`.
+    fn sorted_lanes(&self) -> Vec<(isize, usize)> {
+        self.order
+            .iter()
+            .map(|&lane| (self.offsets[lane], lane * self.n))
+            .collect()
+    }
+
+    /// The present slots of the system and its ILU(0) factor as CSR
+    /// arrays, for bit-identity pins against [the reference
+    /// kernel](self::reference). After an anchored-diagonal error the row
+    /// that failed follows the finished rows unscaled, without its row
+    /// pointer, as the reference leaves it.
+    #[cfg(any(test, feature = "reference"))]
+    fn to_reference(&self, ilu: &[f64]) -> reference::AnchoredSystem {
+        let mut sys = reference::AnchoredSystem::default();
+        sys.row_ptr.push(0);
+        for i in 0..self.n.min(self.rows_done + 1) {
+            for &lane in &self.order {
+                if self.is_present(lane, i) {
+                    if lane == 0 && i < self.rows_done {
+                        sys.diag_ptr.push(sys.col_idx.len());
+                    }
+                    sys.col_idx.push((i as isize + self.offsets[lane]) as usize);
+                    sys.values.push(self.values[lane * self.n + i]);
+                    if !ilu.is_empty() {
+                        sys.ilu.push(ilu[lane * self.n + i]);
+                    }
+                }
+            }
+            if i < self.rows_done {
+                sys.row_ptr.push(sys.col_idx.len());
+            }
+        }
+        sys
+    }
+}
+
+/// Reusable buffers of the BiCGSTAB solve: the anchored stencil, its
+/// optional ILU(0) factor and the iteration vectors. The buffers grow to
 /// the problem size on first use; passing one workspace to several solves
 /// skips those allocations.
 #[derive(Debug, Default)]
 pub struct KrylovWorkspace {
-    // Assembled row-scaled anchored system (sorted, deduplicated columns).
-    row_ptr: Vec<usize>,
-    col_idx: Vec<u32>,
-    values: Vec<f64>,
-    /// Position of the diagonal entry within each row.
-    diag_ptr: Vec<usize>,
-    /// ILU(0) factor values (same sparsity pattern as `values`).
+    system: AnchoredStencil,
+    /// ILU(0) factor values, lane-major like the system's.
     ilu: Vec<f64>,
-    /// ILU(0) scatter map: the position of column `j` in the row under
-    /// elimination, [`NO_SLOT`] elsewhere.
-    slot: Vec<usize>,
-    /// Row-assembly scratch for an inflow row that arrives unsorted.
-    row_scratch: Vec<(usize, f64)>,
     // BiCGSTAB vectors.
     x: Vec<f64>,
     r: Vec<f64>,
@@ -108,9 +334,6 @@ pub struct KrylovWorkspace {
     shat: Vec<f64>,
 }
 
-/// Scatter-map marker of a column absent from the row under elimination.
-const NO_SLOT: usize = usize::MAX;
-
 impl KrylovWorkspace {
     /// Creates an empty workspace; buffers grow on first use.
     #[must_use]
@@ -118,18 +341,13 @@ impl KrylovWorkspace {
         KrylovWorkspace::default()
     }
 
-    /// The anchored system and ILU(0) factor of the last solve, for
-    /// bit-identity pins against [the reference kernel](self::reference).
+    /// The anchored system and ILU(0) factor of the last solve as CSR
+    /// arrays (present slots only), for bit-identity pins against [the
+    /// reference kernel](self::reference).
     #[cfg(any(test, feature = "reference"))]
     #[must_use]
     pub fn anchored_system(&self) -> reference::AnchoredSystem {
-        reference::AnchoredSystem {
-            row_ptr: self.row_ptr.clone(),
-            col_idx: self.col_idx.iter().map(|&c| c as usize).collect(),
-            values: self.values.clone(),
-            diag_ptr: self.diag_ptr.clone(),
-            ilu: self.ilu.clone(),
-        }
+        self.system.to_reference(&self.ilu)
     }
 }
 
@@ -144,233 +362,102 @@ fn dot(a: &[f64], b: &[f64]) -> f64 {
     acc
 }
 
-/// Assembles the row-scaled anchored system into the workspace:
-/// `A = D⁻¹·(diag(out_rate) − Q)` with row `anchor` replaced by the
-/// identity row (and rows with zero out-rate decoupled the same way, which
-/// pins their probability at 0 exactly as the Gauss–Seidel sweep does).
-///
-/// Columns come out sorted with duplicates merged, which the ILU(0)
-/// factorisation requires. Merge order: within one column the entries add
-/// up in row order, the diagonal `out_rate[i]` first. An inflow row whose
-/// columns already ascend (the master equation emits them so) takes one
-/// merge pass with the diagonal spliced in; any other row is sorted first.
-fn assemble_anchored(
-    ws: &mut KrylovWorkspace,
-    inflow: &CsrMatrix,
-    out_rate: &[f64],
-    anchor: usize,
-) -> Result<(), NumericError> {
-    let n = inflow.rows();
-    if u32::try_from(n).is_err() {
-        return Err(NumericError::InvalidArgument(format!(
-            "{n} states exceed the solver's 32-bit column indices"
-        )));
-    }
-    ws.row_ptr.clear();
-    ws.col_idx.clear();
-    ws.values.clear();
-    ws.diag_ptr.clear();
-    ws.row_ptr.reserve(n + 1);
-    ws.col_idx.reserve(inflow.nnz() + n);
-    ws.values.reserve(inflow.nnz() + n);
-    ws.diag_ptr.reserve(n);
-    ws.row_ptr.push(0);
-    for i in 0..n {
-        let row_start = ws.col_idx.len();
-        if i == anchor || out_rate[i] <= 0.0 {
-            ws.diag_ptr.push(row_start);
-            ws.col_idx.push(i as u32);
-            ws.values.push(1.0);
-            ws.row_ptr.push(row_start + 1);
-            continue;
-        }
-        let (cols, vals) = inflow.row(i);
-        let diag = if cols.windows(2).all(|w| w[0] <= w[1]) {
-            let split = cols.partition_point(|&c| c < i);
-            merge_negated(
-                &mut ws.col_idx,
-                &mut ws.values,
-                row_start,
-                &cols[..split],
-                &vals[..split],
-            );
-            let diag = push_merged(&mut ws.col_idx, &mut ws.values, row_start, i, out_rate[i]);
-            merge_negated(
-                &mut ws.col_idx,
-                &mut ws.values,
-                row_start,
-                &cols[split..],
-                &vals[split..],
-            );
-            diag
-        } else {
-            let mut scratch = std::mem::take(&mut ws.row_scratch);
-            scratch.clear();
-            scratch.push((i, out_rate[i]));
-            scratch.extend(cols.iter().zip(vals).map(|(&c, &v)| (c, -v)));
-            scratch.sort_unstable_by_key(|&(c, _)| c);
-            let mut diag = 0;
-            for &(c, v) in &scratch {
-                let pos = push_merged(&mut ws.col_idx, &mut ws.values, row_start, c, v);
-                if c == i {
-                    diag = pos;
-                }
-            }
-            ws.row_scratch = scratch;
-            diag
-        };
-        let d = ws.values[diag];
-        if !(d > 0.0) || !d.is_finite() {
-            return Err(NumericError::InvalidArgument(format!(
-                "state {i}: anchored diagonal must be positive and finite, got {d}"
-            )));
-        }
-        for value in &mut ws.values[row_start..] {
-            *value /= d;
-        }
-        ws.diag_ptr.push(diag);
-        ws.row_ptr.push(ws.col_idx.len());
-    }
-    Ok(())
-}
+/// Rows per block of the lane-by-lane matrix–vector product: the block's
+/// partial sums stay in L1 while every lane passes over them.
+const MATVEC_BLOCK: usize = 512;
 
-/// Appends entry `(c, v)` to the row that starts at `row_start`, adding it
-/// into the row's last entry if that has column `c`. Entries must arrive in
-/// ascending column order. Returns the entry's position.
-#[inline(always)]
-fn push_merged(
-    col_idx: &mut Vec<u32>,
-    values: &mut Vec<f64>,
-    row_start: usize,
-    c: usize,
-    v: f64,
-) -> usize {
-    let c = c as u32;
-    if col_idx.len() > row_start && col_idx.last() == Some(&c) {
-        let last = values.len() - 1;
-        values[last] += v;
-        return last;
-    }
-    col_idx.push(c);
-    values.push(v);
-    col_idx.len() - 1
-}
-
-/// [`push_merged`] over a run of inflow entries, negated.
-fn merge_negated(
-    col_idx: &mut Vec<u32>,
-    values: &mut Vec<f64>,
-    row_start: usize,
-    cols: &[usize],
-    vals: &[f64],
+/// `out = A·x`, handing each finished row to `fold(i, out_i)` in row order
+/// (the fused reductions).
+fn matvec_fold(
+    sys: &AnchoredStencil,
+    lanes: &[(isize, usize)],
+    x: &[f64],
+    out: &mut [f64],
+    mut fold: impl FnMut(usize, f64),
 ) {
-    for (&c, &v) in cols.iter().zip(vals) {
-        push_merged(col_idx, values, row_start, c, -v);
-    }
-}
-
-/// Row `i` of `A·x` (a fixed-order row sum).
-#[inline(always)]
-fn row_dot(row_ptr: &[usize], col_idx: &[u32], values: &[f64], x: &[f64], i: usize) -> f64 {
-    let span = row_ptr[i]..row_ptr[i + 1];
-    let mut acc = 0.0;
-    for (&c, &a) in col_idx[span.clone()].iter().zip(&values[span]) {
-        acc += a * x[c as usize];
-    }
-    acc
-}
-
-/// `out = A·x` over the assembled system.
-fn matvec(row_ptr: &[usize], col_idx: &[u32], values: &[f64], x: &[f64], out: &mut [f64]) {
-    for (i, out_i) in out.iter_mut().enumerate() {
-        *out_i = row_dot(row_ptr, col_idx, values, x, i);
-    }
-}
-
-/// `out = A·x` and, in the same pass, `Σ w_i·out_i` (the fold of [`dot`]).
-fn matvec_dot(
-    row_ptr: &[usize],
-    col_idx: &[u32],
-    values: &[f64],
-    x: &[f64],
-    out: &mut [f64],
-    w: &[f64],
-) -> f64 {
-    let mut dot = 0.0;
-    for (i, (out_i, &w_i)) in out.iter_mut().zip(w).enumerate() {
-        *out_i = row_dot(row_ptr, col_idx, values, x, i);
-        dot += w_i * *out_i;
-    }
-    dot
-}
-
-/// `out = A·x` and, in the same pass, `(out·out, out·w)`.
-fn matvec_dot2(
-    row_ptr: &[usize],
-    col_idx: &[u32],
-    values: &[f64],
-    x: &[f64],
-    out: &mut [f64],
-    w: &[f64],
-) -> (f64, f64) {
-    let (mut oo, mut ow) = (0.0, 0.0);
-    for (i, (out_i, &w_i)) in out.iter_mut().zip(w).enumerate() {
-        let o = row_dot(row_ptr, col_idx, values, x, i);
-        *out_i = o;
-        oo += o * o;
-        ow += o * w_i;
-    }
-    (oo, ow)
-}
-
-/// Computes the ILU(0) factorisation of the assembled system into
-/// `ws.ilu` (same sparsity pattern; `L` unit-lower, `U` upper with the
-/// pivots on the stored diagonal). Row-wise IKJ elimination in fixed
-/// order, so the factor is deterministic. The row under elimination is
-/// scattered into a column→position map, so each update of the `U`-part
-/// of pivot row `k` finds its target (or its absence) in one lookup: the
-/// same positions, in the same order, that a merge scan of the two sorted
-/// rows visits.
-fn factor_ilu0(ws: &mut KrylovWorkspace, n: usize) -> Result<(), NumericError> {
-    let KrylovWorkspace {
-        row_ptr,
-        col_idx,
-        values,
-        diag_ptr,
-        ilu,
-        slot,
-        ..
-    } = ws;
-    ilu.clear();
-    ilu.extend_from_slice(values);
-    slot.clear();
-    slot.resize(n, NO_SLOT);
-    for i in 0..n {
-        let row = row_ptr[i]..row_ptr[i + 1];
-        for pos in row.clone() {
-            slot[col_idx[pos] as usize] = pos;
+    let n = sys.n;
+    for (b, block) in out.chunks_mut(MATVEC_BLOCK).enumerate() {
+        let start = b * MATVEC_BLOCK;
+        let end = start + block.len();
+        block.fill(0.0);
+        for &(offset, base) in lanes {
+            if offset == 0 {
+                // The unit diagonal: `1·x` is `x`.
+                for (o, &xv) in block.iter_mut().zip(&x[start..end]) {
+                    *o += xv;
+                }
+                continue;
+            }
+            // Rows whose column `i + offset` lies inside the system.
+            let lo = start.max(offset.min(0).unsigned_abs());
+            let hi = end.min(n - offset.max(0).unsigned_abs().min(n));
+            if lo >= hi {
+                continue;
+            }
+            let column = (lo as isize + offset) as usize;
+            let values = &sys.values[base + lo..base + hi];
+            let xs = &x[column..column + (hi - lo)];
+            for ((o, &a), &xv) in block[lo - start..hi - start].iter_mut().zip(values).zip(xs) {
+                *o += a * xv;
+            }
         }
-        for ptr in row.start..diag_ptr[i] {
-            let k = col_idx[ptr] as usize;
-            let pivot = ilu[diag_ptr[k]];
+        for (k, &o) in block.iter().enumerate() {
+            fold(start + k, o);
+        }
+    }
+}
+
+/// Computes the ILU(0) factorisation of the assembled system into `ilu`
+/// (same lanes; `L` unit-lower, `U` upper with the pivots on the diagonal
+/// lane). Row-wise IKJ elimination over the present slots, lower lanes and
+/// the pivot row's upper lanes in ascending column order, so the factor is
+/// deterministic and the one a CSR elimination over the same pattern
+/// computes. The offset-pair table lists, for every lower lane, the upper
+/// lanes whose summed offset is itself a lane, with that target lane: an
+/// update lands nowhere else.
+fn factor_ilu0(sys: &AnchoredStencil, ilu: &mut Vec<f64>) -> Result<(), NumericError> {
+    let n = sys.n;
+    let (lower, rest) = sys.order.split_at(sys.diag);
+    let upper = &rest[1..];
+    let pairs: Vec<Vec<(usize, usize)>> = lower
+        .iter()
+        .map(|&l| {
+            upper
+                .iter()
+                .filter_map(|&u| {
+                    let target = sys.offsets[l] + sys.offsets[u];
+                    let pos = sys
+                        .order
+                        .binary_search_by_key(&target, |&lane| sys.offsets[lane])
+                        .ok()?;
+                    Some((u, sys.order[pos]))
+                })
+                .collect()
+        })
+        .collect();
+    ilu.clear();
+    ilu.extend_from_slice(&sys.values);
+    for i in 0..n {
+        for (&l, pairs) in lower.iter().zip(&pairs) {
+            if !sys.is_present(l, i) {
+                continue;
+            }
+            let k = (i as isize + sys.offsets[l]) as usize;
+            let pivot = ilu[k];
             if pivot == 0.0 || !pivot.is_finite() {
                 return Err(NumericError::SingularMatrix { pivot: k });
             }
-            let factor = ilu[ptr] / pivot;
-            ilu[ptr] = factor;
+            let factor = ilu[l * n + i] / pivot;
+            ilu[l * n + i] = factor;
             // Subtract factor × (U-part of row k) from row i, keeping only
-            // positions already present (zero fill-in).
-            for pk in (diag_ptr[k] + 1)..row_ptr[k + 1] {
-                let target = slot[col_idx[pk] as usize];
-                if target != NO_SLOT {
-                    ilu[target] -= factor * ilu[pk];
+            // slots present in row i (zero fill-in).
+            for &(u, target) in pairs {
+                if sys.is_present(u, k) && sys.is_present(target, i) {
+                    ilu[target * n + i] -= factor * ilu[u * n + k];
                 }
             }
         }
-        for pos in row {
-            slot[col_idx[pos] as usize] = NO_SLOT;
-        }
-        let pivot = ilu[diag_ptr[i]];
+        let pivot = ilu[i];
         if pivot == 0.0 || !pivot.is_finite() {
             return Err(NumericError::SingularMatrix { pivot: i });
         }
@@ -380,13 +467,11 @@ fn factor_ilu0(ws: &mut KrylovWorkspace, n: usize) -> Result<(), NumericError> {
 
 /// Applies the preconditioner: `out = M⁻¹·z`. Jacobi is the identity (the
 /// system is assembled with a unit diagonal); ILU(0) is a forward solve
-/// against unit-lower `L` followed by a back substitution against `U`.
-/// Takes the workspace fields individually so callers can borrow the input
-/// and output vectors from the same workspace without copying.
+/// against unit-lower `L` followed by a back substitution against `U`,
+/// each row over its in-range lanes in ascending column order.
 fn apply_preconditioner(
-    row_ptr: &[usize],
-    diag_ptr: &[usize],
-    col_idx: &[u32],
+    sys: &AnchoredStencil,
+    lanes: &[(isize, usize)],
     ilu: &[f64],
     kind: Preconditioner,
     z: &[f64],
@@ -395,22 +480,55 @@ fn apply_preconditioner(
     match kind {
         Preconditioner::Jacobi => out.copy_from_slice(z),
         Preconditioner::Ilu0 => {
-            let n = z.len();
-            // Forward: L y = z (unit diagonal, strictly-lower entries).
+            let n = sys.n;
+            let (lower, rest) = lanes.split_at(sys.diag);
+            let upper = &rest[1..];
+            // The nearest neighbours (offsets −1 and +1, present on every
+            // master-equation lattice) are the previous row's result on the
+            // solves' dependency chain: read from a register, not memory.
+            let (lower, left) = match lower.split_last() {
+                Some((&(-1, base), far)) => (far, Some(base)),
+                _ => (lower, None),
+            };
+            let (upper, right) = match upper.split_first() {
+                Some((&(1, base), far)) => (far, Some(base)),
+                _ => (upper, None),
+            };
+            // Forward: L y = z. Row i reaches back to the lower lanes with
+            // offset ≥ −i, a suffix of `lower` that grows with i.
+            let mut first = lower.len();
+            let mut previous = 0.0;
             for i in 0..n {
+                while first > 0 && lower[first - 1].0 >= -(i as isize) {
+                    first -= 1;
+                }
                 let mut acc = z[i];
-                for k in row_ptr[i]..diag_ptr[i] {
-                    acc -= ilu[k] * out[col_idx[k] as usize];
+                for &(offset, base) in &lower[first..] {
+                    acc -= ilu[base + i] * out[(i as isize + offset) as usize];
+                }
+                if let (Some(base), true) = (left, i > 0) {
+                    acc -= ilu[base + i] * previous;
                 }
                 out[i] = acc;
+                previous = acc;
             }
-            // Backward: U x = y.
+            // Backward: U x = y. Row i reaches the upper lanes with
+            // offset < n − i, a prefix of `upper` that grows as i falls.
+            let mut end = 0;
+            let mut next = 0.0;
             for i in (0..n).rev() {
-                let mut acc = out[i];
-                for k in (diag_ptr[i] + 1)..row_ptr[i + 1] {
-                    acc -= ilu[k] * out[col_idx[k] as usize];
+                while end < upper.len() && upper[end].0 < (n - i) as isize {
+                    end += 1;
                 }
-                out[i] = acc / ilu[diag_ptr[i]];
+                let mut acc = out[i];
+                if let (Some(base), true) = (right, i + 1 < n) {
+                    acc -= ilu[base + i] * next;
+                }
+                for &(offset, base) in &upper[..end] {
+                    acc -= ilu[base + i] * out[i + offset as usize];
+                }
+                next = acc / ilu[i];
+                out[i] = next;
             }
         }
     }
@@ -430,6 +548,11 @@ fn reset(buf: &mut Vec<f64>, n: usize) {
 /// with the anchor pinned at 1; the result is clamped to non-negative
 /// values (BiCGSTAB components may undershoot 0 by rounding) and
 /// normalised to sum 1 — the identical anchoring/normalisation contract.
+///
+/// The inflow rows are stamped into the stencil storage in storage order
+/// (within one column: the diagonal `out_rate[i]` first, then the row's
+/// entries as they come, sorted or not). A matrix whose balance rows hold
+/// `D` distinct column offsets costs `O(D·n)` memory and time.
 ///
 /// `warm_start` optionally seeds the iteration with a previous converged
 /// distribution (any positive scaling; it is re-scaled so the anchor is 1).
@@ -457,17 +580,40 @@ pub fn stationary_bicgstab(
     warm_start: Option<&[f64]>,
     ws: &mut KrylovWorkspace,
 ) -> Result<(Vec<f64>, SolveStats), NumericError> {
-    let n = inflow.rows();
-    assemble_anchored(ws, inflow, out_rate, anchor)?;
+    let generator = CsrGenerator {
+        inflow,
+        out_rate,
+        anchor,
+    };
+    stationary_bicgstab_of(&generator, anchor, options, warm_start, ws)
+}
+
+/// [`stationary_bicgstab`] over a [`Generator`], whose
+/// [`stamp`](Generator::stamp) writes the inflow entries into the stencil
+/// between seeding the diagonal with the out-rates and scaling the rows.
+///
+/// # Errors
+///
+/// As [`stationary_bicgstab`].
+pub fn stationary_bicgstab_of<G: Generator + ?Sized>(
+    generator: &G,
+    anchor: usize,
+    options: &KrylovOptions,
+    warm_start: Option<&[f64]>,
+    ws: &mut KrylovWorkspace,
+) -> Result<(Vec<f64>, SolveStats), NumericError> {
+    let out_rate = generator.out_rate();
+    let n = out_rate.len();
+    ws.system.begin(out_rate);
+    ws.ilu.clear();
+    generator.stamp(&mut ws.system);
+    ws.system.finish(out_rate, anchor)?;
     if options.preconditioner == Preconditioner::Ilu0 {
-        factor_ilu0(ws, n)?;
+        factor_ilu0(&ws.system, &mut ws.ilu)?;
     }
     let tol = options.tolerance.max(f64::MIN_POSITIVE);
     let KrylovWorkspace {
-        row_ptr,
-        col_idx,
-        values,
-        diag_ptr,
+        system,
         ilu,
         x,
         r,
@@ -478,19 +624,12 @@ pub fn stationary_bicgstab(
         t,
         phat,
         shat,
-        ..
     } = ws;
-    let (row_ptr, col_idx, values) = (&row_ptr[..], &col_idx[..], &values[..]);
+    let system = &*system;
+    let lanes = system.sorted_lanes();
+    let lanes = &lanes[..];
     let precondition = |z: &[f64], out: &mut [f64]| {
-        apply_preconditioner(
-            row_ptr,
-            diag_ptr,
-            col_idx,
-            ilu,
-            options.preconditioner,
-            z,
-            out,
-        );
+        apply_preconditioner(system, lanes, ilu, options.preconditioner, z, out);
     };
 
     // Cold start: the anchor alone carries mass (the Gauss–Seidel initial
@@ -513,7 +652,7 @@ pub fn stationary_bicgstab(
     }
 
     // r = b − A x, with b = e_anchor.
-    matvec(row_ptr, col_idx, values, x, r);
+    matvec_fold(system, lanes, x, r, |_, _| {});
     for r in r.iter_mut() {
         *r = -*r;
     }
@@ -556,7 +695,8 @@ pub fn stationary_bicgstab(
             rho = rho_new;
             precondition(p, phat);
             // v = A·p̂ with r̂·v.
-            let denom = matvec_dot(row_ptr, col_idx, values, phat, v, rhat);
+            let mut denom = 0.0;
+            matvec_fold(system, lanes, phat, v, |i, vi| denom += rhat[i] * vi);
             if denom == 0.0 || !denom.is_finite() {
                 return Err(breakdown(iter, residual));
             }
@@ -582,7 +722,11 @@ pub fn stationary_bicgstab(
             }
             precondition(s, shat);
             // t = A·ŝ with t·t and t·s.
-            let (tt, ts) = matvec_dot2(row_ptr, col_idx, values, shat, t, s);
+            let (mut tt, mut ts) = (0.0, 0.0);
+            matvec_fold(system, lanes, shat, t, |i, ti| {
+                tt += ti * ti;
+                ts += ti * s[i];
+            });
             if tt == 0.0 || !tt.is_finite() {
                 return Err(breakdown(iter, s_norm));
             }
@@ -619,7 +763,7 @@ pub fn stationary_bicgstab(
 
     // The recurrence residual can drift from the true residual; re-check
     // against the assembled system before accepting the solution.
-    matvec(row_ptr, col_idx, values, x, t);
+    matvec_fold(system, lanes, x, t, |_, _| {});
     t[anchor] -= 1.0;
     let true_residual = dot(t, t).sqrt();
     if !true_residual.is_finite() || true_residual > 10.0 * tol.max(1e-300) {
@@ -664,17 +808,28 @@ mod tests {
     /// A random generator shaped like the master equation's: each row pulls
     /// from a few nearby sources, often the same source twice or more (events
     /// with one index offset) and sometimes itself; one row in five arrives
-    /// unsorted; some states have no outflow. Rows stay within 20 merged
-    /// entries (see the note in `fused_kernel_matches_the_reference_bits`).
-    fn random_generator(seed: u64) -> (CsrMatrix, Vec<f64>) {
+    /// unsorted; some states have no outflow. A `wide` generator has up to
+    /// 200 states and draws its sources from the whole state range instead,
+    /// repeating the previous source one time in three: up to `2n − 1`
+    /// distinct offsets, so one stencil lane per handful of entries and,
+    /// past 64 lanes, more than one presence word per row. Rows stay within
+    /// 20 merged entries (see the note in
+    /// `fused_kernel_matches_the_reference_bits`).
+    fn random_generator(seed: u64, wide: bool) -> (CsrMatrix, Vec<f64>) {
         let mut rng = proptest::TestRng::deterministic(&seed.to_string());
-        let n = 2 + rng.below(40) as usize;
+        let n = 2 + rng.below(if wide { 200 } else { 40 }) as usize;
         let (mut row_ptr, mut cols, mut vals) = (vec![0], Vec::new(), Vec::new());
         let mut out = vec![0.0; n];
         for i in 0..n {
+            let mut previous = None;
             let mut row: Vec<(usize, f64)> = (0..rng.below(9))
                 .map(|_| {
-                    let c = (i + n * 3 - 2 + rng.below(5) as usize) % n;
+                    let c = match previous {
+                        Some(c) if wide && rng.below(3) == 0 => c,
+                        _ if wide => rng.below(n as u64) as usize,
+                        _ => (i + n * 3 - 2 + rng.below(5) as usize) % n,
+                    };
+                    previous = Some(c);
                     (c, 1e9 * 10f64.powf(6.0 * rng.unit_f64() - 3.0))
                 })
                 .collect();
@@ -704,10 +859,12 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// The fused kernel (sorted-row diagonal merge, 32-bit columns,
-        /// scatter-map ILU(0), fused reductions) reproduces the unfused
-        /// reference bit for bit: the anchored system, the factor, the
-        /// distribution, the residual, the iteration count and every error.
+        /// The stencil kernel (rows stamped into offset lanes, padded
+        /// products and triangular solves, offset-pair ILU(0), fused
+        /// reductions) reproduces the unfused CSR reference bit for bit:
+        /// the anchored system, the factor, the distribution, the
+        /// residual, the iteration count and every error — on narrow
+        /// generators and on wide ones with many distinct offsets.
         ///
         /// Rows are capped at 20 merged entries: up to that length the
         /// reference's unstable sort is an insertion sort, so its merge order
@@ -721,8 +878,9 @@ mod tests {
             ilu in 0_u8..2,
             budget in 1_usize..40,
             warm in 0_u8..3,
+            wide in 0_u8..2,
         ) {
-            let (inflow, out) = random_generator(seed);
+            let (inflow, out) = random_generator(seed, wide == 1);
             let n = inflow.rows();
             let anchor = anchor_draw % n;
             let options = KrylovOptions {
@@ -752,6 +910,58 @@ mod tests {
                     prop_assert!(false, "fused {a:?} vs reference {b:?}");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn underflowed_entries_stay_present_and_match_the_reference() {
+        // Rates of a few 1e-320 against out-rates near 1e15: `−rate/d`
+        // rounds to −0, an entry the CSR kernel kept, so the stencil keeps
+        // it present rather than absent — the +3 entries are ILU(0) fill
+        // targets of the −1 and +4 lanes.
+        let n = 12;
+        let mut triplets = Vec::new();
+        let mut out = vec![0.0; n];
+        for k in 0..n - 1 {
+            let (up, down) = if k % 3 == 1 {
+                (3e-320, 2e15)
+            } else {
+                (1e15, 2e15)
+            };
+            triplets.push((k + 1, k, up));
+            triplets.push((k, k + 1, down));
+            triplets.push((k, (k + 3) % n, 5e-321));
+            triplets.push((k, (k + 4) % n, 5e-321));
+            out[k] += up + 1e-320;
+            out[k + 1] += down;
+        }
+        for d in &mut out {
+            *d += 1e3;
+        }
+        let inflow = CsrMatrix::from_triplets(n, n, &triplets).unwrap();
+        for preconditioner in [Preconditioner::Ilu0, Preconditioner::Jacobi] {
+            let options = KrylovOptions {
+                preconditioner,
+                tolerance: 1e-13,
+                max_iterations: 200,
+            };
+            let mut ws = KrylovWorkspace::new();
+            let got = stationary_bicgstab(&inflow, &out, 0, &options, None, &mut ws);
+            let (expected, system) =
+                reference::stationary_bicgstab(&inflow, &out, 0, &options, None);
+            let anchored = ws.anchored_system();
+            assert_eq!(anchored.bits(), system.bits());
+            assert!(anchored
+                .values
+                .iter()
+                .any(|v| v.to_bits() == (-0.0_f64).to_bits()));
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let ((p, stats), (q, want)) = (got.unwrap(), expected.unwrap());
+            assert_eq!(bits(&p), bits(&q));
+            assert_eq!(
+                (stats.iterations, stats.residual.to_bits()),
+                (want.iterations, want.residual.to_bits())
+            );
         }
     }
 

@@ -1,11 +1,12 @@
-//! The straightforward form of the anchored BiCGSTAB kernel, kept as the
-//! bit-identity reference for the fused kernel in [`crate::krylov`].
+//! The straightforward CSR form of the anchored BiCGSTAB kernel, kept as
+//! the bit-identity reference for the stencil kernel in [`crate::krylov`].
 //!
 //! Every row of the anchored system is gathered with its diagonal into a
 //! scratch list, sorted by column and merged; the ILU(0) update positions
 //! are found by a merge scan; every BiCGSTAB vector update and reduction is
-//! its own pass. The fused kernel must produce the same bits: the same
-//! anchored system, the same factor, the same iterates and iteration count.
+//! its own pass. The stencil kernel must produce the same bits: the same
+//! anchored system (its present slots), the same factor, the same iterates
+//! and iteration count.
 //! Compiled for tests only (and behind the `reference` feature, so
 //! downstream crates can pin their callers against it).
 

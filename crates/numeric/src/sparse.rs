@@ -26,8 +26,11 @@
 //! normalisation contract, so they agree to solver tolerance.
 
 use crate::error::NumericError;
-use crate::krylov::{stationary_bicgstab, KrylovOptions, KrylovWorkspace, Preconditioner};
+use crate::krylov::{
+    stationary_bicgstab_of, AnchoredStencil, KrylovOptions, KrylovWorkspace, Preconditioner,
+};
 use crate::matrix::Matrix;
+use std::borrow::Cow;
 
 /// Compressed-sparse-row matrix of `f64` values.
 ///
@@ -347,6 +350,55 @@ impl StationaryWorkspace {
     }
 }
 
+/// A rate generator in the two forms the stationary solvers read: the
+/// inflow matrix the Gauss–Seidel sweep relaxes, or its entries stamped
+/// straight into the anchored stencil of the Krylov path. A caller whose
+/// generator has a cheaper stencil form than its CSR (the master equation's
+/// lattice, where every event is one index offset) solves it with
+/// [`stationary_distribution_of`] and builds the matrix only if the sweep
+/// runs.
+pub trait Generator {
+    /// Total out-rate of every state; its length is the state count.
+    fn out_rate(&self) -> &[f64];
+
+    /// The inflow matrix `Q`: `Q[i][j]` is the transition rate from state
+    /// `j` into state `i` (duplicates act additively).
+    ///
+    /// # Errors
+    ///
+    /// Whatever building the matrix reports.
+    fn inflow(&self) -> Result<Cow<'_, CsrMatrix>, NumericError>;
+
+    /// Adds every entry `Q[i][j]` of the balance rows into `system` with
+    /// [`AnchoredStencil::add_inflow`] on the lane of offset `j − i`, the
+    /// entries of each `(i, j)` in the order a row of [`Generator::inflow`]
+    /// lists them. Entries of identity rows (the anchor's, and those of
+    /// states with `out_rate ≤ 0`) may be stamped too; they are dropped.
+    fn stamp(&self, system: &mut AnchoredStencil);
+}
+
+/// An inflow matrix with its out-rates as a [`Generator`]; its stamp skips
+/// the identity rows, whose columns would otherwise open lanes.
+pub(crate) struct CsrGenerator<'a> {
+    pub(crate) inflow: &'a CsrMatrix,
+    pub(crate) out_rate: &'a [f64],
+    pub(crate) anchor: usize,
+}
+
+impl Generator for CsrGenerator<'_> {
+    fn out_rate(&self) -> &[f64] {
+        self.out_rate
+    }
+
+    fn inflow(&self) -> Result<Cow<'_, CsrMatrix>, NumericError> {
+        Ok(Cow::Borrowed(self.inflow))
+    }
+
+    fn stamp(&self, system: &mut AnchoredStencil) {
+        system.stamp_csr(self.inflow, self.out_rate, self.anchor);
+    }
+}
+
 /// Solves the stationary balance of a continuous-time Markov chain by
 /// anchored Gauss–Seidel iteration.
 ///
@@ -445,6 +497,51 @@ pub fn stationary_distribution_with(
             ),
         });
     }
+    check_out_rate(out_rate)?;
+    if inflow.values.iter().any(|&v| v < 0.0) {
+        return Err(NumericError::InvalidArgument(
+            "inflow rates must be non-negative".into(),
+        ));
+    }
+    let generator = CsrGenerator {
+        inflow,
+        out_rate,
+        anchor,
+    };
+    solve_checked(&generator, anchor, options, warm_start, workspace)
+}
+
+/// [`stationary_distribution_with`] over a [`Generator`]: the Krylov path
+/// stamps the anchored system straight from the generator, and the inflow
+/// matrix is built only if the Gauss–Seidel sweep runs (selected, or as
+/// the fallback). The generator vouches for its inflow entries being
+/// non-negative and square over its states.
+///
+/// # Errors
+///
+/// [`NumericError::DimensionMismatch`] for an anchor outside the states,
+/// otherwise as [`stationary_distribution_with`].
+pub fn stationary_distribution_of<G: Generator + ?Sized>(
+    generator: &G,
+    anchor: usize,
+    options: &StationaryOptions,
+    warm_start: Option<&[f64]>,
+    workspace: &mut StationaryWorkspace,
+) -> Result<(Vec<f64>, SolveStats), NumericError> {
+    let out_rate = generator.out_rate();
+    let n = out_rate.len();
+    if anchor >= n {
+        return Err(NumericError::DimensionMismatch {
+            expected: format!("anchor < {n}"),
+            found: format!("anchor {anchor}"),
+        });
+    }
+    check_out_rate(out_rate)?;
+    solve_checked(generator, anchor, options, warm_start, workspace)
+}
+
+/// Rejects a negative or non-finite out-rate.
+fn check_out_rate(out_rate: &[f64]) -> Result<(), NumericError> {
     for (i, &d) in out_rate.iter().enumerate() {
         if d < 0.0 || !d.is_finite() {
             return Err(NumericError::InvalidArgument(format!(
@@ -452,12 +549,20 @@ pub fn stationary_distribution_with(
             )));
         }
     }
-    if inflow.values.iter().any(|&v| v < 0.0) {
-        return Err(NumericError::InvalidArgument(
-            "inflow rates must be non-negative".into(),
-        ));
-    }
-    if n == 1 {
+    Ok(())
+}
+
+/// The solver routing over a validated generator: the one-state fast
+/// path, the selected solver and the Krylov → Gauss–Seidel fallback.
+fn solve_checked<G: Generator + ?Sized>(
+    generator: &G,
+    anchor: usize,
+    options: &StationaryOptions,
+    warm_start: Option<&[f64]>,
+    workspace: &mut StationaryWorkspace,
+) -> Result<(Vec<f64>, SolveStats), NumericError> {
+    let out_rate = generator.out_rate();
+    if out_rate.len() == 1 {
         return Ok((
             vec![1.0],
             SolveStats {
@@ -467,19 +572,20 @@ pub fn stationary_distribution_with(
             },
         ));
     }
+    let gauss_seidel = |workspace: &mut StationaryWorkspace| {
+        let inflow = generator.inflow()?;
+        stationary_gauss_seidel(&inflow, out_rate, anchor, options, warm_start, workspace)
+    };
     match options.solver {
-        StationarySolver::GaussSeidel => {
-            stationary_gauss_seidel(inflow, out_rate, anchor, options, warm_start, workspace)
-        }
+        StationarySolver::GaussSeidel => gauss_seidel(workspace),
         StationarySolver::Krylov(preconditioner) => {
             let krylov_options = KrylovOptions {
                 preconditioner,
                 tolerance: options.tolerance,
                 max_iterations: (options.max_sweeps / 20).clamp(64, 1024),
             };
-            match stationary_bicgstab(
-                inflow,
-                out_rate,
+            match stationary_bicgstab_of(
+                generator,
                 anchor,
                 &krylov_options,
                 warm_start,
@@ -487,9 +593,7 @@ pub fn stationary_distribution_with(
             ) {
                 Ok(solved) => Ok(solved),
                 Err(_) => {
-                    let (probabilities, mut stats) = stationary_gauss_seidel(
-                        inflow, out_rate, anchor, options, warm_start, workspace,
-                    )?;
+                    let (probabilities, mut stats) = gauss_seidel(workspace)?;
                     stats.solver = "gauss-seidel(fallback)";
                     Ok((probabilities, stats))
                 }

@@ -103,6 +103,7 @@ struct SolverAgg {
     warm_solves: usize,
     iterations: usize,
     residual_max: f64,
+    boundary_mass_max: f64,
 }
 
 impl SolverAgg {
@@ -117,6 +118,9 @@ impl SolverAgg {
         if stats.residual > self.residual_max {
             self.residual_max = stats.residual;
         }
+        if stats.boundary_mass > self.boundary_mass_max {
+            self.boundary_mass_max = stats.boundary_mass;
+        }
         if stats.warm_started {
             self.warm_solves += 1;
         }
@@ -130,6 +134,7 @@ impl SolverAgg {
             warm_solves: self.warm_solves,
             iterations: self.iterations,
             residual_max: self.residual_max,
+            boundary_mass_max: self.boundary_mass_max,
         })
     }
 }

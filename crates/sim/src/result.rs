@@ -27,6 +27,11 @@ pub struct SolverEffort {
     /// The largest converged residual (or final Gauss–Seidel delta) any
     /// computed solve reported.
     pub residual_max: f64,
+    /// The largest stationary probability any computed solve left on the
+    /// edge of its charge window (see `MasterSolveStats::boundary_mass`):
+    /// a value that is not small says the window is too narrow for the
+    /// temperature and bias.
+    pub boundary_mass_max: f64,
 }
 
 /// A column-named table of simulation output with engine provenance — the
@@ -328,11 +333,17 @@ mod tests {
             warm_solves: 10,
             iterations: 84,
             residual_max: 3e-14,
+            boundary_mass_max: 2e-9,
         });
         assert_eq!(effortful.solver_effort().unwrap().solves, 12);
         assert!(plain.solver_effort().is_none());
         // A resumed run restores rows without re-solving: effort differs,
         // the result identity must not.
         assert_eq!(plain, effortful);
+        let wider = table().with_solver_effort(SolverEffort {
+            boundary_mass_max: 0.25,
+            ..effortful.solver_effort().unwrap().clone()
+        });
+        assert_eq!(effortful, wider);
     }
 }

@@ -183,6 +183,50 @@ fn resume_against_an_edited_deck_is_refused_and_preserves_exports() {
 /// Cooperative cancellation at the deck level: a pre-fired token stops the
 /// run before any chunk completes, and the checkpointed resume still
 /// reproduces the baseline.
+/// The effort of a master map carries the largest window-boundary mass
+/// of its solves: a hot SET map spills real probability over the edge of a
+/// ±1 window and far less over a ±3 one. Effort stays outside the result
+/// identity, so the two tables still differ only where their data does.
+#[test]
+fn master_map_effort_reports_the_window_boundary_mass() {
+    let run = |window: u32| {
+        let deck = parse_full_deck(&format!(
+            "hot SET map\n\
+             VD drain 0 0\n\
+             VG gate 0 0\n\
+             J1 drain island C=0.5a R=100k\n\
+             J2 island 0 C=0.5a R=100k\n\
+             CG gate island 1a\n\
+             .options temp=300 engine=master window={window}\n\
+             .dc VD -0.01 0.01 0.01 VG 0 0.08 0.04\n\
+             .print dc i(J1)\n"
+        ))
+        .unwrap();
+        let plan = compile(&deck).unwrap();
+        execute_serial(&deck, &plan).unwrap().remove(0)
+    };
+    let (narrow, wide) = (run(1), run(3));
+    let mass = |result: &single_electronics::sim::SimulationResult| {
+        result
+            .solver_effort()
+            .expect("master maps report effort")
+            .boundary_mass_max
+    };
+    assert!(
+        mass(&narrow) > 0.1,
+        "±1 window edge carries {}",
+        mass(&narrow)
+    );
+    assert!(
+        mass(&wide) < 0.1 * mass(&narrow),
+        "±3 window edge carries {}",
+        mass(&wide)
+    );
+    let rerun = run(1);
+    assert_eq!(narrow, rerun);
+    assert_eq!(mass(&narrow).to_bits(), mass(&rerun).to_bits());
+}
+
 #[test]
 fn cancelled_deck_runs_resume_cleanly() {
     let deck = parse_full_deck(&staircase_deck(3, 9, "master")).unwrap();
