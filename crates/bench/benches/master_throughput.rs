@@ -22,10 +22,10 @@
 //!   window ±5, an 8×8 drain × gate map) solved cold at every point with
 //!   the Jacobi and the ILU(0) preconditioner, at 4.2 K and at 100 K —
 //!   seconds, Krylov iterations and Gauss–Seidel fallbacks of each, the
-//!   evidence for or against keeping `solver=krylov-jacobi`; plus the
-//!   hot map run the way a deck runs it (`map_100k_warm_block_seconds`:
-//!   the default solver, drain points in warm blocks of
-//!   `MASTER_WARM_BLOCK`, the first of each block cold);
+//!   evidence behind the default preconditioner (Jacobi); plus the hot map
+//!   run the way a deck runs it (`map_100k_deck_seconds`: the default
+//!   solver, every point a cold solve of the one built system at its
+//!   bias, one solve workspace reused across the map);
 //! * **scaling**: one full solve per chain length (1–3 islands, window
 //!   ±2), the state-space scaling argument of experiment E10b.
 //!
@@ -39,10 +39,10 @@
 //! handful of iterations.
 
 use se_bench::chain_system;
-use se_montecarlo::MasterEquation;
+use se_engine::{ControlId, StationaryEngine};
+use se_montecarlo::{MasterEquation, MasterWorkspace};
 use se_numeric::sparse::{stationary_distribution_with, StationaryOptions, StationaryWorkspace};
 use se_numeric::{Preconditioner, StationarySolver};
-use se_sim::MASTER_WARM_BLOCK;
 use se_units::constants::E;
 use std::time::Instant;
 
@@ -171,31 +171,34 @@ fn run_map(preconditioner: Preconditioner, temperature: f64) -> (f64, usize, usi
     (start.elapsed().as_secs_f64(), iterations, fallbacks)
 }
 
-/// One pass over the map as a deck runs it: the default solver, the drain
-/// axis (fast) in warm blocks of [`MASTER_WARM_BLOCK`] points, each point
-/// but a block's first seeded with its predecessor's distribution.
-/// Returns (seconds, solver iterations).
-fn run_map_warm_blocks(temperature: f64) -> (f64, usize) {
+/// One pass over the map as a deck runs it: the default solver, one
+/// system built at zero bias, every point a cold solve of it at the
+/// point's drain and gate voltages, and one solve workspace reused across
+/// the points. Returns (seconds, solver iterations).
+fn run_map_as_deck(temperature: f64) -> (f64, usize) {
     let start = Instant::now();
-    let mut iterations = 0;
     let at = |k: usize, lo: f64, hi: f64| lo + (hi - lo) * k as f64 / (MAP_SIDE - 1) as f64;
-    let mut previous = None;
+    let equation = MasterEquation::new(chain_system(MASTER_ISLANDS, 0.0, 0.0), temperature)
+        .expect("valid system")
+        .with_window(MAP_WINDOW)
+        .expect("valid window");
+    let control = |name: &str| -> ControlId {
+        equation
+            .resolve_control(name)
+            .expect("the chain has this electrode")
+    };
+    let (drain, gate) = (control("drain"), control("gate"));
+    let mut workspace = MasterWorkspace::new();
+    let mut iterations = 0;
     for point in 0..MAP_SIDE * MAP_SIDE {
-        let (gate, drain) = (point / MAP_SIDE, point % MAP_SIDE);
-        let system = chain_system(MASTER_ISLANDS, at(drain, -0.2, 0.2), at(gate, 0.0, 0.16));
-        let warm = if point % MASTER_WARM_BLOCK == 0 {
-            None
-        } else {
-            previous.as_ref()
-        };
-        let solution = MasterEquation::new(system, temperature)
-            .expect("valid system")
-            .with_window(MAP_WINDOW)
-            .expect("valid window")
-            .solve_warm(warm)
+        let bias = [
+            (gate, at(point / MAP_SIDE, 0.0, 0.16)),
+            (drain, at(point % MAP_SIDE, -0.2, 0.2)),
+        ];
+        let (_, stats) = equation
+            .stationary_currents_with(&bias, &[], &mut workspace)
             .expect("map point solves");
-        iterations += solution.stats().iterations;
-        previous = Some(solution);
+        iterations += stats.iterations;
     }
     (start.elapsed().as_secs_f64(), iterations)
 }
@@ -301,15 +304,15 @@ fn main() {
     }
 
     // The hot map the way a deck runs it, best of three passes.
-    let (mut warm_block_seconds, warm_block_iterations) = run_map_warm_blocks(100.0);
+    let (mut deck_seconds, deck_iterations) = run_map_as_deck(100.0);
     for _ in 0..2 {
-        let (seconds, iterations) = run_map_warm_blocks(100.0);
-        assert_eq!(iterations, warm_block_iterations);
-        warm_block_seconds = warm_block_seconds.min(seconds);
+        let (seconds, iterations) = run_map_as_deck(100.0);
+        assert_eq!(iterations, deck_iterations);
+        deck_seconds = deck_seconds.min(seconds);
     }
     map_json.push_str(&format!(
-        "  \"map_100k_warm_block_seconds\": {warm_block_seconds:.3},\n  \
-         \"map_100k_warm_block_iterations\": {warm_block_iterations},\n"
+        "  \"map_100k_deck_seconds\": {deck_seconds:.3},\n  \
+         \"map_100k_deck_iterations\": {deck_iterations},\n"
     ));
 
     // Part 5: full-solve time against chain length, best of 20.

@@ -341,11 +341,10 @@ fn print_result(result: &SimulationResult) {
     println!("## {} — engine: {}", result.label(), result.engine());
     if let Some(effort) = result.solver_effort() {
         eprintln!(
-            "sesim: solver {}: {} solves ({} warm-started), {} iterations, max residual {:.3e}, \
+            "sesim: solver {}: {} solves, {} iterations, max residual {:.3e}, \
              max boundary mass {:.3e}",
             effort.solver,
             effort.solves,
-            effort.warm_solves,
             effort.iterations,
             effort.residual_max,
             effort.boundary_mass_max
@@ -419,12 +418,11 @@ fn report_plan(deck: &Deck, args: &Args, name: &str) -> Result<SimulationPlan, S
                 run.rationale
             );
             if run.engine == se_sim::EngineChoice::Master {
-                let solver = deck.options.solver.unwrap_or_default();
+                let solver = se_sim::stationary_solver(deck.options.solver.unwrap_or_default());
                 eprintln!(
-                    "sesim: {} -> solver {} (warm-started {}-point blocks)",
+                    "sesim: {} -> solver {} (cold, one point per item)",
                     run.label,
-                    solver.as_deck_str(),
-                    se_sim::MASTER_WARM_BLOCK
+                    solver.solver_name()
                 );
             }
         }

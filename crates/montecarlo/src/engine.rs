@@ -12,7 +12,7 @@
 use crate::batched::{batch_serves, BatchedKmcEngine};
 use crate::error::MonteCarloError;
 use crate::kmc::{MonteCarloSimulator, SimulationOptions};
-use crate::master::MasterEquation;
+use crate::master::{MasterEquation, MasterSolveStats, MasterWorkspace};
 use se_engine::{
     ControlId, ObservableId, StationaryEngine, TransientEngine, TransientTrace, Waveform,
 };
@@ -104,34 +104,35 @@ fn collect_observables(
 }
 
 impl MasterEquation {
-    /// The warm-chaining form of
-    /// [`StationaryEngine::stationary_currents`]: solves at the given
-    /// control values, optionally seeding the iteration from a previous
-    /// bias point's converged [`crate::master::MasterSolution`], and
-    /// returns the solution alongside the currents so the caller can chain
-    /// it into the next point. Sweep layers walk a block of adjacent bias
-    /// points with this, cold-starting only the block's first point.
+    /// [`StationaryEngine::stationary_currents`] over a caller-owned
+    /// [`MasterWorkspace`], returning the solve's [`MasterSolveStats`]
+    /// alongside the currents. A sweep layer that keeps one workspace per
+    /// job allocates the per-point buffers once; the currents are
+    /// bit-identical to a fresh workspace's.
     ///
     /// # Errors
     ///
     /// As [`StationaryEngine::stationary_currents`].
-    pub fn stationary_currents_warm(
+    pub fn stationary_currents_with(
         &self,
         controls: &[(ControlId, f64)],
         observables: &[ObservableId],
-        warm: Option<&crate::master::MasterSolution>,
-    ) -> Result<(Vec<f64>, crate::master::MasterSolution), MonteCarloError> {
+        workspace: &mut MasterWorkspace,
+    ) -> Result<(Vec<f64>, MasterSolveStats), MonteCarloError> {
+        // Only clone when a control value actually has to be applied; the
+        // hybrid co-simulator's hot loop solves with the bias already baked
+        // into the system.
         let solution = if controls.is_empty() {
-            self.solve_warm(warm)?
+            self.solve_with(None, workspace)?
         } else {
             let mut solver = self.clone();
             apply_controls(solver.system_mut(), controls)?;
-            solver.solve_warm(warm)?
+            solver.solve_with(None, workspace)?
         };
         let currents = collect_observables(self.system(), observables, |name| {
             solution.junction_current(name)
         })?;
-        Ok((currents, solution))
+        Ok((currents, *solution.stats()))
     }
 }
 
@@ -156,19 +157,8 @@ impl StationaryEngine for MasterEquation {
         observables: &[ObservableId],
         _seed: u64,
     ) -> Result<Vec<f64>, MonteCarloError> {
-        // Only clone when a control value actually has to be applied; the
-        // hybrid co-simulator's hot loop solves with the bias already baked
-        // into the system.
-        let solution = if controls.is_empty() {
-            self.solve()?
-        } else {
-            let mut solver = self.clone();
-            apply_controls(solver.system_mut(), controls)?;
-            solver.solve()?
-        };
-        collect_observables(self.system(), observables, |name| {
-            solution.junction_current(name)
-        })
+        self.stationary_currents_with(controls, observables, &mut MasterWorkspace::new())
+            .map(|(currents, _)| currents)
     }
 }
 

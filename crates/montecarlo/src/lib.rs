@@ -18,10 +18,11 @@
 //! * [`master::MasterEquation`] — a deterministic master-equation solver
 //!   that enumerates charge states in a window around the ground state and
 //!   solves for the stationary distribution; the accuracy reference. The
-//!   generator is assembled sparsely (CSR over the state lattice) and
-//!   solved iteratively (preconditioned BiCGSTAB by default, anchored
-//!   Gauss–Seidel as fallback), so the enumeration scales to millions of
-//!   states, and bias sweeps can warm-start each point from its
+//!   generator is assembled sparsely (one stencil lane per event offset
+//!   over the state lattice) and solved iteratively (Jacobi-scaled
+//!   BiCGSTAB by default, anchored Gauss–Seidel as fallback), so the
+//!   enumeration scales to millions of states; a bias sweep can reuse one
+//!   solve workspace across its points, or warm-start each point from its
 //!   neighbour's converged distribution.
 //!
 //! Both engines implement [`se_engine::StationaryEngine`], so
@@ -94,7 +95,7 @@ pub use builder::tunnel_system_from_netlist;
 pub use engine::{resolve_electrode, resolve_junction, BATCH_MIN_REPLICAS};
 pub use error::MonteCarloError;
 pub use kmc::{KmcKernel, MonteCarloSimulator, SimulationOptions, TracePoint, AUTO_TREE_THRESHOLD};
-pub use master::{MasterEquation, MasterSolution, MasterSolveStats};
+pub use master::{MasterEquation, MasterSolution, MasterSolveStats, MasterWorkspace};
 pub use observables::RunResult;
 pub use se_engine::SweepPoint;
 pub use se_numeric::{Preconditioner, StationarySolver};

@@ -13,14 +13,17 @@
 //! most two neighbours per junction, and on the mixed-radix state lattice
 //! every event moves a state by a constant index offset (no hash lookups).
 //! The stationary distribution comes from the solver selection in
-//! [`se_numeric::sparse`] — preconditioned BiCGSTAB by default, its
+//! [`se_numeric::sparse`] — Jacobi-scaled BiCGSTAB by default, its
 //! anchored system stamped one lane per offset straight from the rate
 //! buffer, with the anchored Gauss–Seidel sweep (over an inflow CSR built
-//! only when it runs) as selectable alternative and automatic fallback. Together with the incremental [`LiveState`]
-//! walk of the enumeration (one axpy per lattice step instead of a dense
-//! solve per state), this lets the default enumeration window cover
-//! millions of states — the old dense-LU implementation capped out at
-//! 20 000 and the Gauss–Seidel-only sparse path at 400 000.
+//! only when it runs) as selectable alternative and automatic fallback.
+//! A caller that solves many bias points passes one [`MasterWorkspace`]
+//! to [`MasterEquation::solve_with`], so the rate buffer, the stencil and
+//! the solver vectors are allocated once. Together with the incremental
+//! [`LiveState`] walk of the enumeration (one axpy per lattice step
+//! instead of a dense solve per state), this lets the default enumeration
+//! window cover millions of states — the old dense-LU implementation
+//! capped out at 20 000 and the Gauss–Seidel-only sparse path at 400 000.
 //!
 //! Sweeps over nearby operating points can reuse a converged solution as
 //! the next solve's starting iterate via [`MasterEquation::solve_warm`]:
@@ -201,8 +204,8 @@ impl MasterEquation {
         })
     }
 
-    /// Selects the stationary solver (default: BiCGSTAB + ILU(0) with an
-    /// automatic Gauss–Seidel fallback).
+    /// Selects the stationary solver (default: Jacobi-scaled BiCGSTAB with
+    /// an automatic Gauss–Seidel fallback).
     #[must_use]
     pub fn with_solver(mut self, solver: StationarySolver) -> Self {
         self.solver = solver;
@@ -312,6 +315,28 @@ impl MasterEquation {
         self.solve_warm(None)
     }
 
+    /// [`MasterEquation::solve_warm`] over caller-owned buffers: the
+    /// assembly's rate and out-rate buffers, the anchored stencil and the
+    /// solver vectors all come from `workspace` and go back into it, grown
+    /// to the largest window solved so far. Every solve overwrites what it
+    /// reads, so the solution is bit-identical to one with a fresh
+    /// workspace.
+    ///
+    /// # Errors
+    ///
+    /// As [`MasterEquation::solve`].
+    pub fn solve_with(
+        &self,
+        warm: Option<&MasterSolution>,
+        workspace: &mut MasterWorkspace,
+    ) -> Result<MasterSolution, MonteCarloError> {
+        let assembly = self.assemble(workspace)?;
+        let solution = self.solve_assembled(&assembly, warm, &mut workspace.stationary);
+        workspace.rates = assembly.rates;
+        workspace.out_rate = assembly.out_rate;
+        solution
+    }
+
     /// Solves for the stationary distribution, optionally warm-starting
     /// the iteration from a previously converged solution.
     ///
@@ -333,7 +358,17 @@ impl MasterEquation {
         &self,
         warm: Option<&MasterSolution>,
     ) -> Result<MasterSolution, MonteCarloError> {
-        let assembly = self.assemble()?;
+        self.solve_with(warm, &mut MasterWorkspace::new())
+    }
+
+    /// Solves an assembled window and reads its currents back from the
+    /// rate buffer.
+    fn solve_assembled(
+        &self,
+        assembly: &Assembly,
+        warm: Option<&MasterSolution>,
+        workspace: &mut StationaryWorkspace,
+    ) -> Result<MasterSolution, MonteCarloError> {
         let Assembly {
             ref center,
             span,
@@ -341,7 +376,7 @@ impl MasterEquation {
             ground_index,
             ref rates,
             ..
-        } = assembly;
+        } = *assembly;
         let state_count = assembly.out_rate.len();
         let islands = self.system.island_count();
 
@@ -396,13 +431,12 @@ impl MasterEquation {
             solver: self.solver,
             ..StationaryOptions::default()
         };
-        let mut workspace = StationaryWorkspace::new();
         let (probabilities, solve_stats) = stationary_distribution_of(
-            &assembly,
+            assembly,
             ground_index,
             &options,
             warm_p.as_deref(),
-            &mut workspace,
+            workspace,
         )?;
 
         // Junction currents: net a→b tunnel rate weighted by the stationary
@@ -437,7 +471,7 @@ impl MasterEquation {
         Ok(MasterSolution {
             probabilities,
             junction_currents,
-            center: assembly.center,
+            center: center.clone(),
             window: self.window,
             stats: MasterSolveStats {
                 solver: solve_stats.solver,
@@ -449,8 +483,10 @@ impl MasterEquation {
         })
     }
 
-    /// Enumerates the window and assembles the regularised generator.
-    fn assemble(&self) -> Result<Assembly, MonteCarloError> {
+    /// Enumerates the window and assembles the regularised generator into
+    /// the workspace's rate and out-rate buffers (which the assembly holds
+    /// until the caller hands them back).
+    fn assemble(&self, workspace: &mut MasterWorkspace) -> Result<Assembly, MonteCarloError> {
         let islands = self.system.island_count();
         let span = (2 * self.window + 1) as usize;
         let state_count =
@@ -527,7 +563,9 @@ impl MasterEquation {
         let first = ChargeState(center.0.iter().map(|&c| c - self.window).collect());
         let mut live = LiveState::new(&self.system, first);
         let mut digits = vec![0_usize; islands];
-        let mut rates = vec![0.0_f64; state_count * event_count];
+        let mut rates = std::mem::take(&mut workspace.rates);
+        rates.clear();
+        rates.resize(state_count * event_count, 0.0);
         for (index, delta_f) in rates.chunks_exact_mut(event_count).enumerate() {
             rate_ctx.fill_delta_f(&live, delta_f);
             // Advance the counter, keeping the live state in lockstep (a
@@ -540,7 +578,9 @@ impl MasterEquation {
             }
         }
         rate_ctx.rates_from_delta_f(&mut rates);
-        let mut out_rate = vec![0.0_f64; state_count];
+        let mut out_rate = std::mem::take(&mut workspace.out_rate);
+        out_rate.clear();
+        out_rate.resize(state_count, 0.0);
         let mut inflow_entries = 0;
         digits.fill(0);
         for (out, state_rates) in out_rate.iter_mut().zip(rates.chunks_exact(event_count)) {
@@ -592,9 +632,29 @@ impl MasterEquation {
     /// As [`MasterEquation::solve`], for the assembly phase.
     #[doc(hidden)]
     pub fn generator(&self) -> Result<(CsrMatrix, Vec<f64>, usize), MonteCarloError> {
-        let assembly = self.assemble()?;
+        let assembly = self.assemble(&mut MasterWorkspace::new())?;
         let inflow = assembly.inflow()?.into_owned();
         Ok((inflow, assembly.out_rate, assembly.ground_index))
+    }
+}
+
+/// Reusable buffers of [`MasterEquation::solve_with`]: the assembly's
+/// `states × events` rate buffer and out-rates, and the stationary
+/// solver's [`StationaryWorkspace`] (anchored stencil, ILU(0) factor,
+/// Krylov and Gauss–Seidel vectors). They grow on first use; dropping the
+/// workspace frees them.
+#[derive(Debug, Default)]
+pub struct MasterWorkspace {
+    rates: Vec<f64>,
+    out_rate: Vec<f64>,
+    stationary: StationaryWorkspace,
+}
+
+impl MasterWorkspace {
+    /// Creates an empty workspace; buffers grow on first use.
+    #[must_use]
+    pub fn new() -> Self {
+        MasterWorkspace::default()
     }
 }
 
@@ -920,7 +980,7 @@ mod tests {
         }
 
         let defaults = StationaryOptions::default();
-        let assembly = me.assemble().unwrap();
+        let assembly = me.assemble(&mut MasterWorkspace::new()).unwrap();
         let seed: Vec<f64> = (0..out_rate.len()).map(|i| 1.0 + (i % 7) as f64).collect();
         let mut ref_krylov = None;
         for preconditioner in [Preconditioner::Ilu0, Preconditioner::Jacobi] {
@@ -939,13 +999,13 @@ mod tests {
                 let csr = stationary_bicgstab(&inflow, &out_rate, anchor, &options, warm, &mut ws);
                 assert_eq!(ws.anchored_system().bits(), ref_system.bits());
                 assert_same_solve(&csr, &expected);
-                if preconditioner == Preconditioner::Ilu0 && warm.is_none() {
+                if StationarySolver::Krylov(preconditioner) == defaults.solver && warm.is_none() {
                     ref_krylov = Some(expected);
                 }
             }
         }
         let expected: Result<(Vec<f64>, &str, usize, f64), NumericError> =
-            match ref_krylov.expect("the cold ILU(0) solve ran") {
+            match ref_krylov.expect("the cold solve with the default preconditioner ran") {
                 Ok((p, stats)) => Ok((p, stats.solver, stats.iterations, stats.residual)),
                 Err(_) => {
                     let gauss_seidel = StationaryOptions {
@@ -1059,13 +1119,9 @@ mod tests {
         b.build().unwrap()
     }
 
-    /// A point of the `master_map` deck's shape (4-island chain, window
-    /// ±5, 14 641 states) at 4.2 K where BiCGSTAB with ILU(0) breaks down
-    /// and the Gauss–Seidel fallback finishes the solve: it matches the
-    /// reference bit for bit and keeps the fingerprint of its distribution
-    /// and currents from before the stencil solver.
-    #[test]
-    fn master_map_fallback_point_keeps_its_bits() {
+    /// The 4.2 K point of the `master_map` deck's shape (4-island chain,
+    /// window ±5, 14 641 states) where BiCGSTAB with ILU(0) breaks down.
+    fn master_map_fallback_system() -> TunnelSystem {
         let at = |k: usize, lo: f64, hi: f64| lo + (hi - lo) * k as f64 / 7.0;
         let mut b = TunnelSystemBuilder::new();
         let drain = b.external("drain", at(4, -0.2, 0.2));
@@ -1079,13 +1135,24 @@ mod tests {
             previous = island;
         }
         b.junction("J4", previous, source, 0.5e-18, 100e3);
-        let system = b.build().unwrap();
+        b.build().unwrap()
+    }
+
+    /// The `master_map` point where ILU(0) breaks down and the Gauss–Seidel
+    /// fallback finishes the solve: with the default solver it matches the
+    /// reference bit for bit, and with ILU(0) selected it keeps the
+    /// fingerprint of its distribution and currents from before the
+    /// stencil solver.
+    #[test]
+    fn master_map_fallback_point_keeps_its_bits() {
+        let system = master_map_fallback_system();
         assert_matches_reference(system.clone(), 4.2, 5);
 
         let solution = MasterEquation::new(system, 4.2)
             .unwrap()
             .with_window(5)
             .unwrap()
+            .with_solver(StationarySolver::Krylov(Preconditioner::Ilu0))
             .solve()
             .unwrap();
         assert_eq!(solution.stats().solver, "gauss-seidel(fallback)");
@@ -1264,7 +1331,7 @@ mod tests {
         assert!(!reference.stats().warm_started);
         let krylov = MasterEquation::new(set_system(1e-3, vg, 0.0), 1.0).unwrap();
         let solution = krylov.solve().unwrap();
-        assert_eq!(solution.stats().solver, "bicgstab-ilu0");
+        assert_eq!(solution.stats().solver, "bicgstab-jacobi");
         for (a, b) in solution
             .probabilities()
             .iter()
@@ -1275,6 +1342,65 @@ mod tests {
         let i_gs = reference.junction_current("JD").unwrap();
         let i_kr = solution.junction_current("JD").unwrap();
         assert!((i_gs - i_kr).abs() < 1e-8 * i_gs.abs().max(1e-18));
+    }
+
+    /// One workspace carried through a large window, a smaller one and
+    /// other circuits, with each preconditioner and through a Gauss–Seidel
+    /// fallback, solves every one of them to the bits of a fresh
+    /// workspace.
+    #[test]
+    fn a_reused_workspace_keeps_every_bit() {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut workspace = MasterWorkspace::new();
+        let mut check = |solver, (system, temperature, window): &(TunnelSystem, f64, i64)| {
+            let me = MasterEquation::new(system.clone(), *temperature)
+                .unwrap()
+                .with_window(*window)
+                .unwrap()
+                .with_solver(solver);
+            let fresh = me.solve().unwrap();
+            let reused = me.solve_with(None, &mut workspace).unwrap();
+            assert_eq!(bits(reused.probabilities()), bits(fresh.probabilities()));
+            let stats = (reused.stats(), fresh.stats());
+            assert_eq!(stats.0.solver, stats.1.solver);
+            assert_eq!(stats.0.iterations, stats.1.iterations);
+            assert_eq!(stats.0.residual.to_bits(), stats.1.residual.to_bits());
+            for junction in me.system().junctions() {
+                let current = |s: &MasterSolution| s.junction_current(&junction.name).unwrap();
+                assert_eq!(current(&reused).to_bits(), current(&fresh).to_bits());
+            }
+            fresh.stats().solver
+        };
+        let double_dot = |window| {
+            let mut b = TunnelSystemBuilder::new();
+            let i1 = b.island("i1", 0.1);
+            let i2 = b.island("i2", 0.0);
+            let s = b.external("s", 4e-3);
+            let d = b.external("d", 0.0);
+            b.junction("J1", s, i1, 1e-18, 1e5);
+            b.junction("J2", i1, i2, 1e-18, 1e5);
+            b.junction("J3", i2, d, 1e-18, 1e5);
+            (b.build().unwrap(), 30.0, window)
+        };
+        let cases = [
+            double_dot(6),
+            double_dot(2),
+            (set_system(1e-3, 0.3 * E / 1e-18, 0.1), 4.2, 3),
+            (parallel_junction_system(), 100.0, 2),
+            (lead_to_lead_system(), 0.0, 1),
+        ];
+        let (ilu0, jacobi) = (
+            StationarySolver::Krylov(Preconditioner::Ilu0),
+            StationarySolver::Krylov(Preconditioner::Jacobi),
+        );
+        for solver in [ilu0, jacobi] {
+            for case in &cases {
+                check(solver, case);
+            }
+        }
+        let fallback = (master_map_fallback_system(), 4.2, 5);
+        assert_eq!(check(ilu0, &fallback), "gauss-seidel(fallback)");
+        check(jacobi, &cases[0]);
     }
 
     #[test]

@@ -156,11 +156,11 @@ impl EnginePreference {
 /// `.options SOLVER=` key).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SolverPreference {
-    /// Preconditioned BiCGSTAB with an ILU(0) factorisation (the default
-    /// when no `solver=` is given).
-    #[default]
+    /// Preconditioned BiCGSTAB with an ILU(0) factorisation.
     KrylovIlu0,
-    /// Preconditioned BiCGSTAB with Jacobi (diagonal) scaling only.
+    /// Preconditioned BiCGSTAB with Jacobi (diagonal) scaling only (the
+    /// default when no `solver=` is given).
+    #[default]
     KrylovJacobi,
     /// The anchored Gauss–Seidel sweep (the pre-Krylov reference path).
     GaussSeidel,
@@ -208,7 +208,7 @@ pub struct AnalysisOptions {
     /// Master-equation state-enumeration cap override.
     pub master_max_states: Option<usize>,
     /// Master-equation stationary solver override (`None` means the
-    /// built-in default, currently Krylov + ILU(0)).
+    /// built-in default, currently Jacobi-scaled Krylov).
     pub solver: Option<SolverPreference>,
     /// Kinetic Monte-Carlo measurement events per stationary solve.
     pub kmc_events: Option<usize>,

@@ -14,11 +14,13 @@
 //!   sequential sum, so the same inputs produce bit-identical output on
 //!   any machine or thread count) drives the residual below the requested
 //!   tolerance;
-//! * the preconditioner is selectable: [`Preconditioner::Jacobi`] is the
-//!   diagonal scaling alone (already baked into the assembled system),
-//!   [`Preconditioner::Ilu0`] adds a zero-fill incomplete LU factorisation
-//!   of the scaled matrix, which typically cuts the iteration count by an
-//!   order of magnitude on the master-equation lattices.
+//! * the preconditioner is selectable: [`Preconditioner::Jacobi`] (the
+//!   default) is the diagonal scaling alone, already baked into the
+//!   assembled system, so its iteration reads `p` and `s` where the
+//!   preconditioned vectors would be; [`Preconditioner::Ilu0`] adds a
+//!   zero-fill incomplete LU factorisation of the scaled matrix, which cuts
+//!   the iteration count three- to fourfold on the master-equation
+//!   lattices but pays two latency-bound triangular solves per iteration.
 //!
 //! The anchored system is stored once, in offset-diagonal (stencil) form:
 //! [`AnchoredStencil`] keeps one `n`-long lane per column offset `o`
@@ -72,12 +74,15 @@ pub mod reference;
 pub enum Preconditioner {
     /// Diagonal (Jacobi) scaling only: the anchored system is assembled
     /// with a unit diagonal, so this runs plain BiCGSTAB on the scaled
-    /// matrix. No setup cost, weakest acceleration.
+    /// matrix. No setup cost and the cheapest iteration; the default,
+    /// because on the master-equation lattices its extra iterations cost
+    /// less than ILU(0)'s latency-bound triangular solves.
+    #[default]
     Jacobi,
     /// Zero-fill incomplete LU factorisation of the scaled anchored
     /// matrix. One extra `nnz`-sized factor plus two triangular solves per
-    /// iteration, typically an order of magnitude fewer iterations.
-    #[default]
+    /// iteration, for a third to a quarter of Jacobi's iterations on the
+    /// master-equation lattices.
     Ilu0,
 }
 
@@ -465,72 +470,67 @@ fn factor_ilu0(sys: &AnchoredStencil, ilu: &mut Vec<f64>) -> Result<(), NumericE
     Ok(())
 }
 
-/// Applies the preconditioner: `out = M⁻¹·z`. Jacobi is the identity (the
-/// system is assembled with a unit diagonal); ILU(0) is a forward solve
+/// Applies the ILU(0) preconditioner, `out = M⁻¹·z`: a forward solve
 /// against unit-lower `L` followed by a back substitution against `U`,
-/// each row over its in-range lanes in ascending column order.
-fn apply_preconditioner(
+/// each row over its in-range lanes in ascending column order. (Jacobi's
+/// `M` is the identity, because the system is assembled with a unit
+/// diagonal; the iteration skips its apply altogether.)
+fn apply_ilu0(
     sys: &AnchoredStencil,
     lanes: &[(isize, usize)],
     ilu: &[f64],
-    kind: Preconditioner,
     z: &[f64],
     out: &mut [f64],
 ) {
-    match kind {
-        Preconditioner::Jacobi => out.copy_from_slice(z),
-        Preconditioner::Ilu0 => {
-            let n = sys.n;
-            let (lower, rest) = lanes.split_at(sys.diag);
-            let upper = &rest[1..];
-            // The nearest neighbours (offsets −1 and +1, present on every
-            // master-equation lattice) are the previous row's result on the
-            // solves' dependency chain: read from a register, not memory.
-            let (lower, left) = match lower.split_last() {
-                Some((&(-1, base), far)) => (far, Some(base)),
-                _ => (lower, None),
-            };
-            let (upper, right) = match upper.split_first() {
-                Some((&(1, base), far)) => (far, Some(base)),
-                _ => (upper, None),
-            };
-            // Forward: L y = z. Row i reaches back to the lower lanes with
-            // offset ≥ −i, a suffix of `lower` that grows with i.
-            let mut first = lower.len();
-            let mut previous = 0.0;
-            for i in 0..n {
-                while first > 0 && lower[first - 1].0 >= -(i as isize) {
-                    first -= 1;
-                }
-                let mut acc = z[i];
-                for &(offset, base) in &lower[first..] {
-                    acc -= ilu[base + i] * out[(i as isize + offset) as usize];
-                }
-                if let (Some(base), true) = (left, i > 0) {
-                    acc -= ilu[base + i] * previous;
-                }
-                out[i] = acc;
-                previous = acc;
-            }
-            // Backward: U x = y. Row i reaches the upper lanes with
-            // offset < n − i, a prefix of `upper` that grows as i falls.
-            let mut end = 0;
-            let mut next = 0.0;
-            for i in (0..n).rev() {
-                while end < upper.len() && upper[end].0 < (n - i) as isize {
-                    end += 1;
-                }
-                let mut acc = out[i];
-                if let (Some(base), true) = (right, i + 1 < n) {
-                    acc -= ilu[base + i] * next;
-                }
-                for &(offset, base) in &upper[..end] {
-                    acc -= ilu[base + i] * out[i + offset as usize];
-                }
-                next = acc / ilu[i];
-                out[i] = next;
-            }
+    let n = sys.n;
+    let (lower, rest) = lanes.split_at(sys.diag);
+    let upper = &rest[1..];
+    // The nearest neighbours (offsets −1 and +1, present on every
+    // master-equation lattice) are the previous row's result on the
+    // solves' dependency chain: read from a register, not memory.
+    let (lower, left) = match lower.split_last() {
+        Some((&(-1, base), far)) => (far, Some(base)),
+        _ => (lower, None),
+    };
+    let (upper, right) = match upper.split_first() {
+        Some((&(1, base), far)) => (far, Some(base)),
+        _ => (upper, None),
+    };
+    // Forward: L y = z. Row i reaches back to the lower lanes with
+    // offset ≥ −i, a suffix of `lower` that grows with i.
+    let mut first = lower.len();
+    let mut previous = 0.0;
+    for i in 0..n {
+        while first > 0 && lower[first - 1].0 >= -(i as isize) {
+            first -= 1;
         }
+        let mut acc = z[i];
+        for &(offset, base) in &lower[first..] {
+            acc -= ilu[base + i] * out[(i as isize + offset) as usize];
+        }
+        if let (Some(base), true) = (left, i > 0) {
+            acc -= ilu[base + i] * previous;
+        }
+        out[i] = acc;
+        previous = acc;
+    }
+    // Backward: U x = y. Row i reaches the upper lanes with
+    // offset < n − i, a prefix of `upper` that grows as i falls.
+    let mut end = 0;
+    let mut next = 0.0;
+    for i in (0..n).rev() {
+        while end < upper.len() && upper[end].0 < (n - i) as isize {
+            end += 1;
+        }
+        let mut acc = out[i];
+        if let (Some(base), true) = (right, i + 1 < n) {
+            acc -= ilu[base + i] * next;
+        }
+        for &(offset, base) in &upper[..end] {
+            acc -= ilu[base + i] * out[i + offset as usize];
+        }
+        next = acc / ilu[i];
+        out[i] = next;
     }
 }
 
@@ -628,9 +628,7 @@ pub fn stationary_bicgstab_of<G: Generator + ?Sized>(
     let system = &*system;
     let lanes = system.sorted_lanes();
     let lanes = &lanes[..];
-    let precondition = |z: &[f64], out: &mut [f64]| {
-        apply_preconditioner(system, lanes, ilu, options.preconditioner, z, out);
-    };
+    let ilu0 = options.preconditioner == Preconditioner::Ilu0;
 
     // Cold start: the anchor alone carries mass (the Gauss–Seidel initial
     // state). Warm start: a previous distribution re-scaled to anchor 1.
@@ -645,10 +643,13 @@ pub fn stationary_bicgstab_of<G: Generator + ?Sized>(
         _ => x[anchor] = 1.0,
     }
 
-    for buf in [
-        &mut *r, &mut *rhat, &mut *p, &mut *v, &mut *s, &mut *t, &mut *phat, &mut *shat,
-    ] {
+    for buf in [&mut *r, &mut *rhat, &mut *p, &mut *v, &mut *s, &mut *t] {
         reset(buf, n);
+    }
+    // Jacobi's preconditioned vectors are `p` and `s` themselves.
+    if ilu0 {
+        reset(phat, n);
+        reset(shat, n);
     }
 
     // r = b − A x, with b = e_anchor.
@@ -693,7 +694,12 @@ pub fn stationary_bicgstab_of<G: Generator + ?Sized>(
                 }
             }
             rho = rho_new;
-            precondition(p, phat);
+            let phat: &[f64] = if ilu0 {
+                apply_ilu0(system, lanes, ilu, p, phat);
+                phat
+            } else {
+                p
+            };
             // v = A·p̂ with r̂·v.
             let mut denom = 0.0;
             matvec_fold(system, lanes, phat, v, |i, vi| denom += rhat[i] * vi);
@@ -712,7 +718,7 @@ pub fn stationary_bicgstab_of<G: Generator + ?Sized>(
                 return Err(breakdown(iter, s_norm));
             }
             if s_norm <= tol {
-                for (x, &ph) in x.iter_mut().zip(&phat[..]) {
+                for (x, &ph) in x.iter_mut().zip(phat) {
                     *x += alpha * ph;
                 }
                 r.copy_from_slice(s);
@@ -720,7 +726,12 @@ pub fn stationary_bicgstab_of<G: Generator + ?Sized>(
                 converged = true;
                 break;
             }
-            precondition(s, shat);
+            let shat: &[f64] = if ilu0 {
+                apply_ilu0(system, lanes, ilu, s, shat);
+                shat
+            } else {
+                s
+            };
             // t = A·ŝ with t·t and t·s.
             let (mut tt, mut ts) = (0.0, 0.0);
             matvec_fold(system, lanes, shat, t, |i, ti| {

@@ -265,10 +265,11 @@ pub enum StationarySolver {
 }
 
 impl Default for StationarySolver {
-    /// BiCGSTAB with the ILU(0) preconditioner — the fastest configuration
-    /// on the master-equation lattices this crate serves.
+    /// BiCGSTAB with the default (Jacobi) preconditioner — the fastest
+    /// configuration measured on the master-equation lattices this crate
+    /// serves (`BENCH_master.json`'s preconditioner map).
     fn default() -> Self {
-        StationarySolver::Krylov(Preconditioner::Ilu0)
+        StationarySolver::Krylov(Preconditioner::default())
     }
 }
 
@@ -314,8 +315,8 @@ pub struct StationaryOptions {
     /// `64..=1024`) — one BiCGSTAB step costs roughly two sweeps but
     /// converges superlinearly, so it needs far fewer of them.
     pub max_sweeps: usize,
-    /// Which iterative method to run; defaults to BiCGSTAB + ILU(0) with
-    /// automatic Gauss–Seidel fallback.
+    /// Which iterative method to run; defaults to Jacobi-scaled BiCGSTAB
+    /// with automatic Gauss–Seidel fallback.
     pub solver: StationarySolver,
 }
 
@@ -332,8 +333,8 @@ impl Default for StationaryOptions {
 /// Reusable buffers of [`stationary_distribution_with`]: the Gauss–Seidel
 /// sweep vectors plus the embedded [`KrylovWorkspace`]. The buffers grow to
 /// the problem size on first use; a caller that passes the same workspace
-/// to several solves skips those allocations. The master equation builds a
-/// fresh one per solve: keeping one across a warm block measured no faster.
+/// to several solves skips those allocations. Every solve overwrites what
+/// it reads, so a reused workspace never changes a bit of the result.
 #[derive(Debug, Default)]
 pub struct StationaryWorkspace {
     p: Vec<f64>,

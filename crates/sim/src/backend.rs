@@ -422,8 +422,10 @@ fn kmc_simulator(
     Ok(MonteCarloSimulator::new(system, sim_options)?)
 }
 
-/// The linear solver a deck-level `.options solver=` preference selects.
-fn stationary_solver(preference: SolverPreference) -> StationarySolver {
+/// The linear solver a deck-level `.options solver=` preference selects;
+/// the default preference selects [`StationarySolver::default`].
+#[must_use]
+pub fn stationary_solver(preference: SolverPreference) -> StationarySolver {
     match preference {
         SolverPreference::KrylovIlu0 => StationarySolver::Krylov(Preconditioner::Ilu0),
         SolverPreference::KrylovJacobi => StationarySolver::Krylov(Preconditioner::Jacobi),
@@ -855,13 +857,22 @@ mod tests {
         assert!(err.to_string().contains("solver"), "{err}");
     }
 
+    /// A deck without `solver=` and the library default name one solver.
+    #[test]
+    fn the_default_solver_preference_selects_the_default_solver() {
+        assert_eq!(
+            stationary_solver(SolverPreference::default()),
+            StationarySolver::default()
+        );
+    }
+
     #[test]
     fn deck_solver_preference_reaches_the_master_equation() {
         let netlist = parse_deck(SET_DECK).unwrap();
         let default = master_solver(&netlist, &AnalysisOptions::default()).unwrap();
         assert_eq!(
             default.solver(),
-            StationarySolver::Krylov(Preconditioner::Ilu0)
+            StationarySolver::Krylov(Preconditioner::Jacobi)
         );
         for (preference, expected) in [
             (

@@ -3,9 +3,7 @@
 //! tables.
 //!
 //! Each planned run becomes one substrate job whose items are output rows
-//! (bias points for `.dc` — grouped into warm-started
-//! [`MASTER_WARM_BLOCK`]-point blocks on the master-equation backend —
-//! one whole trace for `.tran`); all of a deck's
+//! (one bias point for `.dc`, one whole trace for `.tran`); all of a deck's
 //! jobs — and, in batch mode, all decks' jobs — share **one** chunked
 //! worker pool ([`se_exec::run_batch`]). Every item seeds from its bias
 //! point through the shared SplitMix64 discipline
@@ -26,7 +24,7 @@ use se_exec::{
     lane_group_count, lane_group_range, run_batch, CancelToken, CheckpointStore, ChunkTask,
     CsvSink, JobBuilder, JobSpec, ProgressSink, Tee, Workers,
 };
-use se_montecarlo::{MasterSolution, MasterSolveStats, BATCH_MIN_REPLICAS};
+use se_montecarlo::{MasterEquation, MasterSolveStats, MasterWorkspace, BATCH_MIN_REPLICAS};
 use se_netlist::Deck;
 use std::fs::File;
 use std::io::{BufWriter, Stderr};
@@ -85,13 +83,15 @@ pub struct ExecOptions {
 /// schedulable items.
 pub const DEFAULT_LANE_WIDTH: usize = BATCH_MIN_REPLICAS;
 
-/// Bias points per work item on warm-started master-equation sweeps and
-/// maps: the first point of every block cold-starts, the rest warm-start
-/// from their predecessor's converged distribution. The block is the
-/// *work item* — never the chunk — so the warm-start chain layout depends
-/// only on the point count, and serial, parallel, chunked and resumed
-/// executions publish byte-identical tables.
-pub const MASTER_WARM_BLOCK: usize = 8;
+/// Length of the warm-start chains master-equation sweeps and maps run: 1,
+/// so every bias point is its own work item and cold-starts. Seeding a
+/// point with its predecessor's distribution measured more BiCGSTAB
+/// iterations than cold starts on the hot `master_map` shape. Callers
+/// that chain [`MasterEquation::solve_warm`] themselves and must match a
+/// deck's tables bit for bit chain this many points.
+///
+/// [`MasterEquation::solve_warm`]: se_montecarlo::MasterEquation::solve_warm
+pub const MASTER_WARM_BLOCK: usize = 1;
 
 /// Commutative accumulator of per-solve [`MasterSolveStats`]: sums, a max
 /// and a name-agreement check only, so concurrent work items merging in
@@ -100,7 +100,6 @@ pub const MASTER_WARM_BLOCK: usize = 8;
 struct SolverAgg {
     solver: Option<&'static str>,
     solves: usize,
-    warm_solves: usize,
     iterations: usize,
     residual_max: f64,
     boundary_mass_max: f64,
@@ -121,9 +120,6 @@ impl SolverAgg {
         if stats.boundary_mass > self.boundary_mass_max {
             self.boundary_mass_max = stats.boundary_mass;
         }
-        if stats.warm_started {
-            self.warm_solves += 1;
-        }
     }
 
     fn effort(&self) -> Option<SolverEffort> {
@@ -131,11 +127,39 @@ impl SolverAgg {
         Some(SolverEffort {
             solver: solver.to_string(),
             solves: self.solves,
-            warm_solves: self.warm_solves,
             iterations: self.iterations,
             residual_max: self.residual_max,
             boundary_mass_max: self.boundary_mass_max,
         })
+    }
+}
+
+/// What the points of one master-equation job share: the effort aggregate
+/// and the idle solve workspaces. A point takes a workspace (or starts a
+/// new one) and puts it back when solved, so a job holds at most one per
+/// concurrent worker, and they are freed with the job.
+#[derive(Debug, Default)]
+struct MasterShared {
+    effort: SolverAgg,
+    workspaces: Vec<MasterWorkspace>,
+}
+
+impl MasterShared {
+    /// Solves one bias point on a pooled workspace and records its effort.
+    fn solve(
+        shared: &Mutex<MasterShared>,
+        engine: &MasterEquation,
+        bias: &[(ControlId, f64)],
+        observables: &[ObservableId],
+    ) -> Result<Vec<f64>, SimError> {
+        let lock = || shared.lock().expect("master job state mutex poisoned");
+        let mut workspace = lock().workspaces.pop().unwrap_or_default();
+        let solved = engine.stationary_currents_with(bias, observables, &mut workspace);
+        let mut state = lock();
+        state.workspaces.push(workspace);
+        let (currents, stats) = solved?;
+        state.effort.record(&stats);
+        Ok(currents)
     }
 }
 
@@ -261,15 +285,11 @@ pub(crate) struct PreparedJob {
     /// Lane groups per point: `ceil(repeats / lane_width)`, 1 when not an
     /// ensemble.
     groups_per_point: usize,
-    /// Bias points per work item: [`MASTER_WARM_BLOCK`] on warm-started
-    /// master-equation sweeps/maps, 1 everywhere else. Mutually exclusive
-    /// with ensembles (`groups_per_point > 1`).
-    points_per_item: usize,
     /// Replicas per lane group (see [`DEFAULT_LANE_WIDTH`]).
     lane_width: usize,
-    /// Runtime solver-effort aggregation of warm-blocked master runs
-    /// (`None` for every other kind of run).
-    solver_stats: Option<Mutex<SolverAgg>>,
+    /// The effort aggregate and solve workspaces of a master-equation
+    /// sweep or map (`None` for every other kind of run).
+    master: Option<Mutex<MasterShared>>,
     /// The plan seed: every item seeds from `derive_seed(base_seed, point)`,
     /// so replica seeding is independent of the lane width.
     base_seed: u64,
@@ -319,9 +339,6 @@ impl PreparedJob {
     /// [`derive_seed`]`(base_seed, point)`, which is
     /// [`JobSpec::item_seed`]`(index)` wherever an item is one point.
     pub(crate) fn solve_item(&self, index: usize) -> Result<Vec<Vec<f64>>, SimError> {
-        if self.points_per_item > 1 {
-            return self.master_block_rows(index);
-        }
         let point = index / self.groups_per_point;
         let group = index % self.groups_per_point;
         let point_seed = derive_seed(self.base_seed, point as u64);
@@ -335,11 +352,21 @@ impl PreparedJob {
                 let prefix = &points[point];
                 let bias = bias(controls, prefix);
                 if self.repeats.is_some() {
-                    self.stationary_group_rows(backend, &bias, observables, point_seed, group)
-                } else {
-                    let currents = backend.stationary_currents(&bias, observables, point_seed)?;
-                    Ok(vec![single_row(prefix, currents)])
+                    return self.stationary_group_rows(
+                        backend,
+                        &bias,
+                        observables,
+                        point_seed,
+                        group,
+                    );
                 }
+                let currents = match (backend, &self.master) {
+                    (StationaryBackend::Master(engine), Some(shared)) => {
+                        MasterShared::solve(shared, engine.inner(), &bias, observables)?
+                    }
+                    _ => backend.stationary_currents(&bias, observables, point_seed)?,
+                };
+                Ok(vec![single_row(prefix, currents)])
             }
             PreparedKind::Transient {
                 backend,
@@ -357,49 +384,6 @@ impl PreparedJob {
                 self.transient_group_rows(backend, drives, observables, times, point_seed, group)
             }
         }
-    }
-
-    /// One warm-started block of a master-equation sweep or map: work item
-    /// `index` covers bias points `index * points_per_item ..` (up to a
-    /// short tail block). The first point of the block cold-starts; every
-    /// later point seeds the solver with its predecessor's converged
-    /// distribution. Because the chain never crosses an item boundary, the
-    /// published rows depend only on the point grid — not on chunking,
-    /// worker count or resume.
-    fn master_block_rows(&self, index: usize) -> Result<Vec<Vec<f64>>, SimError> {
-        let PreparedKind::Stationary {
-            backend: StationaryBackend::Master(engine),
-            controls,
-            observables,
-            points,
-        } = &self.kind
-        else {
-            return Err(SimError::Exec(
-                "internal error: a warm-block work item was scheduled for a run that is not \
-                 a master-equation sweep or map"
-                    .into(),
-            ));
-        };
-        let start = index * self.points_per_item;
-        let end = points.len().min(start + self.points_per_item);
-        let mut rows = Vec::with_capacity(end - start);
-        let mut warm: Option<MasterSolution> = None;
-        for prefix in &points[start..end] {
-            let (currents, solution) = engine.inner().stationary_currents_warm(
-                &bias(controls, prefix),
-                observables,
-                warm.as_ref(),
-            )?;
-            if let Some(stats) = &self.solver_stats {
-                stats
-                    .lock()
-                    .expect("solver stats mutex poisoned")
-                    .record(solution.stats());
-            }
-            rows.push(single_row(prefix, currents));
-            warm = Some(solution);
-        }
-        Ok(rows)
     }
 
     /// The seeds of lane group `group` of a point's ensemble: replica `k`
@@ -492,11 +476,13 @@ impl PreparedJob {
             rows,
             self.metadata.clone(),
         );
-        match self
-            .solver_stats
-            .as_ref()
-            .and_then(|stats| stats.lock().expect("solver stats mutex poisoned").effort())
-        {
+        match self.master.as_ref().and_then(|shared| {
+            shared
+                .lock()
+                .expect("master job state mutex poisoned")
+                .effort
+                .effort()
+        }) {
             Some(effort) => result.with_solver_effort(effort),
             None => result,
         }
@@ -653,19 +639,7 @@ fn prepare_run(
         } => Some(engine.inner().solver().solver_name()),
         _ => None,
     };
-    // Master-equation sweeps and maps without an ensemble run as
-    // warm-started blocks: the *item* is a fixed-size block of points, so
-    // the warm-chain layout is chunking- and scheduling-independent.
-    // (The planner rejects `repeats=` for deterministic engines, so the
-    // two fan-out schemes never meet.)
-    let warm_block = plan.repeats.is_none() && solver.is_some();
-    let points_per_item = if warm_block { MASTER_WARM_BLOCK } else { 1 };
-    let item_count = if warm_block {
-        points.div_ceil(MASTER_WARM_BLOCK)
-    } else {
-        points * groups_per_point
-    };
-    let mut spec = JobSpec::new(item_count).with_seed(plan.seed);
+    let mut spec = JobSpec::new(points * groups_per_point).with_seed(plan.seed);
     if let Some(chunk) = options.chunk {
         spec = spec.with_chunk(chunk);
     }
@@ -677,9 +651,10 @@ fn prepare_run(
         repeats: plan.repeats,
         scalar_ensemble: options.scalar_ensemble,
         groups_per_point,
-        points_per_item,
         lane_width,
-        solver_stats: warm_block.then(|| Mutex::new(SolverAgg::default())),
+        // The planner rejects `repeats=` for deterministic engines, so a
+        // master job's items are always single points.
+        master: solver.map(|_| Mutex::default()),
         base_seed: plan.seed,
         spec,
         csv_path: options

@@ -79,8 +79,8 @@ pub mod result;
 pub mod trace;
 
 pub use backend::{
-    analytic_from_netlist, build_stationary, build_transient, AnalyticDeckEngine, SourceMapped,
-    StationaryBackend, TransientBackend,
+    analytic_from_netlist, build_stationary, build_transient, stationary_solver,
+    AnalyticDeckEngine, SourceMapped, StationaryBackend, TransientBackend,
 };
 pub use batch::{deck_export_base, run_deck_batch, BatchOutcome};
 pub use error::SimError;

@@ -13,15 +13,12 @@ use std::fmt::Write as _;
 /// `PartialEq` deliberately ignores this field.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SolverEffort {
-    /// The solver that produced the computed solves (`"bicgstab-ilu0"`,
+    /// The solver that produced the computed solves (`"bicgstab-jacobi"`,
     /// `"gauss-seidel"`, … or `"mixed"` if a fallback split the run).
     pub solver: String,
     /// Stationary solves computed by this process (restored checkpoint
     /// chunks are not re-solved and do not count).
     pub solves: usize,
-    /// How many of those solves were warm-started from a neighbouring
-    /// bias point's converged distribution.
-    pub warm_solves: usize,
     /// Total solver iterations across the computed solves.
     pub iterations: usize,
     /// The largest converged residual (or final Gauss–Seidel delta) any
@@ -328,9 +325,8 @@ mod tests {
     fn solver_effort_is_carried_but_ignored_by_equality() {
         let plain = table();
         let effortful = table().with_solver_effort(SolverEffort {
-            solver: "bicgstab-ilu0".into(),
+            solver: "bicgstab-jacobi".into(),
             solves: 12,
-            warm_solves: 10,
             iterations: 84,
             residual_max: 3e-14,
             boundary_mass_max: 2e-9,

@@ -413,13 +413,13 @@ mod tests {
         let plan = compile(&deck).unwrap();
         assert_eq!(results, crate::exec::execute(&deck, &plan).unwrap());
         assert_eq!(summary.analyses.len(), 1);
-        // 11 master bias points schedule as two warm-started blocks.
-        assert_eq!(summary.analyses[0].2, 2);
+        // 11 master bias points schedule as 11 one-point items.
+        assert_eq!(summary.analyses[0].2, 11);
 
         let report = verify_trace_dir(&dir, &ExecOptions::default()).unwrap();
         assert!(report.is_clean(), "{report:?}");
         assert_eq!(report.analyses[0].engine, "master-equation");
-        assert_eq!(report.analyses[0].items, 2);
+        assert_eq!(report.analyses[0].items, 11);
         assert!(report.analyses[0]
             .provenance
             .iter()

@@ -180,12 +180,10 @@ fn resume_against_an_edited_deck_is_refused_and_preserves_exports() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Cooperative cancellation at the deck level: a pre-fired token stops the
-/// run before any chunk completes, and the checkpointed resume still
-/// reproduces the baseline.
-/// The effort of a master map carries the largest window-boundary mass
-/// of its solves: a hot SET map spills real probability over the edge of a
-/// ±1 window and far less over a ±3 one. Effort stays outside the result
+/// The effort of a master map counts one cold solve per point on the
+/// default solver and carries the largest window-boundary mass of its
+/// solves: a hot SET map spills real probability over the edge of a ±1
+/// window and far less over a ±3 one. Effort stays outside the result
 /// identity, so the two tables still differ only where their data does.
 #[test]
 fn master_map_effort_reports_the_window_boundary_mass() {
@@ -206,12 +204,18 @@ fn master_map_effort_reports_the_window_boundary_mass() {
         execute_serial(&deck, &plan).unwrap().remove(0)
     };
     let (narrow, wide) = (run(1), run(3));
-    let mass = |result: &single_electronics::sim::SimulationResult| {
+    let effort = |result: &single_electronics::sim::SimulationResult| {
         result
             .solver_effort()
             .expect("master maps report effort")
-            .boundary_mass_max
+            .clone()
     };
+    for result in [&narrow, &wide] {
+        assert_eq!(effort(result).solver, "bicgstab-jacobi");
+        assert_eq!(effort(result).solves, 9);
+    }
+    let mass =
+        |result: &single_electronics::sim::SimulationResult| effort(result).boundary_mass_max;
     assert!(
         mass(&narrow) > 0.1,
         "±1 window edge carries {}",
@@ -227,6 +231,9 @@ fn master_map_effort_reports_the_window_boundary_mass() {
     assert_eq!(mass(&narrow).to_bits(), mass(&rerun).to_bits());
 }
 
+/// Cooperative cancellation at the deck level: a pre-fired token stops the
+/// run before any chunk completes, and the checkpointed resume still
+/// reproduces the baseline.
 #[test]
 fn cancelled_deck_runs_resume_cleanly() {
     let deck = parse_full_deck(&staircase_deck(3, 9, "master")).unwrap();
@@ -309,11 +316,12 @@ proptest! {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// Warm-started master sweeps are schedule-independent: for every
-    /// stationary solver choice, the streamed CSV bytes and the collected
-    /// tables are identical across serial, parallel, chunked and
-    /// torn-checkpoint-resumed runs, and the solver-effort ledger shows
-    /// exactly one cold start per warm block.
+    /// Master sweeps are schedule-independent: for every stationary solver
+    /// choice, the streamed CSV bytes and the collected tables are
+    /// identical across serial, parallel, chunked and
+    /// torn-checkpoint-resumed runs (whatever workspace each point's
+    /// worker reuses), and the solver-effort ledger counts one cold solve
+    /// per point.
     #[test]
     fn prop_master_warm_sweeps_are_deterministic(
         seed in 0_u64..1_000_000,
@@ -376,8 +384,7 @@ proptest! {
         prop_assert_eq!(&serial_csv, &resumed_csv, "resumed CSV bytes drifted");
 
         // Every fully-computed run reports the configured solver and one
-        // cold start per warm block; the rest of the points warm-start.
-        let blocks = points.div_ceil(single_electronics::sim::MASTER_WARM_BLOCK);
+        // solve per point.
         for result in [&serial, &parallel, &chunked] {
             let effort = result[0].solver_effort().expect("master sweeps report effort");
             let name_matches = match solver {
@@ -387,7 +394,6 @@ proptest! {
             } || effort.solver == "gauss-seidel(fallback)" || effort.solver == "mixed";
             prop_assert!(name_matches, "solver={} reported {}", solver, effort.solver);
             prop_assert_eq!(effort.solves, points);
-            prop_assert_eq!(effort.warm_solves, points - blocks);
         }
         let configured = match solver {
             "krylov" => "bicgstab-ilu0",

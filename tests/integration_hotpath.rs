@@ -564,7 +564,7 @@ proptest! {
             .unwrap();
         prop_assert_eq!(gauss_seidel.stats().solver, "gauss-seidel");
         prop_assert!(
-            krylov.stats().solver == "bicgstab-ilu0"
+            krylov.stats().solver == "bicgstab-jacobi"
                 || krylov.stats().solver == "gauss-seidel(fallback)",
             "unexpected solver provenance {}", krylov.stats().solver
         );

@@ -82,13 +82,8 @@ proptest! {
         prop_assert_eq!(results.len(), 1);
         prop_assert_eq!(results[0].len(), points);
         prop_assert_eq!(summary.analyses.len(), 1);
-        // Master sweeps schedule warm-started blocks of points as their
-        // work items; the other engines keep one point per item.
-        let expected_items = if engine == "master" {
-            points.div_ceil(single_electronics::sim::MASTER_WARM_BLOCK)
-        } else {
-            points
-        };
+        // Every engine schedules one point per item.
+        let expected_items = points;
         prop_assert_eq!(summary.analyses[0].2, expected_items);
 
         // The verifier takes the chunk layout from the trace; only the
