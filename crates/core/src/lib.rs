@@ -31,8 +31,9 @@
 //! junction currents out"), and every sweep — gate sweeps, staircases, 2-D
 //! stability maps — runs through the one parallel, deterministic
 //! [`engine::SweepRunner`]. The time domain mirrors the design: the SPICE
-//! integrator, the kinetic Monte-Carlo event clock, the hybrid
-//! co-simulator and the [`engine::QuasiStatic`] adapter all implement
+//! integrator, the kinetic Monte-Carlo event clock and the
+//! [`engine::QuasiStatic`] adapter (which lifts any stationary engine, the
+//! hybrid co-simulator included) all implement
 //! [`engine::TransientEngine`] ("initial state + stimulus waveforms in,
 //! sampled currents out"), driven by the same [`engine::Waveform`]
 //! vocabulary and fanned out by the ensemble-parallel
@@ -149,7 +150,7 @@ pub mod prelude {
         CancelToken, CheckpointStore, CsvSink, JobBuilder, JobSpec, ProgressSink, ResultSink,
         TableSink, Workers,
     };
-    pub use se_hybrid::{HybridOptions, HybridSimulator, HybridTransientEngine, IslandEngine};
+    pub use se_hybrid::{HybridOptions, HybridSimulator, HybridStationaryEngine, IslandEngine};
     pub use se_logic::amfm::{AmCodedGate, FmCodedGate, GateSpeedModel};
     pub use se_logic::encoding::{AmplitudeEncoding, FrequencyEncoding, LevelEncoding};
     pub use se_logic::gates::SetInverter;

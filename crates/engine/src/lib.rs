@@ -22,10 +22,10 @@
 //!   [`se_exec::seed`] — the single source of truth), so **serial,
 //!   parallel, chunked and resumed runs are bit-identical**;
 //! * [`TransientEngine`] — "initial state + stimulus waveforms in, sampled
-//!   currents out". Implemented by the SPICE backward-Euler integrator, the
-//!   kinetic Monte-Carlo event clock and the hybrid co-simulator, and by
-//!   [`QuasiStatic`], which lifts any stationary engine into a sampling
-//!   transient backend;
+//!   currents out". Implemented by the SPICE backward-Euler integrator and
+//!   the kinetic Monte-Carlo event clock, and by [`QuasiStatic`], which
+//!   lifts any stationary engine (the analytic SET, the master equation,
+//!   the hybrid co-simulator) into a sampling transient backend;
 //! * [`TransientRunner`] — the ensemble loop of the time domain: seed
 //!   ensembles, corner sweeps and input-vector batteries run concurrently
 //!   under the same SplitMix64 per-run seeding discipline, so transient

@@ -176,12 +176,6 @@ impl SweepRunner {
         self.seed
     }
 
-    /// Whether points fan out across threads.
-    #[must_use]
-    pub fn is_parallel(&self) -> bool {
-        self.parallel
-    }
-
     /// The explicit chunk size, if one was set.
     #[must_use]
     pub fn chunk(&self) -> Option<usize> {

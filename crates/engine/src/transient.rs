@@ -23,11 +23,11 @@
 //! transient path (the kinetic Monte-Carlo engine's batched lockstep engine
 //! serves stationary ensembles only).
 //!
-//! Three families implement the trait: the SPICE backward-Euler integrator
-//! (`se-spice`), the kinetic Monte-Carlo event clock (`se-montecarlo`) and
-//! the hybrid co-simulator (`se-hybrid`); [`QuasiStatic`] lifts any
-//! stationary engine (e.g. the analytic SET) into a fourth, sampling
-//! backend.
+//! Two families with real time dynamics implement the trait: the SPICE
+//! backward-Euler integrator (`se-spice`) and the kinetic Monte-Carlo event
+//! clock (`se-montecarlo`); [`QuasiStatic`] lifts any stationary engine
+//! (the analytic SET, the master equation, the hybrid co-simulator of
+//! `se-hybrid`) into a third, sampling backend.
 
 use crate::grid::validate_sample_times;
 use crate::runner::map_indexed;
@@ -286,12 +286,6 @@ impl TransientRunner {
     #[must_use]
     pub fn seed(&self) -> u64 {
         self.seed
-    }
-
-    /// Whether runs fan out across threads.
-    #[must_use]
-    pub fn is_parallel(&self) -> bool {
-        self.parallel
     }
 
     /// Resolves named drives against an engine.

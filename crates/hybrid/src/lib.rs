@@ -56,9 +56,7 @@
 pub mod cosim;
 pub mod error;
 pub mod stationary;
-pub mod transient;
 
 pub use cosim::{HybridOptions, HybridSimulator, HybridSolution, IslandEngine};
 pub use error::HybridError;
 pub use stationary::HybridStationaryEngine;
-pub use transient::HybridTransientEngine;

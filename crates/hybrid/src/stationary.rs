@@ -9,20 +9,24 @@
 //! convergence, so bias points are independent and fan out across threads
 //! through [`se_engine::SweepRunner`] with bit-identical serial/parallel
 //! results.
+//!
+//! The same engine is the hybrid circuit's time-domain model under a slow
+//! stimulus: [`se_engine::QuasiStatic`] lifts it into a sequence of
+//! self-consistent stationary SPICE↔island solutions, one per sample time,
+//! with the drives frozen at their waveform values.
 
 use crate::cosim::{HybridOptions, HybridSimulator, IslandEngine};
 use crate::error::HybridError;
 use se_engine::{ControlId, ObservableId, StationaryEngine};
 use se_netlist::{ElementKind, Netlist};
 
-/// The hybrid co-simulator as a [`StationaryEngine`] — the DC sibling of
-/// [`crate::HybridTransientEngine`].
+/// The hybrid co-simulator as a [`StationaryEngine`].
 ///
 /// When the island domain runs the kinetic Monte-Carlo engine, each solve
 /// replaces the configured seed with the per-point seed handed in by the
-/// sweep runner, keeping hybrid KMC sweeps reproducible and
-/// parallel-safe; the master-equation engine is deterministic and ignores
-/// the seed.
+/// sweep runner (or, under [`se_engine::QuasiStatic`], the per-sample
+/// seed), keeping hybrid KMC runs reproducible and parallel-safe; the
+/// master-equation engine is deterministic and ignores the seed.
 #[derive(Debug, Clone)]
 pub struct HybridStationaryEngine {
     netlist: Netlist,
@@ -148,7 +152,7 @@ impl StationaryEngine for HybridStationaryEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use se_engine::SweepRunner;
+    use se_engine::{QuasiStatic, SweepRunner, TransientEngine, Waveform};
     use se_netlist::parse_deck;
     use se_units::constants::E;
 
@@ -212,5 +216,63 @@ mod tests {
             .unwrap();
         assert_eq!(a, b, "same seed, same relaxed current");
         assert_ne!(a, c, "the runner seed must reach the island engine");
+    }
+
+    #[test]
+    fn lifted_names_resolve_and_validate() {
+        let engine = QuasiStatic::new(
+            HybridStationaryEngine::new(&set_with_load(), HybridOptions::new(1.0)).unwrap(),
+        );
+        assert!(engine.resolve_drive("vg").is_ok());
+        assert!(engine.resolve_drive("VDD").is_ok());
+        assert!(engine.resolve_drive("RL").is_err());
+        assert!(TransientEngine::resolve_observable(&engine, "J1").is_ok());
+        assert!(TransientEngine::resolve_observable(&engine, "CG").is_err());
+        assert_eq!(
+            engine.inner().junction_names(),
+            &["J1".to_string(), "J2".into()]
+        );
+        // Bad options are refused when the stationary engine is built,
+        // before anything is lifted.
+        assert!(HybridStationaryEngine::new(&set_with_load(), HybridOptions::new(-1.0)).is_err());
+    }
+
+    #[test]
+    fn lifted_gate_pulse_switches_the_set_between_blockade_and_conduction() {
+        // Pulse the gate from the blockade point to the conductance peak:
+        // the converged junction current must follow the pulse.
+        let vg_peak = E / (2.0 * 1e-18);
+        let engine = QuasiStatic::new(
+            HybridStationaryEngine::new(&set_with_load(), HybridOptions::new(1.0)).unwrap(),
+        );
+        let gate = engine.resolve_drive("VG").unwrap();
+        let j1 = TransientEngine::resolve_observable(&engine, "J1").unwrap();
+        let pulse = || Waveform::pulse(0.0, vg_peak, 2e-9, 4e-9, 100e-9).unwrap();
+        let times = [1e-9, 3e-9, 5e-9, 7e-9];
+        let trace = engine
+            .transient_currents(&[(gate, pulse())], &[j1], &times, 0)
+            .unwrap();
+        // Samples at 3 ns and 5 ns sit inside the pulse (conducting),
+        // samples at 1 ns and 7 ns outside it (blockaded).
+        let on = trace.at(1, 0).abs().min(trace.at(2, 0).abs());
+        let off = trace.at(0, 0).abs().max(trace.at(3, 0).abs());
+        assert!(on > 10.0 * off.max(1e-15), "on {on} vs off {off}");
+        // Deterministic master-equation islands: the trace reproduces.
+        let again = engine
+            .transient_currents(&[(gate, pulse())], &[j1], &times, 0)
+            .unwrap();
+        assert_eq!(trace, again);
+    }
+
+    #[test]
+    fn lifted_sample_grid_violations_are_rejected() {
+        let engine = QuasiStatic::new(
+            HybridStationaryEngine::new(&set_with_load(), HybridOptions::new(1.0)).unwrap(),
+        );
+        let j1 = TransientEngine::resolve_observable(&engine, "J1").unwrap();
+        assert!(engine.transient_currents(&[], &[j1], &[], 0).is_err());
+        assert!(engine
+            .transient_currents(&[], &[j1], &[2e-9, 1e-9], 0)
+            .is_err());
     }
 }

@@ -41,6 +41,11 @@ use se_engine::Waveform;
 use se_units::parse_value;
 use std::collections::HashMap;
 
+/// The most points one `.dc` axis or `.tran` grid may hold: the plan
+/// materialises every grid, so a mistyped step or stop (`1n` → `1`) must
+/// be a line-numbered error, not a multi-gigabyte allocation.
+const MAX_POINTS: f64 = 2_000_000.0;
+
 /// Parses a SPICE-flavoured deck into a [`Netlist`], discarding analysis
 /// directives.
 ///
@@ -52,9 +57,9 @@ use std::collections::HashMap;
 ///
 /// # Errors
 ///
-/// Returns [`NetlistError::Parse`] describing the first malformed card, or
-/// the underlying construction error for invalid parameters and duplicate
-/// names.
+/// Returns [`NetlistError::Parse`] describing the first malformed card
+/// (invalid element values included), or
+/// [`NetlistError::DuplicateElement`] for a repeated element name.
 pub fn parse_deck(deck: &str) -> Result<Netlist, NetlistError> {
     parse_full_deck(deck).map(|deck| deck.netlist)
 }
@@ -72,8 +77,9 @@ pub fn parse_deck(deck: &str) -> Result<Netlist, NetlistError> {
 ///
 /// Returns [`NetlistError::Parse`] describing the first malformed card —
 /// including malformed *known* directives such as a `.dc` with the wrong
-/// argument count — or the underlying construction error for invalid
-/// parameters and duplicate names.
+/// argument count, a grid of more than 2 000 000 points, or an invalid
+/// element value — or [`NetlistError::DuplicateElement`] for a repeated
+/// element name.
 pub fn parse_full_deck(text: &str) -> Result<Deck, NetlistError> {
     // Join continuation lines first, remembering original line numbers.
     let mut cards: Vec<(usize, String)> = Vec::new();
@@ -123,7 +129,15 @@ pub fn parse_full_deck(text: &str) -> Result<Deck, NetlistError> {
             parse_directive(&card, line_no, &mut deck)?;
             continue;
         }
-        let element = parse_card(&card, line_no, &mut deck)?;
+        // Element constructors refuse bad values without knowing the
+        // card's line; name it here.
+        let element = parse_card(&card, line_no, &mut deck).map_err(|e| match e {
+            NetlistError::Parse { .. } => e,
+            other => NetlistError::Parse {
+                line: line_no,
+                message: other.to_string(),
+            },
+        })?;
         deck.netlist.add(element)?;
     }
     Ok(deck)
@@ -185,6 +199,13 @@ fn parse_directive(card: &str, line: usize, deck: &mut Deck) -> Result<(), Netli
                     ".tran stop must be at least one step, got {stop} with step {step}"
                 )));
             }
+            let count = stop / step;
+            if count > MAX_POINTS {
+                return Err(err(format!(
+                    ".tran grid would have {} samples (more than {MAX_POINTS})",
+                    count as u64
+                )));
+            }
             deck.analyses.push(Analysis::Transient { step, stop });
         }
         ".options" | ".option" => {
@@ -238,7 +259,6 @@ fn parse_sweep_spec(
             )));
         }
         let count = (stop - start) / step;
-        const MAX_POINTS: f64 = 2_000_000.0;
         if count > MAX_POINTS {
             return Err(err(format!(
                 ".dc grid would have {} points (more than {MAX_POINTS})",
@@ -994,6 +1014,20 @@ CG gate island 0.5a
             let deck = format!("t\nV1 a 0 1\nR1 a 0 1k\n{bad}\n");
             assert!(parse_full_deck(&deck).is_err(), "`{bad}` should fail");
         }
+    }
+
+    #[test]
+    fn oversized_tran_grids_and_bad_element_values_are_line_numbered_errors() {
+        // A truncated stop (`20n` → `2`) asks for 2e9 samples.
+        let deck = "t\nV1 a 0 1\nR1 a 0 1k\n.tran 1n 2\n";
+        let err = parse_full_deck(deck).unwrap_err();
+        assert!(matches!(err, NetlistError::Parse { line: 4, .. }), "{err}");
+        assert!(err.to_string().contains("samples"), "{err}");
+        // The element constructor's refusal carries the card's line.
+        let deck = "t\nV1 a 0 1\nJ1 a 0 C=0 R=100k\n.tran 1n 1u\n";
+        let err = parse_full_deck(deck).unwrap_err();
+        assert!(matches!(err, NetlistError::Parse { line: 3, .. }), "{err}");
+        assert!(err.to_string().contains("`J1`"), "{err}");
     }
 
     #[test]

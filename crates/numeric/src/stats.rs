@@ -207,16 +207,6 @@ impl RunningStats {
         self.variance().sqrt()
     }
 
-    /// Standard error of the mean.
-    #[must_use]
-    pub fn std_error(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.std_dev() / (self.count as f64).sqrt()
-        }
-    }
-
     /// Minimum observed sample (`+inf` if empty).
     #[must_use]
     pub fn min(&self) -> f64 {

@@ -19,7 +19,7 @@ use se_engine::{
     ControlId, ObservableId, QuasiStatic, StationaryEngine, TransientEngine, TransientTrace,
     Waveform,
 };
-use se_hybrid::{HybridOptions, HybridStationaryEngine, HybridTransientEngine, IslandEngine};
+use se_hybrid::{HybridOptions, HybridStationaryEngine, IslandEngine};
 use se_montecarlo::{
     tunnel_system_from_netlist, MasterEquation, MonteCarloSimulator, Preconditioner,
     SimulationOptions, StationarySolver,
@@ -586,20 +586,23 @@ impl StationaryEngine for StationaryBackend {
     }
 }
 
-/// The compiled transient backend of a deck.
+/// The compiled transient backend of a deck: the two engines with real
+/// time dynamics, or a stationary backend lifted quasi-statically.
 #[derive(Debug, Clone)]
 pub enum TransientBackend {
-    /// The analytic SET, lifted quasi-statically.
-    Analytic(QuasiStatic<AnalyticDeckEngine>),
-    /// The master-equation solver, lifted quasi-statically.
-    Master(QuasiStatic<SourceMapped<MasterEquation>>),
     /// The kinetic Monte-Carlo event clock (boxed: the simulator
     /// carries its live-state buffers inline).
     Kmc(Box<SourceMapped<MonteCarloSimulator>>),
     /// The SPICE backward-Euler integrator.
     Spice(SpiceTransientEngine),
-    /// The hybrid co-simulator stepped along the stimulus.
-    Hybrid(HybridTransientEngine),
+    /// A stationary backend (analytic SET, master equation or hybrid
+    /// co-simulator) sampled at every time point, reported under `name`.
+    QuasiStatic {
+        /// The lifted stationary backend.
+        engine: QuasiStatic<StationaryBackend>,
+        /// The engine name the results carry.
+        name: &'static str,
+    },
 }
 
 impl TransientEngine for TransientBackend {
@@ -607,31 +610,27 @@ impl TransientEngine for TransientBackend {
 
     fn engine_name(&self) -> &'static str {
         match self {
-            TransientBackend::Analytic(_) => "analytic-set (quasi-static)",
-            TransientBackend::Master(_) => "master-equation (quasi-static)",
             TransientBackend::Kmc(e) => TransientEngine::engine_name(e.as_ref()),
             TransientBackend::Spice(e) => e.engine_name(),
-            TransientBackend::Hybrid(e) => e.engine_name(),
+            TransientBackend::QuasiStatic { name, .. } => name,
         }
     }
 
     fn resolve_drive(&self, name: &str) -> Result<ControlId, SimError> {
         match self {
-            TransientBackend::Analytic(e) => e.resolve_drive(name),
-            TransientBackend::Master(e) => e.resolve_drive(name),
             TransientBackend::Kmc(e) => e.resolve_drive(name),
             TransientBackend::Spice(e) => Ok(e.resolve_drive(name)?),
-            TransientBackend::Hybrid(e) => Ok(e.resolve_drive(name)?),
+            TransientBackend::QuasiStatic { engine, .. } => engine.resolve_drive(name),
         }
     }
 
     fn resolve_observable(&self, name: &str) -> Result<ObservableId, SimError> {
         match self {
-            TransientBackend::Analytic(e) => TransientEngine::resolve_observable(e, name),
-            TransientBackend::Master(e) => TransientEngine::resolve_observable(e, name),
             TransientBackend::Kmc(e) => TransientEngine::resolve_observable(e.as_ref(), name),
             TransientBackend::Spice(e) => Ok(TransientEngine::resolve_observable(e, name)?),
-            TransientBackend::Hybrid(e) => Ok(TransientEngine::resolve_observable(e, name)?),
+            TransientBackend::QuasiStatic { engine, .. } => {
+                TransientEngine::resolve_observable(engine, name)
+            }
         }
     }
 
@@ -643,14 +642,12 @@ impl TransientEngine for TransientBackend {
         seed: u64,
     ) -> Result<TransientTrace, SimError> {
         match self {
-            TransientBackend::Analytic(e) => e.transient_currents(drives, observables, times, seed),
-            TransientBackend::Master(e) => e.transient_currents(drives, observables, times, seed),
             TransientBackend::Kmc(e) => e.transient_currents(drives, observables, times, seed),
             TransientBackend::Spice(e) => {
                 Ok(e.transient_currents(drives, observables, times, seed)?)
             }
-            TransientBackend::Hybrid(e) => {
-                Ok(e.transient_currents(drives, observables, times, seed)?)
+            TransientBackend::QuasiStatic { engine, .. } => {
+                engine.transient_currents(drives, observables, times, seed)
             }
         }
     }
@@ -691,7 +688,8 @@ pub fn build_stationary(
 
 /// Builds the transient backend for the chosen engine. `max_step` is the
 /// integration ceiling of the SPICE backward-Euler backend (the `.tran`
-/// step); the event-driven and quasi-static backends sample directly.
+/// step); the kinetic Monte-Carlo clock samples directly, and every other
+/// choice is its stationary backend lifted by [`QuasiStatic`].
 ///
 /// # Errors
 ///
@@ -703,27 +701,27 @@ pub fn build_transient(
     max_step: f64,
 ) -> Result<TransientBackend, SimError> {
     use crate::plan::EngineChoice;
-    Ok(match choice {
-        EngineChoice::Analytic => TransientBackend::Analytic(QuasiStatic::new(
-            analytic_from_netlist(netlist, options.temperature)?,
-        )),
-        EngineChoice::Master => TransientBackend::Master(QuasiStatic::new(SourceMapped::new(
-            master_solver(netlist, options)?,
-            netlist,
-        ))),
-        EngineChoice::Kmc => TransientBackend::Kmc(Box::new(SourceMapped::new(
-            kmc_simulator(netlist, options)?,
-            netlist,
-        ))),
-        EngineChoice::Spice => TransientBackend::Spice(SpiceTransientEngine::new(
-            Circuit::with_temperature(netlist, options.temperature)?,
-            NewtonOptions::default(),
-            max_step,
-        )?),
-        EngineChoice::Hybrid => TransientBackend::Hybrid(HybridTransientEngine::new(
-            netlist,
-            hybrid_options(options)?,
-        )?),
+    let name = match choice {
+        EngineChoice::Kmc => {
+            return Ok(TransientBackend::Kmc(Box::new(SourceMapped::new(
+                kmc_simulator(netlist, options)?,
+                netlist,
+            ))))
+        }
+        EngineChoice::Spice => {
+            return Ok(TransientBackend::Spice(SpiceTransientEngine::new(
+                Circuit::with_temperature(netlist, options.temperature)?,
+                NewtonOptions::default(),
+                max_step,
+            )?))
+        }
+        EngineChoice::Analytic => "analytic-set (quasi-static)",
+        EngineChoice::Master => "master-equation (quasi-static)",
+        EngineChoice::Hybrid => "hybrid-cosim",
+    };
+    Ok(TransientBackend::QuasiStatic {
+        engine: QuasiStatic::new(build_stationary(netlist, options, choice)?),
+        name,
     })
 }
 
@@ -922,5 +920,44 @@ mod tests {
             err.to_string().contains("grounded source junction"),
             "{err}"
         );
+    }
+
+    /// The analytic, master and hybrid transients are their stationary
+    /// backends lifted quasi-statically, and keep the engine names their
+    /// results have always carried; the KMC clock and the SPICE integrator
+    /// run their own time dynamics.
+    #[test]
+    fn lifted_transients_keep_their_engine_names() {
+        use crate::plan::EngineChoice;
+        let set = parse_deck(SET_DECK).unwrap();
+        let mixed = parse_deck(
+            "mixed\nVDD vdd 0 5m\nVG gate 0 0\nRL vdd drain 10meg\nJ1 drain island C=0.5a R=100k\nJ2 island 0 C=0.5a R=100k\nCG gate island 1a\n",
+        )
+        .unwrap();
+        let options = AnalysisOptions::default();
+        for (netlist, choice, name, lifted) in [
+            (
+                &set,
+                EngineChoice::Analytic,
+                "analytic-set (quasi-static)",
+                true,
+            ),
+            (
+                &set,
+                EngineChoice::Master,
+                "master-equation (quasi-static)",
+                true,
+            ),
+            (&mixed, EngineChoice::Hybrid, "hybrid-cosim", true),
+            (&set, EngineChoice::Kmc, "kinetic-monte-carlo", false),
+        ] {
+            let backend = build_transient(netlist, &options, choice, 1e-9).unwrap();
+            assert_eq!(backend.engine_name(), name);
+            assert_eq!(
+                matches!(backend, TransientBackend::QuasiStatic { .. }),
+                lifted,
+                "{name}"
+            );
+        }
     }
 }

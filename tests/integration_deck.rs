@@ -299,3 +299,106 @@ proptest! {
         prop_assert_eq!(original_plan, reparsed_plan);
     }
 }
+
+/// Every example deck's text, in file-name order.
+fn example_deck_texts() -> Vec<(String, String)> {
+    let dir = format!("{}/../../examples/decks", env!("CARGO_MANIFEST_DIR"));
+    let mut names: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap_or_else(|e| panic!("cannot list {dir}: {e}"))
+        .filter_map(Result::ok)
+        .filter_map(|entry| entry.file_name().into_string().ok())
+        .filter(|name| name.ends_with(".cir"))
+        .collect();
+    names.sort();
+    names
+        .into_iter()
+        .map(|name| {
+            let text = example_deck(&name);
+            (name, text)
+        })
+        .collect()
+}
+
+/// Applies one mutation, encoded in `op`, to a deck's lines: the low two
+/// bits pick delete, duplicate, swap or truncate-a-token, the rest pick
+/// the lines, the token and the cut.
+fn mutate(lines: &mut Vec<String>, op: u64) {
+    if lines.is_empty() {
+        return;
+    }
+    let pick = |shift: u32, bound: usize| ((op >> shift) % bound as u64) as usize;
+    let line = pick(2, lines.len());
+    match op & 3 {
+        0 => {
+            lines.remove(line);
+        }
+        1 => {
+            let copy = lines[line].clone();
+            lines.insert(line, copy);
+        }
+        2 => {
+            let other = pick(22, lines.len());
+            lines.swap(line, other);
+        }
+        _ => {
+            let mut tokens: Vec<String> =
+                lines[line].split_whitespace().map(str::to_string).collect();
+            if tokens.is_empty() {
+                return;
+            }
+            let token = pick(22, tokens.len());
+            let keep = pick(42, tokens[token].chars().count());
+            tokens[token] = tokens[token].chars().take(keep).collect();
+            lines[line] = tokens.join(" ");
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Parser robustness: deleting, duplicating and swapping lines of an
+    /// example deck, or truncating one of its tokens, never panics
+    /// `parse_full_deck` or `compile`, and a parse error always locates
+    /// its card — by line number, or (a duplicate element) by a name that
+    /// two cards of the mutated deck share.
+    #[test]
+    fn prop_mutated_example_decks_fail_cleanly_with_located_errors(
+        deck_pick in 0_usize..64,
+        ops in proptest::collection::vec(0_u64..u64::MAX, 1..=4),
+    ) {
+        let decks = example_deck_texts();
+        let (name, text) = &decks[deck_pick % decks.len()];
+        let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
+        for &op in &ops {
+            mutate(&mut lines, op);
+        }
+        let mutated = lines.join("\n");
+        let outcome = std::panic::catch_unwind(|| {
+            parse_full_deck(&mutated).map(|deck| compile(&deck).map(|_| ()))
+        });
+        prop_assert!(outcome.is_ok(), "{name}: panicked on\n{mutated}");
+        if let Err(err) = outcome.unwrap() {
+            match &err {
+                single_electronics::netlist::NetlistError::Parse { line, .. } => {
+                    prop_assert!(
+                        (1..=lines.len()).contains(line),
+                        "{name}: {err} (deck has {} lines)\n{mutated}",
+                        lines.len()
+                    );
+                }
+                single_electronics::netlist::NetlistError::DuplicateElement { name: element } => {
+                    let cards = lines
+                        .iter()
+                        .filter_map(|l| l.split_whitespace().next())
+                        .filter(|first| first.eq_ignore_ascii_case(element))
+                        .count();
+                    prop_assert!(cards >= 2, "{name}: {err}\n{mutated}");
+                }
+                other => {
+                    prop_assert!(false, "{name}: unlocated error {other}\n{mutated}");
+                }
+            }
+        }
+    }
+}

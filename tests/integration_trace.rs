@@ -173,6 +173,7 @@ const GOLDEN_DECKS: &[&str] = &[
     "ensemble_chain",
     "ensemble_repeats",
     "hybrid_mvl_gate",
+    "hybrid_ramp",
     "mosfet_follower",
     "pulse_train",
     "set_staircase",

@@ -1,8 +1,9 @@
 //! Integration tests of the unified transient layer: the SPICE
-//! backward-Euler integrator, the kinetic Monte-Carlo event clock, the
-//! hybrid co-simulator and the quasi-static analytic adapter all implement
-//! [`TransientEngine`] and run through the same parallel
-//! [`TransientRunner`], with bit-identical serial and parallel ensembles.
+//! backward-Euler integrator, the kinetic Monte-Carlo event clock and the
+//! quasi-static adapter (lifting the hybrid co-simulator and the analytic
+//! SET) all implement [`TransientEngine`] and run through the same
+//! parallel [`TransientRunner`], with bit-identical serial and parallel
+//! ensembles.
 
 use proptest::prelude::*;
 use single_electronics::montecarlo::{MonteCarloSimulator, SimulationOptions};
@@ -71,7 +72,9 @@ fn a_pulse_train_runs_through_all_three_backends() {
         peak_gate()
     );
     let hybrid_netlist = se_netlist::parse_deck(&hybrid_deck).unwrap();
-    let hybrid = HybridTransientEngine::new(&hybrid_netlist, HybridOptions::new(1.0)).unwrap();
+    let hybrid = QuasiStatic::new(
+        HybridStationaryEngine::new(&hybrid_netlist, HybridOptions::new(1.0)).unwrap(),
+    );
     let hybrid_trace = runner
         .run(&hybrid, &[("VD", pulse)], &["J1"], &times)
         .unwrap();
@@ -102,7 +105,8 @@ fn hybrid_ensembles_are_bit_identical_serial_vs_parallel() {
         peak_gate()
     );
     let netlist = se_netlist::parse_deck(&deck).unwrap();
-    let engine = HybridTransientEngine::new(&netlist, HybridOptions::new(1.0)).unwrap();
+    let engine =
+        QuasiStatic::new(HybridStationaryEngine::new(&netlist, HybridOptions::new(1.0)).unwrap());
     let scenarios: Vec<Scenario> = [0.5e-3, 1e-3, 2e-3]
         .iter()
         .map(|&amp| {
