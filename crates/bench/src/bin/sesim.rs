@@ -341,13 +341,15 @@ fn print_result(result: &SimulationResult) {
     println!("## {} — engine: {}", result.label(), result.engine());
     if let Some(effort) = result.solver_effort() {
         eprintln!(
-            "sesim: solver {}: {} solves, {} iterations, max residual {:.3e}, \
-             max boundary mass {:.3e}",
+            "sesim: solver {}: {} solves in {} box rounds, {} iterations, max residual {:.3e}, \
+             max boundary mass {:.3e}, max box {} states",
             effort.solver,
             effort.solves,
+            effort.rounds,
             effort.iterations,
             effort.residual_max,
-            effort.boundary_mass_max
+            effort.boundary_mass_max,
+            effort.box_states_max
         );
     }
     if result.len() > MAX_PRINTED_ROWS {

@@ -47,6 +47,13 @@ impl fmt::Display for GridError {
 
 impl std::error::Error for GridError {}
 
+/// The most steps one sweep axis or transient sample grid may span. Every
+/// grid is materialised, so a mistyped step or stop (`1n` → `1`) must be
+/// an error, not a multi-gigabyte allocation; the deck parser refuses
+/// larger `.dc` and `.tran` grids with a line number, and
+/// [`sample_times`] refuses them for decks built in code.
+pub const MAX_POINTS: f64 = 2_000_000.0;
+
 /// Generates `points` evenly spaced values covering `[start, stop]`.
 ///
 /// Ascending (`start < stop`) and descending (`start > stop`) ranges are
@@ -95,7 +102,8 @@ pub fn linspace(start: f64, stop: f64, points: usize) -> Result<Vec<f64>, GridEr
 /// # Errors
 ///
 /// Returns [`GridError::BadSampleTimes`] for a non-positive or non-finite
-/// step, or a stop time smaller than one step.
+/// step, a stop time smaller than one step, or a grid of more than
+/// [`MAX_POINTS`] steps (refused before anything is allocated).
 pub fn sample_times(step: f64, stop: f64) -> Result<Vec<f64>, GridError> {
     if !(step > 0.0) || !step.is_finite() {
         return Err(GridError::BadSampleTimes(format!(
@@ -105,6 +113,11 @@ pub fn sample_times(step: f64, stop: f64) -> Result<Vec<f64>, GridError> {
     if !(stop >= step) || !stop.is_finite() {
         return Err(GridError::BadSampleTimes(format!(
             "stop must be at least one step, got {stop} with step {step}"
+        )));
+    }
+    if stop / step > MAX_POINTS {
+        return Err(GridError::BadSampleTimes(format!(
+            "a grid from 0 to {stop} in steps of {step} would have more than {MAX_POINTS} samples"
         )));
     }
     let steps = (stop / step).round() as usize;
@@ -227,6 +240,12 @@ mod tests {
         assert!(sample_times(-1e-9, 1e-9).is_err());
         assert!(sample_times(1e-9, 0.5e-9).is_err());
         assert!(sample_times(1e-9, f64::INFINITY).is_err());
+        // An oversized grid is refused, the largest accepted one is built.
+        assert!(matches!(
+            sample_times(1e-9, 1.0),
+            Err(GridError::BadSampleTimes(_))
+        ));
+        assert_eq!(sample_times(1.0, MAX_POINTS).unwrap().len(), 2_000_001);
     }
 
     #[test]

@@ -17,7 +17,8 @@ use std::collections::HashMap;
 pub enum IslandEngine {
     /// Exact master-equation solution (deterministic, the default).
     Master {
-        /// Per-island charge window half-width.
+        /// Per-island charge window half-width: the ceiling each solve's
+        /// charge box grows up to.
         window: i64,
     },
     /// Kinetic Monte-Carlo sampling (stochastic; use for large island

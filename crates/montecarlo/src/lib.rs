@@ -95,7 +95,9 @@ pub use builder::tunnel_system_from_netlist;
 pub use engine::{resolve_electrode, resolve_junction, BATCH_MIN_REPLICAS};
 pub use error::MonteCarloError;
 pub use kmc::{KmcKernel, MonteCarloSimulator, SimulationOptions, TracePoint, AUTO_TREE_THRESHOLD};
-pub use master::{MasterEquation, MasterSolution, MasterSolveStats, MasterWorkspace};
+pub use master::{
+    MasterEquation, MasterSolution, MasterSolveStats, MasterWorkspace, FACE_TOLERANCE,
+};
 pub use observables::RunResult;
 pub use se_engine::SweepPoint;
 pub use se_numeric::{Preconditioner, StationarySolver};

@@ -203,7 +203,8 @@ pub struct AnalysisOptions {
     pub seed: u64,
     /// Requested engine (default [`EnginePreference::Auto`]).
     pub engine: EnginePreference,
-    /// Master-equation per-island charge-window half-width override.
+    /// Master-equation per-island charge-window half-width override: the
+    /// ceiling each solve's charge box grows up to.
     pub master_window: Option<i64>,
     /// Master-equation state-enumeration cap override.
     pub master_max_states: Option<usize>,

@@ -37,14 +37,10 @@ use crate::directive::{
 use crate::element::{Element, ElementKind, MosfetParams, MosfetType, SetParams};
 use crate::error::NetlistError;
 use crate::netlist::Netlist;
+use se_engine::grid::MAX_POINTS;
 use se_engine::Waveform;
 use se_units::parse_value;
 use std::collections::HashMap;
-
-/// The most points one `.dc` axis or `.tran` grid may hold: the plan
-/// materialises every grid, so a mistyped step or stop (`1n` → `1`) must
-/// be a line-numbered error, not a multi-gigabyte allocation.
-const MAX_POINTS: f64 = 2_000_000.0;
 
 /// Parses a SPICE-flavoured deck into a [`Netlist`], discarding analysis
 /// directives.

@@ -103,6 +103,8 @@ struct SolverAgg {
     iterations: usize,
     residual_max: f64,
     boundary_mass_max: f64,
+    box_states_max: usize,
+    rounds: usize,
 }
 
 impl SolverAgg {
@@ -120,6 +122,8 @@ impl SolverAgg {
         if stats.boundary_mass > self.boundary_mass_max {
             self.boundary_mass_max = stats.boundary_mass;
         }
+        self.box_states_max = self.box_states_max.max(stats.box_states);
+        self.rounds += stats.rounds;
     }
 
     fn effort(&self) -> Option<SolverEffort> {
@@ -130,6 +134,8 @@ impl SolverAgg {
             iterations: self.iterations,
             residual_max: self.residual_max,
             boundary_mass_max: self.boundary_mass_max,
+            box_states_max: self.box_states_max,
+            rounds: self.rounds,
         })
     }
 }

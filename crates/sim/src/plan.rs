@@ -433,6 +433,7 @@ fn require_pure_single_electron(report: &PartitionReport, engine: &str) -> Resul
 #[cfg(test)]
 mod tests {
     use super::*;
+    use se_engine::GridError;
     use se_netlist::parse_full_deck;
 
     const SET_DECK: &str = "single SET\nVD drain 0 1m\nVG gate 0 0\nJ1 drain island C=0.5a R=100k\nJ2 island 0 C=0.5a R=100k\nCG gate island 1a\n";
@@ -619,6 +620,23 @@ mod tests {
                 assert_eq!(inner_values.len(), 11);
             }
             other => panic!("unexpected analysis {other:?}"),
+        }
+    }
+
+    #[test]
+    fn an_oversized_transient_grid_built_in_code_is_refused_before_allocation() {
+        // No parser sits between this deck and `compile`: 1 s in steps of
+        // 1 ns would be a 1e9-sample grid.
+        let mut deck = with_cards("");
+        deck.analyses = vec![Analysis::Transient {
+            step: 1e-9,
+            stop: 1.0,
+        }];
+        match compile(&deck) {
+            Err(SimError::Grid(GridError::BadSampleTimes(reason))) => {
+                assert!(reason.contains("2000000"), "{reason}");
+            }
+            other => panic!("expected a refused sample grid, got {other:?}"),
         }
     }
 }

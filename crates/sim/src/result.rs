@@ -25,10 +25,15 @@ pub struct SolverEffort {
     /// computed solve reported.
     pub residual_max: f64,
     /// The largest stationary probability any computed solve left on the
-    /// edge of its charge window (see `MasterSolveStats::boundary_mass`):
-    /// a value that is not small says the window is too narrow for the
-    /// temperature and bias.
+    /// edge of its final charge box (see `MasterSolveStats::boundary_mass`):
+    /// a value that is not small says the window ceiling is too narrow for
+    /// the temperature and bias.
     pub boundary_mass_max: f64,
+    /// The most states any computed solve's final box held.
+    pub box_states_max: usize,
+    /// Box solves across the computed solves: each solve grows its box in
+    /// one or more rounds.
+    pub rounds: usize,
 }
 
 /// A column-named table of simulation output with engine provenance — the
@@ -330,6 +335,8 @@ mod tests {
             iterations: 84,
             residual_max: 3e-14,
             boundary_mass_max: 2e-9,
+            box_states_max: 625,
+            rounds: 30,
         });
         assert_eq!(effortful.solver_effort().unwrap().solves, 12);
         assert!(plain.solver_effort().is_none());
