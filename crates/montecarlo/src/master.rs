@@ -49,7 +49,6 @@ use se_numeric::sparse::{
 use se_numeric::NumericError;
 use se_orthodox::{ChargeState, Endpoint, LiveState, RateContext, TunnelEvent, TunnelSystem};
 use se_units::constants::E;
-use std::borrow::Cow;
 use std::cmp::Reverse;
 use std::collections::HashMap;
 
@@ -723,10 +722,13 @@ impl MasterEquation {
         // Regularise isolated states: at low temperature every rate out of
         // a deeply blockaded state can underflow to exactly zero, leaving
         // an absorbing state that is not the ground state. A vanishingly
-        // small escape rate towards the ground state (10⁻¹² of the largest
-        // total out-rate) makes the chain irreducible without affecting any
-        // junction current, which is computed from the real event rates
-        // only.
+        // small escape rate ε towards the ground state (10⁻¹² of the
+        // largest total out-rate) makes the chain irreducible. It enters
+        // the out-rates only: its inflow would land in the anchor row,
+        // which the normalisation replaces. The escape moves probability
+        // without crossing a junction, so the junction currents (summed
+        // from the real event rates) are conserved only to about e·ε, and
+        // ε grows with the box — see `the_grown_box_keeps_the_error_contract`.
         let rate_scale = out_rate.iter().fold(0.0_f64, |m, &v| m.max(v));
         let epsilon = 1e-12 * if rate_scale > 0.0 { rate_scale } else { 1.0 };
         for (i, out) in out_rate.iter_mut().enumerate() {
@@ -738,29 +740,30 @@ impl MasterEquation {
             charge_box,
             ground_index,
             geometry,
-            epsilon,
             inflow_entries,
             out_rate,
             rates,
         }
     }
 
-    /// Assembles and returns the regularised anchored generator of the
-    /// ±window ceiling box — the inflow matrix, total out-rate vector and
-    /// anchor index — without solving it. This exists so benchmarks can
-    /// time the stationary solvers alone on a real master-equation
-    /// generator; it is not part of the supported API surface.
+    /// Assembles the regularised generator of the ±window ceiling box
+    /// without solving it, and returns it with its anchor (the ground
+    /// state's index). [`stationary_distribution_of`] with the configured
+    /// solver solves it exactly as [`MasterEquation::solve_full_window`]
+    /// does. This exists so benchmarks can time the stationary solvers
+    /// alone on a real master-equation generator; it is not part of the
+    /// supported API surface.
     ///
     /// # Errors
     ///
     /// As [`MasterEquation::solve`], for the assembly phase.
     #[doc(hidden)]
-    pub fn generator(&self) -> Result<(CsrMatrix, Vec<f64>, usize), MonteCarloError> {
+    pub fn generator(&self) -> Result<(impl Generator, usize), MonteCarloError> {
         let (center, rate_ctx) = self.prepare()?;
         let full = self.full_window(&center);
         let assembly = self.assemble(&center, full, &rate_ctx, &mut MasterWorkspace::new());
-        let inflow = assembly.inflow()?.into_owned();
-        Ok((inflow, assembly.out_rate, assembly.ground_index))
+        let anchor = assembly.ground_index;
+        Ok((assembly, anchor))
     }
 }
 
@@ -837,9 +840,7 @@ struct Assembly {
     charge_box: ChargeBox,
     ground_index: usize,
     geometry: Vec<EventGeometry>,
-    /// The regularising escape rate of every state into the ground state.
-    epsilon: f64,
-    /// In-box inflow entries, the ε entries aside.
+    /// In-box inflow entries.
     inflow_entries: usize,
     out_rate: Vec<f64>,
     /// Every event rate of every state, `states × events` in canonical
@@ -885,39 +886,27 @@ impl Generator for Assembly {
         &self.out_rate
     }
 
-    /// The inflow rows in [`Assembly::for_each_inflow`] order, the anchor
-    /// row's ε entries last in it.
-    fn inflow(&self) -> Result<Cow<'_, CsrMatrix>, NumericError> {
-        let (n, anchor) = (self.out_rate.len(), self.ground_index);
+    /// The inflow rows in [`Assembly::for_each_inflow`] order. The ε
+    /// escapes into the ground state have no entries: they would land in
+    /// the anchor row, which every solver replaces.
+    fn inflow(&self) -> Result<CsrMatrix, NumericError> {
+        let n = self.out_rate.len();
         let mut row_ptr = Vec::with_capacity(n + 1);
-        let nnz = self.inflow_entries + n - 1;
-        let mut col_idx = Vec::with_capacity(nnz);
-        let mut values = Vec::with_capacity(nnz);
+        let mut col_idx = Vec::with_capacity(self.inflow_entries);
+        let mut values = Vec::with_capacity(self.inflow_entries);
         row_ptr.push(0);
-        // Ends every row before `row`.
-        let mut end_rows_before = |row: usize, col_idx: &mut Vec<usize>, values: &mut Vec<f64>| {
-            while row_ptr.len() <= row {
-                if row_ptr.len() - 1 == anchor {
-                    for source in (0..n).filter(|&j| j != anchor) {
-                        col_idx.push(source);
-                        values.push(self.epsilon);
-                    }
-                }
-                row_ptr.push(col_idx.len());
-            }
-        };
         self.for_each_inflow(|target, _, source, rate| {
-            end_rows_before(target, &mut col_idx, &mut values);
+            // End every row before `target`.
+            row_ptr.resize(target + 1, col_idx.len());
             col_idx.push(source);
             values.push(rate);
         });
-        end_rows_before(n, &mut col_idx, &mut values);
-        CsrMatrix::from_parts(n, n, row_ptr, col_idx, values).map(Cow::Owned)
+        row_ptr.resize(n + 1, col_idx.len());
+        CsrMatrix::from_parts(n, n, row_ptr, col_idx, values)
     }
 
     /// Event `e` lands in the lane of column offset `−offset_e`; a slot's
-    /// events arrive in canonical order. The anchor row's ε entries belong
-    /// to an identity row and are never stamped.
+    /// events arrive in canonical order.
     fn stamp(&self, system: &mut AnchoredStencil) {
         let lanes: Vec<_> = self
             .geometry
@@ -932,16 +921,15 @@ impl Generator for Assembly {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use se_numeric::krylov::{
-        reference, stationary_bicgstab, stationary_bicgstab_of, KrylovOptions, KrylovWorkspace,
-    };
+    use se_numeric::krylov::reference::{self, MatrixGenerator};
+    use se_numeric::krylov::{stationary_bicgstab_of, KrylovOptions, KrylovWorkspace};
     use se_numeric::sparse::SolveStats;
     use se_numeric::{NumericError, Preconditioner};
     use se_orthodox::TunnelSystemBuilder;
 
     /// The assembly the single walk replaced, kept as its bit-identity
     /// reference: one `ChargeState` per state, `(row, col, rate)` triplets
-    /// in walk order, the ε triplets appended, then `from_triplets`.
+    /// in walk order, then `from_triplets`; ε enters the out-rates only.
     fn reference_assembly(me: &MasterEquation) -> (Vec<ChargeState>, CsrMatrix, Vec<f64>, usize) {
         let system = &me.system;
         let islands = system.island_count();
@@ -997,7 +985,6 @@ mod tests {
         let epsilon = 1e-12 * if rate_scale > 0.0 { rate_scale } else { 1.0 };
         for (i, out) in out_rate.iter_mut().enumerate() {
             if i != ground_index {
-                triplets.push((ground_index, i, epsilon));
                 *out += epsilon;
             }
         }
@@ -1090,10 +1077,11 @@ mod tests {
 
     /// Solves one circuit both ways and asserts every bit agrees: the
     /// generator rows, the out-rates, the anchored system and ILU(0)
-    /// factor — stamped straight from the rate buffer and from the inflow
-    /// matrix — with both preconditioners, cold and warm, the Krylov
-    /// result or error, the accepted distribution and its provenance, the
-    /// currents, the occupations and the state list.
+    /// factor — stamped straight from the rate buffer and, through the
+    /// test adapter, from the inflow matrix — with both preconditioners,
+    /// cold and warm, the Krylov result or error, the accepted
+    /// distribution and its provenance, the currents, the occupations and
+    /// the state list.
     fn assert_matches_reference(system: TunnelSystem, temperature: f64, window: i64) {
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         let me = MasterEquation::new(system, temperature)
@@ -1101,19 +1089,22 @@ mod tests {
             .with_window(window)
             .unwrap();
         let (states, ref_inflow, ref_out, ref_anchor) = reference_assembly(&me);
-        let (inflow, out_rate, anchor) = me.generator().unwrap();
+        let (generator, anchor) = me.generator().unwrap();
+        let (inflow, out_rate) = (generator.inflow().unwrap(), generator.out_rate());
         assert_eq!(anchor, ref_anchor);
-        assert_eq!(bits(&out_rate), bits(&ref_out));
+        assert_eq!(bits(out_rate), bits(&ref_out));
         assert_eq!(inflow.rows(), ref_inflow.rows());
         for r in 0..inflow.rows() {
             let ((cols, vals), (ref_cols, ref_vals)) = (inflow.row(r), ref_inflow.row(r));
             assert_eq!((cols, bits(vals)), (ref_cols, bits(ref_vals)), "row {r}");
         }
+        let matrix = MatrixGenerator {
+            matrix: &inflow,
+            out_rate,
+            anchor,
+        };
 
         let defaults = StationaryOptions::default();
-        let (center, rate_ctx) = me.prepare().unwrap();
-        let full = me.full_window(&center);
-        let assembly = me.assemble(&center, full, &rate_ctx, &mut MasterWorkspace::new());
         let seed: Vec<f64> = (0..out_rate.len()).map(|i| 1.0 + (i % 7) as f64).collect();
         let mut ref_krylov = None;
         for preconditioner in [Preconditioner::Ilu0, Preconditioner::Jacobi] {
@@ -1126,10 +1117,10 @@ mod tests {
                 let (expected, ref_system) =
                     reference::stationary_bicgstab(&ref_inflow, &ref_out, anchor, &options, warm);
                 let mut ws = KrylovWorkspace::new();
-                let direct = stationary_bicgstab_of(&assembly, anchor, &options, warm, &mut ws);
+                let direct = stationary_bicgstab_of(&generator, anchor, &options, warm, &mut ws);
                 assert_eq!(ws.anchored_system().bits(), ref_system.bits());
                 assert_same_solve(&direct, &expected);
-                let csr = stationary_bicgstab(&inflow, &out_rate, anchor, &options, warm, &mut ws);
+                let csr = stationary_bicgstab_of(&matrix, anchor, &options, warm, &mut ws);
                 assert_eq!(ws.anchored_system().bits(), ref_system.bits());
                 assert_same_solve(&csr, &expected);
                 if StationarySolver::Krylov(preconditioner) == defaults.solver && warm.is_none() {
@@ -1137,23 +1128,25 @@ mod tests {
                 }
             }
         }
-        let expected: Result<(Vec<f64>, &str, usize, f64), NumericError> =
-            match ref_krylov.expect("the cold solve with the default preconditioner ran") {
-                Ok((p, stats)) => Ok((p, stats.solver, stats.iterations, stats.residual)),
-                Err(_) => {
-                    let gauss_seidel = StationaryOptions {
-                        solver: StationarySolver::GaussSeidel,
-                        ..defaults
-                    };
-                    se_numeric::sparse::stationary_distribution(
-                        &ref_inflow,
-                        &ref_out,
-                        anchor,
-                        &gauss_seidel,
-                    )
-                    .map(|p| (p, "gauss-seidel(fallback)", 0, 0.0))
-                }
-            };
+        let expected: Result<(Vec<f64>, &str, usize, f64), NumericError> = match ref_krylov
+            .expect("the cold solve with the default preconditioner ran")
+        {
+            Ok((p, stats)) => Ok((p, stats.solver, stats.iterations, stats.residual)),
+            Err(_) => {
+                let gauss_seidel = StationaryOptions {
+                    solver: StationarySolver::GaussSeidel,
+                    ..defaults
+                };
+                let reference = MatrixGenerator {
+                    matrix: &ref_inflow,
+                    out_rate: &ref_out,
+                    anchor,
+                };
+                let mut workspace = StationaryWorkspace::new();
+                stationary_distribution_of(&reference, anchor, &gauss_seidel, None, &mut workspace)
+                    .map(|(p, _)| (p, "gauss-seidel(fallback)", 0, 0.0))
+            }
+        };
 
         match (
             me.solve_full_window(None, &mut MasterWorkspace::new()),
@@ -1571,6 +1564,39 @@ mod tests {
         check(jacobi, &cases[0]);
     }
 
+    /// The regularising escape rate ε of an assembly, re-derived from its
+    /// rate buffer as `assemble` derives it: 10⁻¹² of the largest in-box
+    /// out-rate. Checks that every out-rate but the ground state's is its
+    /// in-box sum plus exactly this ε.
+    fn escape_rate(assembly: &Assembly) -> f64 {
+        let span = &assembly.charge_box.span;
+        let mut digits = vec![0_usize; span.len()];
+        let in_box: Vec<f64> = assembly
+            .rates
+            .chunks_exact(assembly.geometry.len())
+            .map(|state_rates| {
+                let edges = edge_mask(&digits, span);
+                advance(&mut digits, span, |_, _| {});
+                state_rates
+                    .iter()
+                    .zip(&assembly.geometry)
+                    .filter(|&(&rate, geo)| rate > 0.0 && edges & geo.leaves_from == 0)
+                    .fold(0.0, |out, (&rate, _)| out + rate)
+            })
+            .collect();
+        let rate_scale = in_box.iter().fold(0.0_f64, |m, &v| m.max(v));
+        let epsilon = 1e-12 * if rate_scale > 0.0 { rate_scale } else { 1.0 };
+        for (i, (&out, &sum)) in assembly.out_rate.iter().zip(&in_box).enumerate() {
+            let regularised = if i == assembly.ground_index {
+                sum
+            } else {
+                sum + epsilon
+            };
+            assert_eq!(out.to_bits(), regularised.to_bits(), "state {i}");
+        }
+        epsilon
+    }
+
     /// The full ceiling window's solution, the grown box's, and the full
     /// window's regularising escape rate ε.
     fn solve_both(me: &MasterEquation) -> (MasterSolution, MasterSolution, f64) {
@@ -1579,10 +1605,8 @@ mod tests {
             .unwrap();
         let (center, rate_ctx) = me.prepare().unwrap();
         let ceiling = me.full_window(&center);
-        let epsilon = me
-            .assemble(&center, ceiling, &rate_ctx, &mut MasterWorkspace::new())
-            .epsilon;
-        (full, me.solve().unwrap(), epsilon)
+        let assembly = me.assemble(&center, ceiling, &rate_ctx, &mut MasterWorkspace::new());
+        (full, me.solve().unwrap(), escape_rate(&assembly))
     }
 
     /// Asserts the grown box's error contract on solutions of one circuit
@@ -1662,6 +1686,55 @@ mod tests {
                 })
                 .collect();
             assert_error_contract(&solved, &names(&master_map_system(0, 0)));
+        }
+    }
+
+    /// The hidden `generator()` solved under the default solver returns
+    /// the bits of `solve_full_window(None, …)` on the same system, so a
+    /// bench that times the generator's solve times the deck path's — on
+    /// a hot chain, an SET and a 4.2 K chain point where Jacobi falls back
+    /// to Gauss–Seidel.
+    #[test]
+    fn the_generator_solve_is_the_full_window_solve() {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (system, temperature, window, solver) in [
+            (master_map_system(4, 4), 400.0, 3, "bicgstab-jacobi"),
+            (
+                master_map_fallback_system(),
+                4.2,
+                4,
+                "gauss-seidel(fallback)",
+            ),
+            (
+                set_system(1e-3, 0.3 * E / 1e-18, 0.1),
+                4.2,
+                3,
+                "bicgstab-jacobi",
+            ),
+        ] {
+            let me = MasterEquation::new(system, temperature)
+                .unwrap()
+                .with_window(window)
+                .unwrap();
+            let (generator, anchor) = me.generator().unwrap();
+            let (p, stats) = stationary_distribution_of(
+                &generator,
+                anchor,
+                &StationaryOptions::default(),
+                None,
+                &mut StationaryWorkspace::new(),
+            )
+            .unwrap();
+            let solution = me
+                .solve_full_window(None, &mut MasterWorkspace::new())
+                .unwrap();
+            assert_eq!(stats.solver, solver);
+            assert_eq!(bits(&p), bits(solution.probabilities()));
+            let want = solution.stats();
+            assert_eq!(
+                (stats.solver, stats.iterations, stats.residual.to_bits()),
+                (want.solver, want.iterations, want.residual.to_bits())
+            );
         }
     }
 

@@ -29,9 +29,8 @@
 //! equation's mixed-radix window every event moves a state by a constant
 //! index offset, so the generator is a handful of lanes (11 for a 4-island
 //! chain) that [`Generator::stamp`] writes straight from the rate buffer.
-//! A [`CsrMatrix`] input is stamped row by row into the same storage; it
-//! costs one lane per distinct offset, so `O(D·n)` memory and time for `D`
-//! distinct offsets.
+//! A generator whose entries span `D` distinct offsets costs `O(D·n)`
+//! memory and time.
 //!
 //! The kernels keep the bits of a row-by-row CSR solve over the present
 //! entries alone:
@@ -55,16 +54,16 @@
 //! it (the matrix–vector product with its dot product, the residual update
 //! with its norm), and every reduction still folds sequentially in index
 //! order — so the iterates are bit-identical to the one-reduction-per-pass
-//! CSR form kept as the test reference.
+//! CSR form kept as the test reference, which reads its CSR input through
+//! a test-only [`Generator`] adapter.
 //!
 //! The solver can fail (breakdown of the BiCGSTAB recurrence, stagnation
 //! short of the tolerance); callers fall back to the unconditionally
 //! convergent Gauss–Seidel sweep — see
-//! [`crate::sparse::stationary_distribution_with`], which owns that
-//! routing.
+//! [`crate::sparse::stationary_distribution_of`], which owns that routing.
 
 use crate::error::NumericError;
-use crate::sparse::{CsrGenerator, CsrMatrix, Generator, SolveStats};
+use crate::sparse::{Generator, SolveStats};
 
 #[cfg(any(test, feature = "reference"))]
 pub mod reference;
@@ -212,17 +211,6 @@ impl AnchoredStencil {
             *value = -rate;
         } else {
             *value += -rate;
-        }
-    }
-
-    /// Stamps the balance rows of an inflow matrix, each in storage order.
-    pub(crate) fn stamp_csr(&mut self, inflow: &CsrMatrix, out_rate: &[f64], anchor: usize) {
-        for i in (0..self.n).filter(|&i| balance_row(out_rate, anchor, i)) {
-            let (cols, vals) = inflow.row(i);
-            for (&c, &v) in cols.iter().zip(vals) {
-                let lane = self.lane(c as isize - i as isize);
-                self.add_inflow(lane, i, v);
-            }
         }
     }
 
@@ -540,25 +528,26 @@ fn reset(buf: &mut Vec<f64>, n: usize) {
     buf.resize(n, 0.0);
 }
 
-/// Solves the anchored stationary balance with preconditioned BiCGSTAB and
-/// returns the normalised distribution plus its [`SolveStats`].
+/// Solves the anchored stationary balance of a [`Generator`] with
+/// preconditioned BiCGSTAB and returns the normalised distribution plus
+/// its [`SolveStats`].
 ///
 /// The system solved is the same one the Gauss–Seidel sweep relaxes:
-/// `out_rate[i]·p_i − Σ_j inflow[i][j]·p_j = 0` for every `i ≠ anchor`,
-/// with the anchor pinned at 1; the result is clamped to non-negative
-/// values (BiCGSTAB components may undershoot 0 by rounding) and
-/// normalised to sum 1 — the identical anchoring/normalisation contract.
+/// `out_rate[i]·p_i − Σ_j Q[i][j]·p_j = 0` for every `i ≠ anchor`, with the
+/// anchor pinned at 1; the result is clamped to non-negative values
+/// (BiCGSTAB components may undershoot 0 by rounding) and normalised to
+/// sum 1 — the identical anchoring/normalisation contract.
 ///
-/// The inflow rows are stamped into the stencil storage in storage order
-/// (within one column: the diagonal `out_rate[i]` first, then the row's
-/// entries as they come, sorted or not). A matrix whose balance rows hold
-/// `D` distinct column offsets costs `O(D·n)` memory and time.
+/// The generator's [`stamp`](Generator::stamp) writes the inflow entries
+/// into the stencil between seeding the diagonal with the out-rates and
+/// scaling the rows, so within one slot the diagonal `out_rate[i]` comes
+/// first and the entries follow in stamp order. A generator whose balance
+/// rows hold `D` distinct column offsets costs `O(D·n)` memory and time.
 ///
 /// `warm_start` optionally seeds the iteration with a previous converged
 /// distribution (any positive scaling; it is re-scaled so the anchor is 1).
-/// A warm start from an adjacent bias point typically converges in a
-/// handful of iterations. An unusable warm start (wrong length, no mass on
-/// the anchor, non-finite entries) silently degrades to the cold start.
+/// An unusable warm start (wrong length, no mass on the anchor, non-finite
+/// entries) silently degrades to the cold start.
 ///
 /// Every reduction is a fixed-order sequential sum, so the solve is
 /// deterministic — bit-identical across runs, machines and thread counts.
@@ -570,31 +559,8 @@ fn reset(buf: &mut Vec<f64>, n: usize) {
 /// [`NumericError::SingularMatrix`] if the ILU(0) factorisation hits a
 /// zero pivot, and [`NumericError::InvalidArgument`] for a non-positive
 /// anchored diagonal. Callers are expected to fall back to Gauss–Seidel
-/// (see [`crate::sparse::stationary_distribution_with`]); input shape and
-/// sign validation lives there as well.
-pub fn stationary_bicgstab(
-    inflow: &CsrMatrix,
-    out_rate: &[f64],
-    anchor: usize,
-    options: &KrylovOptions,
-    warm_start: Option<&[f64]>,
-    ws: &mut KrylovWorkspace,
-) -> Result<(Vec<f64>, SolveStats), NumericError> {
-    let generator = CsrGenerator {
-        inflow,
-        out_rate,
-        anchor,
-    };
-    stationary_bicgstab_of(&generator, anchor, options, warm_start, ws)
-}
-
-/// [`stationary_bicgstab`] over a [`Generator`], whose
-/// [`stamp`](Generator::stamp) writes the inflow entries into the stencil
-/// between seeding the diagonal with the out-rates and scaling the rows.
-///
-/// # Errors
-///
-/// As [`stationary_bicgstab`].
+/// (see [`crate::sparse::stationary_distribution_of`]); input validation
+/// lives there as well.
 pub fn stationary_bicgstab_of<G: Generator + ?Sized>(
     generator: &G,
     anchor: usize,
@@ -814,7 +780,27 @@ pub fn stationary_bicgstab_of<G: Generator + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sparse::CsrMatrix;
     use proptest::prelude::*;
+    use reference::MatrixGenerator;
+
+    /// [`stationary_bicgstab_of`] over an inflow matrix, through the test
+    /// adapter.
+    fn solve_csr(
+        inflow: &CsrMatrix,
+        out_rate: &[f64],
+        anchor: usize,
+        options: &KrylovOptions,
+        warm_start: Option<&[f64]>,
+        ws: &mut KrylovWorkspace,
+    ) -> Result<(Vec<f64>, SolveStats), NumericError> {
+        let generator = MatrixGenerator {
+            matrix: inflow,
+            out_rate,
+            anchor,
+        };
+        stationary_bicgstab_of(&generator, anchor, options, warm_start, ws)
+    }
 
     /// A random generator shaped like the master equation's: each row pulls
     /// from a few nearby sources, often the same source twice or more (events
@@ -902,7 +888,7 @@ mod tests {
             let seed_p: Vec<f64> = (0..n).map(|i| 1.0 + (i % 7) as f64).collect();
             let warm = (warm == 0).then_some(&seed_p[..]);
             let mut ws = KrylovWorkspace::new();
-            let fused = stationary_bicgstab(&inflow, &out, anchor, &options, warm, &mut ws);
+            let fused = solve_csr(&inflow, &out, anchor, &options, warm, &mut ws);
             let (reference, system) =
                 reference::stationary_bicgstab(&inflow, &out, anchor, &options, warm);
             prop_assert_eq!(ws.anchored_system().bits(), system.bits());
@@ -957,7 +943,7 @@ mod tests {
                 max_iterations: 200,
             };
             let mut ws = KrylovWorkspace::new();
-            let got = stationary_bicgstab(&inflow, &out, 0, &options, None, &mut ws);
+            let got = solve_csr(&inflow, &out, 0, &options, None, &mut ws);
             let (expected, system) =
                 reference::stationary_bicgstab(&inflow, &out, 0, &options, None);
             let anchored = ws.anchored_system();
@@ -983,7 +969,7 @@ mod tests {
         preconditioner: Preconditioner,
     ) -> (Vec<f64>, SolveStats) {
         let mut ws = KrylovWorkspace::new();
-        stationary_bicgstab(
+        solve_csr(
             inflow,
             out,
             anchor,
@@ -1072,10 +1058,9 @@ mod tests {
             max_iterations: 500,
         };
         let mut ws = KrylovWorkspace::new();
-        let (cold, cold_stats) =
-            stationary_bicgstab(&inflow, &out, 0, &options, None, &mut ws).unwrap();
+        let (cold, cold_stats) = solve_csr(&inflow, &out, 0, &options, None, &mut ws).unwrap();
         let (warm, warm_stats) =
-            stationary_bicgstab(&inflow, &out, 0, &options, Some(&cold), &mut ws).unwrap();
+            solve_csr(&inflow, &out, 0, &options, Some(&cold), &mut ws).unwrap();
         assert!(warm_stats.iterations <= cold_stats.iterations);
         for (a, b) in cold.iter().zip(&warm) {
             assert!((a - b).abs() < 1e-10);
@@ -1098,7 +1083,7 @@ mod tests {
         }
         let inflow = CsrMatrix::from_triplets(n, n, &triplets).unwrap();
         let mut ws = KrylovWorkspace::new();
-        let err = stationary_bicgstab(
+        let err = solve_csr(
             &inflow,
             &out,
             0,

@@ -7,12 +7,50 @@
 //! its own pass. The stencil kernel must produce the same bits: the same
 //! anchored system (its present slots), the same factor, the same iterates
 //! and iteration count.
-//! Compiled for tests only (and behind the `reference` feature, so
-//! downstream crates can pin their callers against it).
+//! [`MatrixGenerator`] feeds an arbitrary inflow matrix to the solvers,
+//! which take only a [`Generator`], so the same CSR input reaches both
+//! kernels. Compiled for tests only (and behind the `reference` feature,
+//! so downstream crates can pin their callers against it).
 
-use super::{KrylovOptions, Preconditioner};
+use super::{balance_row, AnchoredStencil, KrylovOptions, Preconditioner};
 use crate::error::NumericError;
-use crate::sparse::{CsrMatrix, SolveStats};
+use crate::sparse::{CsrMatrix, Generator, SolveStats};
+
+/// An inflow matrix with its out-rates and anchor as a [`Generator`]. Its
+/// stamp walks the balance rows in storage order and skips the identity
+/// rows (the anchor's and those with `out_rate ≤ 0`), whose columns would
+/// otherwise open lanes.
+#[derive(Debug, Clone, Copy)]
+pub struct MatrixGenerator<'a> {
+    /// The inflow matrix `Q`, `Q[i][j]` the rate from state `j` into `i`.
+    pub matrix: &'a CsrMatrix,
+    /// Total out-rate of every state.
+    pub out_rate: &'a [f64],
+    /// The anchor the solve pins.
+    pub anchor: usize,
+}
+
+impl Generator for MatrixGenerator<'_> {
+    fn out_rate(&self) -> &[f64] {
+        self.out_rate
+    }
+
+    fn inflow(&self) -> Result<CsrMatrix, NumericError> {
+        Ok(self.matrix.clone())
+    }
+
+    fn stamp(&self, system: &mut AnchoredStencil) {
+        let balance_rows =
+            (0..self.out_rate.len()).filter(|&i| balance_row(self.out_rate, self.anchor, i));
+        for i in balance_rows {
+            let (cols, vals) = self.matrix.row(i);
+            for (&c, &v) in cols.iter().zip(vals) {
+                let lane = system.lane(c as isize - i as isize);
+                system.add_inflow(lane, i, v);
+            }
+        }
+    }
+}
 
 /// The row-scaled anchored system and its ILU(0) factor, as plain arrays
 /// (the factor is empty under [`Preconditioner::Jacobi`]).
@@ -181,7 +219,7 @@ fn apply_preconditioner(sys: &AnchoredSystem, kind: Preconditioner, z: &[f64], o
 }
 
 /// The reference solve: same contract as
-/// [`super::stationary_bicgstab`], returning the assembled system (as far
+/// [`super::stationary_bicgstab_of`] over a [`MatrixGenerator`], returning the assembled system (as far
 /// as assembly and factorisation got) alongside the result.
 pub fn stationary_bicgstab(
     inflow: &CsrMatrix,

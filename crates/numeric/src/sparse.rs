@@ -1,5 +1,5 @@
-//! Compressed-sparse-row matrices and an iterative stationary-distribution
-//! solver for continuous-time Markov chains.
+//! Compressed-sparse-row matrices and the stationary-distribution solver
+//! for continuous-time Markov chains.
 //!
 //! The master-equation solver in `se-montecarlo` assembles a transition-rate
 //! generator whose row count equals the number of enumerated charge states.
@@ -7,9 +7,11 @@
 //! thousand states; the generator is in fact extremely sparse (each state
 //! couples to at most two states per junction), so this module provides
 //!
-//! * [`CsrMatrix`] — a read-optimised CSR matrix built from triplets or
-//!   from ready row arrays, and
-//! * [`stationary_distribution_with`] — a solver for the stationary
+//! * [`Generator`] — the one input form of the solver: the total out-rate
+//!   of every state, the entries stamped straight into the anchored
+//!   stencil of the Krylov path, and the inflow matrix as a [`CsrMatrix`]
+//!   built only when the Gauss–Seidel sweep runs, and
+//! * [`stationary_distribution_of`] — the solver of the stationary
 //!   balance `p_i · D_i = Σ_j Q[i][j] · p_j` of a conservative generator
 //!   split into its off-diagonal inflow matrix `Q` and the total out-rate
 //!   vector `D`, selectable between an anchored Gauss–Seidel sweep and the
@@ -29,15 +31,13 @@ use crate::error::NumericError;
 use crate::krylov::{
     stationary_bicgstab_of, AnchoredStencil, KrylovOptions, KrylovWorkspace, Preconditioner,
 };
-use crate::matrix::Matrix;
-use std::borrow::Cow;
 
 /// Compressed-sparse-row matrix of `f64` values.
 ///
 /// Entries are stored row by row in the order the triplets were supplied;
 /// duplicate `(row, col)` positions are allowed and act additively in every
 /// operation (matrix–vector products and row sums), which matches the
-/// "stamping" semantics of the dense [`Matrix::add_at`].
+/// "stamping" semantics of the dense [`crate::matrix::Matrix::add_at`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct CsrMatrix {
     rows: usize,
@@ -186,12 +186,6 @@ impl CsrMatrix {
         self.cols
     }
 
-    /// Number of stored entries (duplicates counted individually).
-    #[must_use]
-    pub fn nnz(&self) -> usize {
-        self.values.len()
-    }
-
     /// The column indices and values of row `r`.
     ///
     /// # Panics
@@ -203,52 +197,9 @@ impl CsrMatrix {
         let span = self.row_ptr[r]..self.row_ptr[r + 1];
         (&self.col_idx[span.clone()], &self.values[span])
     }
-
-    /// Matrix × vector product.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v.len() != self.cols()`.
-    #[must_use]
-    pub fn mul_vec(&self, v: &[f64]) -> Vec<f64> {
-        let mut out = vec![0.0; self.rows];
-        self.mul_vec_into(v, &mut out);
-        out
-    }
-
-    /// Matrix × vector product into a caller-provided buffer — the
-    /// allocation-free form of [`CsrMatrix::mul_vec`] for iterative solvers
-    /// that reuse workspace vectors across products. Row sums are
-    /// accumulated in storage order, so repeated products are bit-identical.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v.len() != self.cols()` or `out.len() != self.rows()`.
-    pub fn mul_vec_into(&self, v: &[f64], out: &mut [f64]) {
-        assert_eq!(v.len(), self.cols, "vector length must equal column count");
-        assert_eq!(out.len(), self.rows, "output length must equal row count");
-        for r in 0..self.rows {
-            let (cols, vals) = self.row(r);
-            out[r] = cols.iter().zip(vals).map(|(&c, &x)| x * v[c]).sum();
-        }
-    }
-
-    /// Densifies the matrix (duplicates summed) — intended for tests and
-    /// small-scale diagnostics only.
-    #[must_use]
-    pub fn to_dense(&self) -> Matrix {
-        let mut m = Matrix::zeros(self.rows, self.cols);
-        for r in 0..self.rows {
-            let (cols, vals) = self.row(r);
-            for (&c, &v) in cols.iter().zip(vals) {
-                m.add_at(r, c, v);
-            }
-        }
-        m
-    }
 }
 
-/// Iterative method selection for [`stationary_distribution_with`].
+/// Iterative method selection for [`stationary_distribution_of`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StationarySolver {
     /// Anchored Gauss–Seidel sweeps — unconditionally convergent on rate
@@ -301,7 +252,7 @@ pub struct SolveStats {
     pub residual: f64,
 }
 
-/// Options for [`stationary_distribution`] / [`stationary_distribution_with`].
+/// Options for [`stationary_distribution_of`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StationaryOptions {
     /// Convergence threshold: the largest absolute per-state probability
@@ -330,7 +281,7 @@ impl Default for StationaryOptions {
     }
 }
 
-/// Reusable buffers of [`stationary_distribution_with`]: the Gauss–Seidel
+/// Reusable buffers of [`stationary_distribution_of`]: the Gauss–Seidel
 /// sweep vectors plus the embedded [`KrylovWorkspace`]. The buffers grow to
 /// the problem size on first use; a caller that passes the same workspace
 /// to several solves skips those allocations. Every solve overwrites what
@@ -353,11 +304,10 @@ impl StationaryWorkspace {
 
 /// A rate generator in the two forms the stationary solvers read: the
 /// inflow matrix the Gauss–Seidel sweep relaxes, or its entries stamped
-/// straight into the anchored stencil of the Krylov path. A caller whose
-/// generator has a cheaper stencil form than its CSR (the master equation's
-/// lattice, where every event is one index offset) solves it with
-/// [`stationary_distribution_of`] and builds the matrix only if the sweep
-/// runs.
+/// straight into the anchored stencil of the Krylov path. A generator whose
+/// stencil form is cheaper than its CSR (the master equation's lattice,
+/// where every event is one index offset) is solved through the stamp, and
+/// its matrix is built only if the sweep runs.
 pub trait Generator {
     /// Total out-rate of every state; its length is the state count.
     fn out_rate(&self) -> &[f64];
@@ -368,7 +318,7 @@ pub trait Generator {
     /// # Errors
     ///
     /// Whatever building the matrix reports.
-    fn inflow(&self) -> Result<Cow<'_, CsrMatrix>, NumericError>;
+    fn inflow(&self) -> Result<CsrMatrix, NumericError>;
 
     /// Adds every entry `Q[i][j]` of the balance rows into `system` with
     /// [`AnchoredStencil::add_inflow`] on the lane of offset `j − i`, the
@@ -378,37 +328,19 @@ pub trait Generator {
     fn stamp(&self, system: &mut AnchoredStencil);
 }
 
-/// An inflow matrix with its out-rates as a [`Generator`]; its stamp skips
-/// the identity rows, whose columns would otherwise open lanes.
-pub(crate) struct CsrGenerator<'a> {
-    pub(crate) inflow: &'a CsrMatrix,
-    pub(crate) out_rate: &'a [f64],
-    pub(crate) anchor: usize,
-}
-
-impl Generator for CsrGenerator<'_> {
-    fn out_rate(&self) -> &[f64] {
-        self.out_rate
-    }
-
-    fn inflow(&self) -> Result<Cow<'_, CsrMatrix>, NumericError> {
-        Ok(Cow::Borrowed(self.inflow))
-    }
-
-    fn stamp(&self, system: &mut AnchoredStencil) {
-        system.stamp_csr(self.inflow, self.out_rate, self.anchor);
-    }
-}
-
-/// Solves the stationary balance of a continuous-time Markov chain by
-/// anchored Gauss–Seidel iteration.
+/// Solves the stationary balance of a continuous-time Markov chain and
+/// returns the distribution with its solve provenance.
 ///
-/// `inflow` holds the off-diagonal rates — `inflow[i][j]` is the transition
-/// rate from state `j` into state `i` — and `out_rate[i]` is the total rate
-/// out of state `i` (which may exceed the row sums of `inflow` when some
-/// transitions leave the modelled state set). The returned vector satisfies
-/// `p_i = Σ_j inflow[i][j]·p_j / out_rate[i]` for every `i ≠ anchor` to
-/// within the tolerance and sums to 1.
+/// The [`Generator`] supplies the off-diagonal rates — `Q[i][j]` is the
+/// transition rate from state `j` into state `i` — and `out_rate[i]`, the
+/// total rate out of state `i` (which may exceed the row sums of `Q` when
+/// some transitions leave the modelled state set). It vouches for its
+/// inflow entries being non-negative and square over its states. The
+/// returned vector satisfies `p_i = Σ_j Q[i][j]·p_j / out_rate[i]` for every
+/// `i ≠ anchor` to within the tolerance and sums to 1. The Krylov path
+/// stamps the anchored system straight from the generator; the inflow
+/// matrix is built only if the Gauss–Seidel sweep runs (selected, or as the
+/// fallback).
 ///
 /// The `anchor` state's own balance equation is dropped and replaced by the
 /// normalisation condition — exactly the substitution a direct solver makes
@@ -427,43 +359,18 @@ impl Generator for CsrGenerator<'_> {
 /// should regularise first (the master-equation layer adds a vanishing
 /// escape rate towards the ground state for exactly this reason).
 ///
-/// Sweeps alternate forward and backward, which propagates probability
-/// along chain-like topologies in both directions and converges
-/// substantially faster than one-directional sweeps on the charge-state
-/// lattices this crate is used for. The iteration is deterministic: the
-/// same inputs produce bit-identical output on every run.
-///
-/// # Errors
-///
-/// Returns [`NumericError::DimensionMismatch`] for inconsistent shapes or
-/// an out-of-range anchor, [`NumericError::InvalidArgument`] for negative
-/// or non-finite rates, and [`NumericError::NoConvergence`] if the
-/// tolerance is not reached within `max_sweeps` or the probability ratios
-/// overflow (the anchor carries essentially no stationary probability).
-pub fn stationary_distribution(
-    inflow: &CsrMatrix,
-    out_rate: &[f64],
-    anchor: usize,
-    options: &StationaryOptions,
-) -> Result<Vec<f64>, NumericError> {
-    let mut workspace = StationaryWorkspace::new();
-    stationary_distribution_with(inflow, out_rate, anchor, options, None, &mut workspace)
-        .map(|(probabilities, _)| probabilities)
-}
-
-/// The workspace-reusing, warm-startable form of
-/// [`stationary_distribution`], returning the solve provenance alongside
-/// the distribution.
+/// Gauss–Seidel sweeps alternate forward and backward, which propagates
+/// probability along chain-like topologies in both directions and
+/// converges substantially faster than one-directional sweeps on the
+/// charge-state lattices this crate is used for.
 ///
 /// `warm_start` optionally seeds the iteration with a previously converged
-/// distribution over the *same* state indexing (any positive scaling). A
-/// warm start from a nearby operating point — one bias step away in a
-/// sweep — cuts the iteration count to a handful for either solver. An
+/// distribution over the *same* state indexing (any positive scaling). An
 /// unusable warm start (wrong length, non-finite or negative entries, no
 /// mass on the anchor) silently degrades to the cold start, so callers may
-/// pass whatever they last converged without re-validating it. With
-/// `warm_start = None` the Gauss–Seidel path performs the exact
-/// bit-identical iteration [`stationary_distribution`] always has.
+/// pass whatever they last converged without re-validating it. The
+/// `workspace` buffers are overwritten before they are read, so a reused
+/// workspace never changes a bit of the result.
 ///
 /// Both solver paths are deterministic — fixed iteration order, fixed
 /// reduction order — so the same inputs (including the same warm start)
@@ -476,52 +383,12 @@ pub fn stationary_distribution(
 ///
 /// # Errors
 ///
-/// As [`stationary_distribution`]; a Krylov failure surfaces only if the
-/// Gauss–Seidel fallback also fails.
-pub fn stationary_distribution_with(
-    inflow: &CsrMatrix,
-    out_rate: &[f64],
-    anchor: usize,
-    options: &StationaryOptions,
-    warm_start: Option<&[f64]>,
-    workspace: &mut StationaryWorkspace,
-) -> Result<(Vec<f64>, SolveStats), NumericError> {
-    let n = inflow.rows();
-    if inflow.cols() != n || out_rate.len() != n || anchor >= n {
-        return Err(NumericError::DimensionMismatch {
-            expected: format!("{n}x{n} inflow matrix, out-rate length {n}, anchor < {n}"),
-            found: format!(
-                "{}x{} matrix, out-rate length {}, anchor {anchor}",
-                inflow.rows(),
-                inflow.cols(),
-                out_rate.len()
-            ),
-        });
-    }
-    check_out_rate(out_rate)?;
-    if inflow.values.iter().any(|&v| v < 0.0) {
-        return Err(NumericError::InvalidArgument(
-            "inflow rates must be non-negative".into(),
-        ));
-    }
-    let generator = CsrGenerator {
-        inflow,
-        out_rate,
-        anchor,
-    };
-    solve_checked(&generator, anchor, options, warm_start, workspace)
-}
-
-/// [`stationary_distribution_with`] over a [`Generator`]: the Krylov path
-/// stamps the anchored system straight from the generator, and the inflow
-/// matrix is built only if the Gauss–Seidel sweep runs (selected, or as
-/// the fallback). The generator vouches for its inflow entries being
-/// non-negative and square over its states.
-///
-/// # Errors
-///
-/// [`NumericError::DimensionMismatch`] for an anchor outside the states,
-/// otherwise as [`stationary_distribution_with`].
+/// Returns [`NumericError::DimensionMismatch`] for an anchor outside the
+/// states, [`NumericError::InvalidArgument`] for a negative or non-finite
+/// out-rate, and [`NumericError::NoConvergence`] if the Gauss–Seidel
+/// tolerance is not reached within `max_sweeps` or the probability ratios
+/// overflow (the anchor carries essentially no stationary probability); a
+/// Krylov failure surfaces only if the Gauss–Seidel fallback also fails.
 pub fn stationary_distribution_of<G: Generator + ?Sized>(
     generator: &G,
     anchor: usize,
@@ -703,17 +570,54 @@ fn stationary_gauss_seidel(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::krylov::reference::MatrixGenerator;
+
+    /// Solves an inflow matrix through the test adapter.
+    fn solve_with(
+        inflow: &CsrMatrix,
+        out_rate: &[f64],
+        anchor: usize,
+        options: &StationaryOptions,
+        warm_start: Option<&[f64]>,
+        workspace: &mut StationaryWorkspace,
+    ) -> Result<(Vec<f64>, SolveStats), NumericError> {
+        let generator = MatrixGenerator {
+            matrix: inflow,
+            out_rate,
+            anchor,
+        };
+        stationary_distribution_of(&generator, anchor, options, warm_start, workspace)
+    }
+
+    /// [`solve_with`], cold, on a fresh workspace, returning the
+    /// distribution alone.
+    fn solve(
+        inflow: &CsrMatrix,
+        out_rate: &[f64],
+        anchor: usize,
+        options: &StationaryOptions,
+    ) -> Result<Vec<f64>, NumericError> {
+        let mut workspace = StationaryWorkspace::new();
+        solve_with(inflow, out_rate, anchor, options, None, &mut workspace).map(|(p, _)| p)
+    }
 
     #[test]
     fn from_triplets_builds_and_densifies() {
         let m = CsrMatrix::from_triplets(2, 3, &[(0, 1, 2.0), (1, 0, -1.5), (0, 1, 3.0)]).unwrap();
         assert_eq!(m.rows(), 2);
         assert_eq!(m.cols(), 3);
-        assert_eq!(m.nnz(), 3);
-        let dense = m.to_dense();
-        assert_eq!(dense[(0, 1)], 5.0, "duplicates act additively");
-        assert_eq!(dense[(1, 0)], -1.5);
-        assert_eq!(dense[(1, 2)], 0.0);
+        assert_eq!(m.row(0), (&[1, 1][..], &[2.0, 3.0][..]), "row order kept");
+        let dense = |r: usize, c: usize| -> f64 {
+            let (cols, vals) = m.row(r);
+            cols.iter()
+                .zip(vals)
+                .filter(|(&j, _)| j == c)
+                .map(|(_, &v)| v)
+                .sum()
+        };
+        assert_eq!(dense(0, 1), 5.0, "duplicates act additively");
+        assert_eq!(dense(1, 0), -1.5);
+        assert_eq!(dense(1, 2), 0.0);
     }
 
     #[test]
@@ -769,36 +673,11 @@ mod tests {
     }
 
     #[test]
-    fn mul_vec_into_reuses_buffer_and_matches_mul_vec() {
-        let triplets = [(0usize, 0usize, 1.5), (0, 2, -2.0), (2, 1, 4.0)];
-        let sparse = CsrMatrix::from_triplets(3, 3, &triplets).unwrap();
-        let v = [1.0, -2.0, 0.5];
-        let mut out = vec![99.0; 3];
-        sparse.mul_vec_into(&v, &mut out);
-        assert_eq!(out, sparse.mul_vec(&v), "stale buffer contents overwritten");
-    }
-
-    #[test]
-    fn mul_vec_matches_dense() {
-        let triplets = [
-            (0usize, 0usize, 1.0),
-            (0, 2, 2.0),
-            (1, 1, -3.0),
-            (2, 0, 0.5),
-            (2, 2, 4.0),
-        ];
-        let sparse = CsrMatrix::from_triplets(3, 3, &triplets).unwrap();
-        let v = [1.0, 2.0, 3.0];
-        assert_eq!(sparse.mul_vec(&v), sparse.to_dense().mul_vec(&v));
-    }
-
-    #[test]
     fn two_state_chain_has_analytic_stationary_distribution() {
         // 0 → 1 at rate a, 1 → 0 at rate b: p = (b, a) / (a + b).
         let (a, b) = (3.0e9, 1.0e9);
         let inflow = CsrMatrix::from_triplets(2, 2, &[(1, 0, a), (0, 1, b)]).unwrap();
-        let p =
-            stationary_distribution(&inflow, &[a, b], 0, &StationaryOptions::default()).unwrap();
+        let p = solve(&inflow, &[a, b], 0, &StationaryOptions::default()).unwrap();
         assert!((p[0] - b / (a + b)).abs() < 1e-12);
         assert!((p[1] - a / (a + b)).abs() < 1e-12);
     }
@@ -817,7 +696,7 @@ mod tests {
             out[k + 1] += mu;
         }
         let inflow = CsrMatrix::from_triplets(n, n, &triplets).unwrap();
-        let p = stationary_distribution(&inflow, &out, 0, &StationaryOptions::default()).unwrap();
+        let p = solve(&inflow, &out, 0, &StationaryOptions::default()).unwrap();
         let r = lambda / mu;
         for k in 1..n {
             let expected = p[0] * r.powi(k as i32);
@@ -842,7 +721,7 @@ mod tests {
         let out = [1.5e9, 2.0e9, 0.0];
         // The absorbing state is the only one with stationary mass, so it
         // is the anchor.
-        let p = stationary_distribution(&inflow, &out, 2, &StationaryOptions::default()).unwrap();
+        let p = solve(&inflow, &out, 2, &StationaryOptions::default()).unwrap();
         assert!(p[2] > 1.0 - 1e-12, "absorbing probability {}", p[2]);
         assert!(p[0] < 1e-12 && p[1] < 1e-12);
     }
@@ -850,29 +729,28 @@ mod tests {
     #[test]
     fn solver_rejects_invalid_input() {
         let inflow = CsrMatrix::from_triplets(2, 2, &[(0, 1, 1.0)]).unwrap();
+        let options = StationaryOptions::default();
+        assert!(matches!(
+            solve(&inflow, &[1.0, -1.0], 0, &options),
+            Err(NumericError::InvalidArgument(_))
+        ));
+        assert!(matches!(
+            solve(&inflow, &[1.0, f64::NAN], 0, &options),
+            Err(NumericError::InvalidArgument(_))
+        ));
         assert!(
-            stationary_distribution(&inflow, &[1.0], 0, &StationaryOptions::default()).is_err()
-        );
-        assert!(
-            stationary_distribution(&inflow, &[1.0, -1.0], 0, &StationaryOptions::default())
-                .is_err()
-        );
-        assert!(
-            stationary_distribution(&inflow, &[1.0, 1.0], 2, &StationaryOptions::default())
-                .is_err(),
+            matches!(
+                solve(&inflow, &[1.0, 1.0], 2, &options),
+                Err(NumericError::DimensionMismatch { .. })
+            ),
             "out-of-range anchor"
-        );
-        let negative = CsrMatrix::from_triplets(2, 2, &[(0, 1, -1.0)]).unwrap();
-        assert!(
-            stationary_distribution(&negative, &[1.0, 1.0], 0, &StationaryOptions::default())
-                .is_err()
         );
     }
 
     #[test]
     fn solver_reports_no_convergence_on_tiny_budget() {
         let inflow = CsrMatrix::from_triplets(2, 2, &[(1, 0, 1.0e9), (0, 1, 3.0e9)]).unwrap();
-        let err = stationary_distribution(
+        let err = solve(
             &inflow,
             &[1.0e9, 3.0e9],
             0,
@@ -880,8 +758,8 @@ mod tests {
                 tolerance: 1e-300,
                 max_sweeps: 1,
                 // The Krylov default would solve this 2-state system
-                // exactly (ILU(0) of a 2×2 matrix is a complete LU); pin
-                // the sweep path to exercise its budget reporting.
+                // exactly; pin the sweep path to exercise its budget
+                // reporting.
                 solver: StationarySolver::GaussSeidel,
             },
         )
@@ -892,7 +770,7 @@ mod tests {
     #[test]
     fn single_state_is_trivially_stationary() {
         let inflow = CsrMatrix::from_triplets(1, 1, &[]).unwrap();
-        let p = stationary_distribution(&inflow, &[0.0], 0, &StationaryOptions::default()).unwrap();
+        let p = solve(&inflow, &[0.0], 0, &StationaryOptions::default()).unwrap();
         assert_eq!(p, vec![1.0]);
     }
 
@@ -920,7 +798,7 @@ mod tests {
                 solver,
                 ..StationaryOptions::default()
             };
-            stationary_distribution_with(&inflow, &out, 0, &options, None, workspace).unwrap()
+            solve_with(&inflow, &out, 0, &options, None, workspace).unwrap()
         };
         let (reference, gs_stats) = solve(StationarySolver::GaussSeidel, &mut workspace);
         assert_eq!(gs_stats.solver, "gauss-seidel");
@@ -935,25 +813,6 @@ mod tests {
     }
 
     #[test]
-    fn gauss_seidel_workspace_path_is_bit_identical_to_the_legacy_entry() {
-        let (inflow, out) = birth_death();
-        let options = StationaryOptions {
-            solver: StationarySolver::GaussSeidel,
-            ..StationaryOptions::default()
-        };
-        let legacy = stationary_distribution(&inflow, &out, 0, &options).unwrap();
-        let mut workspace = StationaryWorkspace::new();
-        let (fresh, _) =
-            stationary_distribution_with(&inflow, &out, 0, &options, None, &mut workspace).unwrap();
-        // Reused (dirty) workspace must not perturb a cold-started solve.
-        let (reused, _) =
-            stationary_distribution_with(&inflow, &out, 0, &options, None, &mut workspace).unwrap();
-        let bits = |p: &[f64]| p.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&legacy), bits(&fresh));
-        assert_eq!(bits(&legacy), bits(&reused));
-    }
-
-    #[test]
     fn warm_started_gauss_seidel_converges_faster_and_agrees() {
         let (inflow, out) = birth_death();
         let options = StationaryOptions {
@@ -962,10 +821,9 @@ mod tests {
         };
         let mut workspace = StationaryWorkspace::new();
         let (cold, cold_stats) =
-            stationary_distribution_with(&inflow, &out, 0, &options, None, &mut workspace).unwrap();
+            solve_with(&inflow, &out, 0, &options, None, &mut workspace).unwrap();
         let (warm, warm_stats) =
-            stationary_distribution_with(&inflow, &out, 0, &options, Some(&cold), &mut workspace)
-                .unwrap();
+            solve_with(&inflow, &out, 0, &options, Some(&cold), &mut workspace).unwrap();
         assert!(warm_stats.iterations <= cold_stats.iterations);
         for (a, b) in cold.iter().zip(&warm) {
             assert!((a - b).abs() < 1e-10);
@@ -975,21 +833,30 @@ mod tests {
     #[test]
     fn unusable_warm_starts_degrade_to_the_cold_start() {
         let (inflow, out) = birth_death();
-        let options = StationaryOptions::default();
-        let mut workspace = StationaryWorkspace::new();
-        let (cold, _) =
-            stationary_distribution_with(&inflow, &out, 0, &options, None, &mut workspace).unwrap();
         let bits = |p: &[f64]| p.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         let wrong_length = vec![0.5; inflow.rows() + 1];
-        let mut no_anchor_mass = cold.clone();
-        no_anchor_mass[0] = 0.0;
-        let mut non_finite = cold.clone();
-        non_finite[3] = f64::NAN;
-        for bad in [&wrong_length, &no_anchor_mass, &non_finite] {
-            let (p, _) =
-                stationary_distribution_with(&inflow, &out, 0, &options, Some(bad), &mut workspace)
-                    .unwrap();
-            assert_eq!(bits(&p), bits(&cold), "bad warm start must equal cold run");
+        for solver in [StationarySolver::default(), StationarySolver::GaussSeidel] {
+            let options = StationaryOptions {
+                solver,
+                ..StationaryOptions::default()
+            };
+            let mut workspace = StationaryWorkspace::new();
+            let (cold, _) = solve_with(&inflow, &out, 0, &options, None, &mut workspace).unwrap();
+            let mut no_anchor_mass = cold.clone();
+            no_anchor_mass[0] = 0.0;
+            let mut non_finite = cold.clone();
+            non_finite[3] = f64::NAN;
+            for bad in [&wrong_length, &no_anchor_mass, &non_finite] {
+                // The reused (dirty) workspace must not perturb the
+                // cold-started solve either.
+                let (p, _) =
+                    solve_with(&inflow, &out, 0, &options, Some(bad), &mut workspace).unwrap();
+                assert_eq!(
+                    bits(&p),
+                    bits(&cold),
+                    "{solver:?}: bad warm start ≠ cold run"
+                );
+            }
         }
     }
 }
